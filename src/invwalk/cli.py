@@ -80,6 +80,9 @@ def _cmd_closed(args) -> int:
         "value": text_value, "precision_bits": info.precision,
         "saturated": info.saturated,
     }
+    if not args.no_meta:
+        payload["meta"] = {"saturated": info.saturated, "terms": info.terms,
+                           "skipped": info.skipped}
     rows = [_value_row(args.m, args.n, f"closed:{info.variant}", text_value,
                        info.precision, flags)]
     _output(args, payload, rows, f"I({args.m},{args.n}) = {text_value}")
@@ -340,6 +343,8 @@ def _verify_checks(level: str):
                     rel = abs(check.residual) / tol
                     if rel > worst[1]:
                         worst = (f"m={m} prec={precision} {check.name}", rel)
+        if worst[1] == 0:
+            return True, "all residuals 0"
         return True, f"worst residual/tol = {worst[1]:.3g} at {worst[0]}"
 
     def cross_method():
@@ -434,7 +439,7 @@ def _add_common(sub, n_required=True):
         sub.add_argument("--n", type=int, required=True, help="number of steps")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--no-meta", action="store_true",
-                     help="suppress timing metadata in JSON output")
+                     help="suppress the meta block in JSON output")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,24 +14,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from mpmath import mpf, workprec
 
 from .budget import check_budget
 from .chain import iterate_totals
-from .spectral import MIN_PRECISION, SpectralTable, build_table
+from .spectral import MIN_PRECISION, build_table
 
 VARIANTS = ("theorem1", "ser2", "ser3")
 
-# Materialize the (m+1)^2 eigenvalue table only below this entry count.
-MATERIALIZE_LIMIT = 2**24
+# Slack, in bits, between a pair's float bound and the cut below which its
+# summand is skipped; it absorbs the float error of both bounds.
+SKIP_MARGIN_BITS = 8
+# Entries of the pair-selection bound evaluated per numpy block.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
 class ClosedFormOptions:
     variant: str = "theorem1"
     precision: int = MIN_PRECISION
-    materialize_x: bool = True
-    use_symmetry: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -48,6 +50,8 @@ class ClosedFormResult:
     variant: str
     precision: int
     saturated: bool
+    terms: int    # orbit summands computed (each one power x^n)
+    skipped: int  # of the (m+1)^2 pairs, those left out of the sum
 
 
 @dataclass(frozen=True)
@@ -75,25 +79,82 @@ def exact_fraction(value) -> Fraction:
     return Fraction(p, q)
 
 
-def _saturated(m: int, n: int, table: SpectralTable, precision: int) -> bool:
+def _saturated(m: int, n: int, precision: int, work: int) -> bool:
     # x_00^n below relative 2^-(precision+64): the whole sum is invisible
     # next to m(m+1)/4 at working precision.  Only valid for m >= 3, where
     # every certified |x_jk| < 1; for m <= 2 an eigenvalue -1 persists.
+    # c_0 is computed as ``build_table(m, work)`` computes it, bit for bit,
+    # so the test needs no table.
     if n == 0 or m < 3:
         return False
-    x00 = 1 - mpf(4) / m * (1 - table.c[0] ** 2)
-    if x00 <= 0:
-        return False
-    return n * mpmath.log(x00) < -(precision + 64) * mpmath.log(2)
+    with workprec(work):
+        c0 = mpmath.cos(mpmath.pi() / (2 * m + 2))
+        x00 = 1 - mpf(4) / m * (1 - c0**2)
+        if x00 <= 0:
+            return False
+        return n * mpmath.log(x00) < -(precision + 64) * mpmath.log(2)
+
+
+def _live_columns(m: int, n: int, work: int):
+    """For each row j in turn, the columns k whose theorem-1 summand can
+    change the sum at ``work`` bits (see ``closed_form_info``).
+
+    The float bound of log(w_jk x_jk^n), up to the constant log 4, uses
+    theta_i = i pi/(2m+2) and the cancellation-free forms
+    (c_j + c_k)^2 = 4 cos^2 theta_{j+k+1} cos^2 theta_{|j-k|},
+    1 - c_j c_k = sin^2 theta_{|j-k|} + sin^2 theta_{j+k+1} and
+    s_j^2 = sin^2 theta_{2j+1}.  cos^2 theta_{m+1} is set to 0: the pairs
+    j + k = m have weight exactly 0 in the mirrored spectral table.  Rows
+    are evaluated in blocks, so memory stays O(m).
+    """
+    theta = np.arange(2 * m + 2) * (math.pi / (2 * m + 2))
+    sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+    cos2[m + 1] = 0.0
+    with np.errstate(divide="ignore"):
+        log_cos2 = np.log(cos2)
+    log_s2 = np.log(sin2[1::2])
+    k = np.arange(m + 1)
+
+    def bound(rows):
+        j = rows[:, None]
+        d, s = np.abs(j - k), j + k + 1
+        return (log_cos2[s] + log_cos2[d] - log_s2[j] - log_s2[k]
+                + float(n) * np.log1p(-(4 / m) * (sin2[d] + sin2[s])))
+
+    cut = bound(k[:1])[0, 0] - (work + 1 + SKIP_MARGIN_BITS) * math.log(2)
+    step = max(1, _BLOCK_ENTRIES // (m + 1))
+    for j0 in range(0, m + 1, step):
+        for live in bound(k[j0:j0 + step]) >= cut:
+            yield np.flatnonzero(live).tolist()
 
 
 def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> ClosedFormResult:
     """I_{m,n} by the spectral double sum, with saturation metadata.
 
-    The j <-> m-j, k <-> m-k symmetry makes mirrored summands bit-equal
-    (the table mirrors c exactly), so with ``use_symmetry`` each orbit's
-    term is computed once and reused; the addition order is unchanged and
-    the result is bit-identical to the plain double loop.
+    The sum runs over the pairs (j, k) in row-major order.  The
+    j <-> k and, for the theorem-1 weights, (j, k) -> (m-j, m-k)
+    symmetries make the summands of one orbit bit-equal (the table mirrors
+    c exactly), so each orbit's term, and its power x^n, is computed once.
+
+    Theorem 1 at m >= 8 adds only the pairs whose summand can change the
+    sum, and the result stays bit-identical to adding all of them:
+
+    - every x_jk > 0, since x_jk >= 1 - (4/m)(1 + c_0^2) and c_0^2 < 1
+      (at m = 7 the pair (0, m) already has x < 0), so every summand
+      w_jk x_jk^n with w_jk = (c_j + c_k)^2/(s_j^2 s_k^2) is >= 0;
+    - the loop adds the (0, 0) summand T00 first, and adding summands
+      >= 0 with rounding to nearest never lowers the running total, so it
+      stays >= T00;
+    - mpmath rounds each addition correctly to nearest at ``work`` bits,
+      so a summand t < T00 2^-(work+1) is below half an ulp of the total
+      and adding it leaves the total unchanged bit for bit.
+
+    A float bound of log(w_jk x_jk^n) selects the pairs within
+    ``work + 1 + SKIP_MARGIN_BITS`` bits of T00 (``_live_columns``); the
+    margin covers the float error of the bound.  ``ser2`` and ``ser3``,
+    whose weights change sign, and m < 8 add every pair.  ``terms``
+    counts the orbit summands computed and ``skipped`` the pairs left
+    out (all of them when the result is saturated).
     """
     if opts is None:
         opts = ClosedFormOptions()
@@ -102,40 +163,31 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     precision = opts.precision
     guard = 32 + (2 * (m + 1) ** 2).bit_length()
     work = precision + guard
+    pairs = (m + 1) ** 2
+    if _saturated(m, n, precision, work):
+        with workprec(work):
+            limit = _limit_value(m)
+        with workprec(precision):
+            return ClosedFormResult(+limit, m, n, opts.variant, precision, True,
+                                    terms=0, skipped=pairs)
+    check_budget(pairs, f"closed_form m={m}, n={n}")
     table = build_table(m, work)
     with workprec(work):
-        limit = _limit_value(m)
-        if _saturated(m, n, table, precision):
-            with workprec(precision):
-                return ClosedFormResult(+limit, m, n, opts.variant, precision, True)
-
         c = table.c
         inv_s2 = [1 / sk**2 for sk in table.s]
         inv_omc = [1 / (1 - cj) for cj in c]
         four_over_m = mpf(4) / m
 
-        materialize = opts.materialize_x and (m + 1) ** 2 <= MATERIALIZE_LIMIT
-        if materialize:
-            xpow = {}
-            for j in range(m + 1):
-                for k in range(j, m + 1):
-                    xpow[(j, k)] = (1 - four_over_m * (1 - c[j] * c[k])) ** n
-            x_at = lambda j, k: xpow[(j, k) if j <= k else (k, j)]
-        else:
-            x_at = lambda j, k: (1 - four_over_m * (1 - c[j] * c[k])) ** n
-
         def summand(j, k):
+            xn = (1 - four_over_m * (1 - c[j] * c[k])) ** n
             if opts.variant == "theorem1":
-                weight = (c[j] + c[k]) ** 2 * inv_s2[j] * inv_s2[k]
-                return weight * x_at(j, k)
+                return (c[j] + c[k]) ** 2 * inv_s2[j] * inv_s2[k] * xn
             weight = (c[j] + c[k]) * inv_omc[j] * inv_omc[k]
             if opts.variant == "ser2":
-                return weight * x_at(j, k)
-            return weight * (1 - x_at(j, k))  # ser3
+                return weight * xn
+            return weight * (1 - xn)  # ser3
 
         def orbit_of(j, k):
-            # Summands are symmetric in (j, k) always, and additionally under
-            # the exact mirror (j, k) -> (m-j, m-k) for the theorem1 weights.
             rep = (j, k) if j <= k else (k, j)
             if opts.variant == "theorem1":
                 mj, mk = m - rep[0], m - rep[1]
@@ -143,20 +195,24 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
                 rep = min(rep, mirrored)
             return rep
 
+        if opts.variant == "theorem1" and m >= 8:
+            rows = _live_columns(m, n, work)
+        else:
+            rows = [range(m + 1)] * (m + 1)
         cache: dict = {}
         total = mpf(0)
-        for j in range(m + 1):
-            for k in range(m + 1):
+        summed = 0
+        for j, columns in enumerate(rows):
+            for k in columns:
                 orbit = orbit_of(j, k)
-                if opts.use_symmetry:
-                    term = cache.get(orbit)
-                    if term is None:
-                        term = summand(*orbit)
-                        cache[orbit] = term
-                else:
+                term = cache.get(orbit)
+                if term is None:
                     term = summand(*orbit)
+                    cache[orbit] = term
                 total += term
+                summed += 1
 
+        limit = _limit_value(m)
         scale = 1 / (8 * mpf(m + 1) ** 2)
         if opts.variant == "ser3":
             value = scale * total
@@ -164,7 +220,8 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
             value = limit - scale * total
         with workprec(precision):
             value = +value
-    return ClosedFormResult(value, m, n, opts.variant, precision, False)
+    return ClosedFormResult(value, m, n, opts.variant, precision, False,
+                            terms=len(cache), skipped=pairs - summed)
 
 
 def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,20 @@ def test_closed_json_fields(capsys):
     assert payload["saturated"] is True
     assert payload["precision_bits"] == 53
     assert float(payload["value"]) == 3.0
+    assert payload["meta"] == {"saturated": True, "terms": 0, "skipped": 16}
+
+
+def test_closed_meta(capsys):
+    args = ("closed", "--m", "40", "--n", "64000", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["saturated"] is False
+    assert 0 < meta["terms"] < 41 * 42 // 2
+    assert 0 < meta["skipped"] < 41**2
+    code, out, _ = run(capsys, *args, "--no-meta")
+    assert code == 0
+    assert "meta" not in json.loads(out)
 
 
 def test_bounds_text(capsys):
@@ -129,6 +144,8 @@ def test_verify_quick(capsys):
     assert code == 0
     assert "all passed" in out
     assert "FAIL" not in out
+    # Every identity residual is 0 at this level; no empty worst location.
+    assert "ok   trig identities: all residuals 0" in out
 
 
 def test_sweep_csv(capsys):
@@ -172,6 +189,15 @@ def test_exit_code_argument_error(capsys):
 
 def test_exit_code_budget(capsys):
     code, _, err = run(capsys, "eriksen", "--m", "2", "--n", "100000")
+    assert code == 3
+    assert err.startswith("error: budget:")
+
+
+def test_closed_budget_refuses_before_work(capsys, monkeypatch):
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "closed", "--m", "100000", "--n", "1")
+    assert time.perf_counter() - start < 1
     assert code == 3
     assert err.startswith("error: budget:")
 

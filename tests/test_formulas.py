@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import workprec
 
-from invwalk import chain, formulas
+from invwalk import asymptotics, chain, formulas, spectral
 from invwalk.budget import WorkBudgetError
 
 
@@ -58,27 +59,120 @@ def test_variants_agree():
             assert abs(v - values[0]) < 1e-30 * max(1, abs(values[0]))
 
 
+def _full_loop(m, n, precision, reuse=True):
+    """Every variant by the plain double loop over all (m+1)^2 pairs.
+
+    The guard bits, operations and addition order of ``closed_form``,
+    with no summand skipped.  Each summand is
+    evaluated at its orbit's representative, as there, because the
+    weight's product order depends on it; x^n is the same at every member
+    of an orbit.  With ``reuse`` every x^n and summand for j <= k is
+    computed up front and reused for (k, j) only; without it each of the
+    (m+1)^2 pairs is computed afresh.
+    """
+    work = precision + 32 + (2 * (m + 1) ** 2).bit_length()
+    table = spectral.build_table(m, work)
+    c = table.c
+    with workprec(work):
+        inv_s2 = [1 / sk**2 for sk in table.s]
+        inv_omc = [1 / (1 - cj) for cj in c]
+        four_over_m = mpmath.mpf(4) / m
+
+        def summands(a, b):
+            xn = (1 - four_over_m * (1 - c[a] * c[b])) ** n
+            weight = (c[a] + c[b]) * inv_omc[a] * inv_omc[b]
+            t, u = min((a, b), (m - b, m - a))
+            return {"theorem1": (c[t] + c[u]) ** 2 * inv_s2[t] * inv_s2[u] * xn,
+                    "ser2": weight * xn, "ser3": weight * (1 - xn)}
+
+        if reuse:
+            upper = {(a, b): summands(a, b) for a in range(m + 1) for b in range(a, m + 1)}
+            pair_terms = lambda a, b: upper[a, b]
+        else:
+            pair_terms = summands
+        totals = dict.fromkeys(formulas.VARIANTS, mpmath.mpf(0))
+        for j in range(m + 1):
+            for k in range(m + 1):
+                for variant, term in pair_terms(min(j, k), max(j, k)).items():
+                    totals[variant] += term
+        limit = mpmath.mpf(m) * (m + 1) / 4
+        scale = 1 / (8 * mpmath.mpf(m + 1) ** 2)
+        values = {v: limit - scale * t for v, t in totals.items()}
+        values["ser3"] = scale * totals["ser3"]
+    with workprec(precision):
+        return {v: +x for v, x in values.items()}
+
+
+def test_closed_form_equals_full_loop():
+    # m = 7 and 8 lie on either side of the m >= 8 edge above which
+    # theorem 1 skips summands; ser2 and ser3 always add every pair.
+    for m in (7, 8, 40, 100):
+        for n in (1, m, m**2, m**3, asymptotics.critical_step_count(m, 0)):
+            for precision in (53, 256):
+                expected = _full_loop(m, n, precision)
+                for variant in formulas.VARIANTS:
+                    info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
+                        variant=variant, precision=precision))
+                    assert not info.saturated
+                    assert info.value == expected[variant], (m, n, precision, variant)
+
+
 def test_symmetry_halving_is_bit_identical():
-    for variant in formulas.VARIANTS:
-        for m, n in [(4, 9), (5, 3), (8, 17)]:
-            fast = formulas.closed_form(m, n, formulas.ClosedFormOptions(
-                variant=variant, use_symmetry=True))
-            plain = formulas.closed_form(m, n, formulas.ClosedFormOptions(
-                variant=variant, use_symmetry=False))
-            assert fast == plain
+    # Each orbit's summand is computed once and reused: the same sum as
+    # computing every one of the (m+1)^2 summands afresh.
+    for m, n in [(4, 9), (5, 3), (8, 17), (40, 1600)]:
+        expected = _full_loop(m, n, 53, reuse=False)
+        for variant in formulas.VARIANTS:
+            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(variant=variant))
+            assert value == expected[variant], (m, n, variant)
 
 
 def test_materialization_is_bit_identical():
-    for m, n in [(3, 8), (7, 100)]:
-        a = formulas.closed_form(m, n, formulas.ClosedFormOptions(materialize_x=True))
-        b = formulas.closed_form(m, n, formulas.ClosedFormOptions(materialize_x=False))
-        assert a == b
+    # x^n is raised lazily, once per orbit that is summed: the same sum as
+    # raising it for all (m+1)(m+2)/2 pairs j <= k up front.
+    for m, n in [(3, 8), (7, 100), (60, 3600)]:
+        expected = _full_loop(m, n, 53)
+        for variant in formulas.VARIANTS:
+            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(variant=variant))
+            assert value == expected[variant], (m, n, variant)
+
+
+def test_closed_form_is_correctly_rounded():
+    m = 120
+    for n in (1, 7, 120, 1000, 14400, 10**5, 2 * 10**6):
+        reference = formulas.closed_form(m, n, formulas.ClosedFormOptions(precision=400))
+        for precision in (53, 128):
+            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(precision=precision))
+            with workprec(precision):
+                assert value == +reference, (n, precision)
+
+
+def test_closed_form_counts_terms():
+    # Far past n = m only the corner orbits are summed.
+    info = formulas.closed_form_info(120, 120**3)
+    assert 0 < info.terms < 10
+    assert info.skipped > 120**2
+    full = formulas.closed_form_info(120, 120**3, formulas.ClosedFormOptions(variant="ser2"))
+    assert full.skipped == 0
+    assert full.terms == 121 * 122 // 2
+
+
+def test_closed_form_large_m():
+    start = time.perf_counter()
+    info = formulas.closed_form_info(1000, 10**6)
+    assert time.perf_counter() - start < 5
+    pair = formulas.bounds(1000, 10**6)
+    value = formulas.exact_fraction(info.value)
+    assert formulas.exact_fraction(pair.lower) <= value <= formulas.exact_fraction(pair.upper)
 
 
 def test_saturation_returns_limit():
     info = formulas.closed_form_info(3, 10**6)
     assert info.saturated
     assert info.value == 3
+    assert (info.terms, info.skipped) == (0, 16)
+    # Saturation is decided before the work budget is consulted.
+    assert formulas.closed_form_info(10**5, 10**20).saturated
     # m <= 2 never saturates: the -1 eigenvalue keeps oscillating.
     info = formulas.closed_form_info(2, 10**6)
     assert not info.saturated
