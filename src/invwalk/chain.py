@@ -3,9 +3,11 @@
 State: the probabilities p_{i,j} (0 <= i <= j < m) that positions i and
 j+1 are inverted after n uniform adjacent transpositions.  One step mixes
 each cell with its grid neighbours inside the triangle and injects mass on
-the diagonal.  All denominators divide m^n, so the state is stored as a
-single big-integer numerator array over the implied denominator m^n; this
-keeps the arithmetic exact with no gcd work.
+the diagonal; ``stencil`` writes that rule down once, and the exact DP, the
+float64 fast path and the generating function's linear system all read it.
+All denominators divide m^n, so the state is stored as a single big-integer
+numerator array over the implied denominator m^n; this keeps the arithmetic
+exact with no gcd work.
 """
 
 from __future__ import annotations
@@ -28,14 +30,54 @@ def cell_index(m: int, i: int, j: int) -> int:
     return j * (j + 1) // 2 + i
 
 
-def neighbors(m: int, i: int, j: int):
-    """Grid neighbours of (i, j) inside the triangle 0 <= i <= j < m."""
-    out = []
-    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+def stencil(m: int):
+    """The walk's step rule on the triangle 0 <= i <= j < m, cell_index layout.
+
+    Returns ``(self_coeff, nbrs, diag)``: ``nbrs`` is a (d, 4) array holding
+    each cell's grid neighbour inside the triangle, one column per direction,
+    padded with ``d`` (an extra cell held at 0); ``self_coeff`` is m minus the
+    neighbour count, minus 2 on the diagonal; ``diag`` lists the diagonal
+    cells.  One step is then ``m p' = self_coeff p + sum_c p[nbrs[:, c]] + e``
+    with e injected on the diagonal, so each row of ``m A`` sums to
+    ``m - 2 [i == j]``.
+    """
+    d = m * (m + 1) // 2
+    j = np.repeat(np.arange(m), np.arange(1, m + 1))
+    i = np.arange(d) - cell_index(m, 0, j)
+    nbrs = np.full((d, 4), d, dtype=np.intp)
+    for c, (di, dj) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
         k, l = i + di, j + dj
-        if 0 <= k <= l < m:
-            out.append((k, l))
+        inside = (0 <= k) & (k <= l) & (l < m)
+        nbrs[inside, c] = cell_index(m, k[inside], l[inside])
+    on_diag = i == j
+    self_coeff = m - (nbrs < d).sum(axis=1) - 2 * on_diag
+    return self_coeff, nbrs, np.flatnonzero(on_diag)
+
+
+def _step(p, rule, inject):
+    """m times one chain step of p: self_coeff p + neighbours + inject on the diagonal.
+
+    Works on float64 arrays and on ``object`` arrays of exact integers alike.
+    """
+    self_coeff, nbrs, diag = rule
+    padded = np.append(p, 0)
+    out = self_coeff * p
+    for column in nbrs.T:
+        out += padded[column]
+    out[diag] += inject
     return out
+
+
+def _exact_numerators(m: int, n: int):
+    """Yield the numerators of p^{(k)} over m^k, k = 0..n, as object arrays."""
+    rule = stencil(m)
+    p = np.zeros(m * (m + 1) // 2, dtype=object)
+    yield p
+    den = 1
+    for _ in range(n):
+        p = _step(p, rule, den)
+        den *= m
+        yield p
 
 
 @dataclass(frozen=True)
@@ -78,19 +120,9 @@ class InversionState:
 
 def dp_step(state: InversionState) -> InversionState:
     """One exact chain step: p' = p + (1/m) sum_nbrs (p_k - p) + (delta/m)(1 - 2p)."""
-    m, n = state.m, state.n
-    old = state.numerators
-    den = m**n
-    new = []
-    for i, j in _triangle_cells(m):
-        q = old[cell_index(m, i, j)]
-        acc = m * q
-        for k, l in neighbors(m, i, j):
-            acc += old[cell_index(m, k, l)] - q
-        if i == j:
-            acc += den - 2 * q
-        new.append(acc)
-    return InversionState(m=m, n=n + 1, numerators=tuple(new))
+    p = np.array(state.numerators, dtype=object)
+    new = _step(p, stencil(state.m), state.denominator)
+    return InversionState(m=state.m, n=state.n + 1, numerators=tuple(new.tolist()))
 
 
 def symmetry_check(state: InversionState) -> bool:
@@ -103,64 +135,35 @@ def symmetry_check(state: InversionState) -> bool:
     )
 
 
-def iterate_totals(m: int, n: int):
-    """Yield I_{m,k} as exact Fractions for k = 0..n (single DP sweep)."""
+def _check_dp_args(m: int, n: int, what: str) -> None:
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
-    check_budget(n * m * (m + 1) // 2, f"exact DP m={m}, n={n}")
-    state = InversionState.initial(m)
-    yield state.total()
-    for _ in range(n):
-        state = dp_step(state)
-        yield state.total()
+    check_budget(n * m * (m + 1) // 2, f"{what} m={m}, n={n}")
+
+
+def iterate_totals(m: int, n: int):
+    """Yield I_{m,k} as exact Fractions for k = 0..n (single DP sweep)."""
+    _check_dp_args(m, n, "exact DP")
+    for k, p in enumerate(_exact_numerators(m, n)):
+        yield Fraction(p.sum(), m**k)
 
 
 def expected_inversions_dp(m: int, n: int) -> Fraction:
     """I_{m,n} as an exact rational via the triangular DP."""
-    for k, value in enumerate(iterate_totals(m, n)):
-        if k == n:
-            return value
-    raise AssertionError("unreachable")
+    _check_dp_args(m, n, "exact DP")
+    for p in _exact_numerators(m, n):
+        pass
+    return Fraction(p.sum(), m**n)
 
 
 def expected_inversions_float(m: int, n: int) -> float:
     """Float64 fast path of the same recursion (approximate, for sweeps)."""
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
-    check_budget(n * m * (m + 1) // 2, f"float DP m={m}, n={n}")
-    p = np.zeros((m, m))
-    tri = np.triu(np.ones((m, m), dtype=bool))
-    # Per-cell neighbour count inside the triangle.
-    deg = np.zeros((m, m))
-    nbr_shifts = []
-    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        ok = np.zeros((m, m), dtype=bool)
-        for i in range(m):
-            for j in range(i, m):
-                k, l = i + di, j + dj
-                ok[i, j] = 0 <= k <= l < m
-        deg += ok
-        nbr_shifts.append(((di, dj), ok))
-    diag = np.eye(m, dtype=bool)
-    inv_m = 1.0 / m
+    _check_dp_args(m, n, "float DP")
+    rule = stencil(m)
+    p = np.zeros(m * (m + 1) // 2)
     for _ in range(n):
-        acc = -deg * p
-        for (di, dj), ok in nbr_shifts:
-            if not ok.any():
-                continue
-            # shifted[i, j] = p[i+di, j+dj] where the neighbour is valid
-            shifted = np.zeros((m, m))
-            rdst = slice(max(0, -di), m - max(0, di))
-            rsrc = slice(max(0, di), m - max(0, -di))
-            cdst = slice(max(0, -dj), m - max(0, dj))
-            csrc = slice(max(0, dj), m - max(0, -dj))
-            shifted[rdst, cdst] = p[rsrc, csrc]
-            acc += np.where(ok, shifted, 0.0)
-        updated = p + inv_m * acc
-        updated[diag] += inv_m * (1.0 - 2.0 * p[diag])
-        p = updated
-        p[~tri] = 0.0
-    return float(p[tri].sum())
+        p = _step(p, rule, 1.0) / m
+    return float(p.sum())
 
 
 def brute_force_expected(m: int, n: int) -> Fraction:

@@ -120,9 +120,8 @@ def _cmd_lazy(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    rf = genfun.build_gf(args.m)
-    if args.p is not None:
-        rf = genfun.aperiodic_gf(rf, args.m, args.p)
+    base = genfun.build_gf(args.m)
+    rf = base if args.p is None else genfun.aperiodic_gf(base, args.m, args.p)
     lines = [str(rf)]
     payload = {
         "method": "gf", "m": args.m,
@@ -141,8 +140,7 @@ def _cmd_gf(args) -> int:
     exit_code = 0
     if args.check_poles:
         table = spectral.build_table(args.m, 128)
-        report = genfun.pole_check(rf if args.p is None else genfun.build_gf(args.m),
-                                   table)
+        report = genfun.pole_check(base, table)
         payload["pole_check"] = {
             "passed": report.passed,
             "unmatched_degree": report.unmatched_degree,

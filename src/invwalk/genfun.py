@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mpf, workprec
 
-from .chain import cell_index, neighbors, _triangle_cells
+from .chain import stencil
 from .spectral import SpectralTable, build_table, eigenvalue, is_certified_eigenvalue
 
 DEFAULT_DIMENSION_LIMIT = 120
@@ -267,33 +268,24 @@ def series(rf: RationalFunction, N: int) -> list:
     return out
 
 
-def _dp_matrix(m: int):
-    """m*A and the diagonal indicator for the linear form p' = A p + e/m.
+def _step_matrix(m: int):
+    """``[m*A | -e]`` as an int64 (d, d+1) array, for p' = A p + e/m.
 
-    Returned as integer row dicts: row[cell] = {cell': coefficient of m*A}.
+    Read off the chain's stencil: row r of m*A has ``self_coeff[r]`` on the
+    diagonal and 1 at each neighbour; e is the diagonal-cell indicator.
     """
-    cells = _triangle_cells(m)
-    rows = []
-    diag = []
-    for i, j in cells:
-        row = {}
-        nbrs = neighbors(m, i, j)
-        self_coeff = m - len(nbrs)
-        for k, l in nbrs:
-            idx = cell_index(m, k, l)
-            row[idx] = row.get(idx, 0) + 1
-        if i == j:
-            self_coeff -= 2
-            diag.append(1)
-        else:
-            diag.append(0)
-        idx = cell_index(m, i, j)
-        row[idx] = row.get(idx, 0) + self_coeff
-        rows.append(row)
-    return rows, diag
+    self_coeff, nbrs, diag = stencil(m)
+    d = len(self_coeff)
+    cells = np.arange(d)
+    rows = np.zeros((d, d + 1), dtype=np.int64)
+    rows[cells[:, None], nbrs] = 1   # padding lands in column d, reset below
+    rows[cells, cells] = self_coeff
+    rows[:, d] = 0
+    rows[diag, d] = -1
+    return rows
 
 
-def _solve_at_point(rows, diag, m: int, d: int, t: int):
+def _solve_at_point(step_matrix, m: int, d: int, t: int):
     """det(M(t)) and det * sum(M(t)^-1 rhs(t)) at an integer point t.
 
     M(t) = m*Id - t*(m*A), rhs(t) = t*e_diag, all integer.  One-step
@@ -301,14 +293,9 @@ def _solve_at_point(rows, diag, m: int, d: int, t: int):
     the input, so the divisions below are exact integer divisions.
     Returns None if M(t) is singular (t is a reciprocal eigenvalue).
     """
-    aug = []
+    aug = (-t * step_matrix).tolist()
     for r in range(d):
-        row = [0] * (d + 1)
-        for c, coeff in rows[r].items():
-            row[c] = -t * coeff
-        row[r] += m
-        row[d] = t * diag[r]
-        aug.append(row)
+        aug[r][r] += m
 
     sign = 1
     prev = 1
@@ -363,7 +350,7 @@ def _lagrange(points, values):
     return result
 
 
-def build_gf(m: int, dimension_limit: int = DEFAULT_DIMENSION_LIMIT) -> RationalFunction:
+def build_gf(m: int) -> RationalFunction:
     """Exact I_m(t), reduced and normalized.
 
     Cramer's rule by evaluation-interpolation: the determinant D(t) and
@@ -374,17 +361,17 @@ def build_gf(m: int, dimension_limit: int = DEFAULT_DIMENSION_LIMIT) -> Rational
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     d = m * (m + 1) // 2
-    if d > dimension_limit:
+    if d > DEFAULT_DIMENSION_LIMIT:
         from .budget import WorkBudgetError
-        raise WorkBudgetError(d, dimension_limit, f"build_gf m={m}: state dimension")
+        raise WorkBudgetError(d, DEFAULT_DIMENSION_LIMIT, f"build_gf m={m}: state dimension")
 
-    rows, diag = _dp_matrix(m)
+    step_matrix = _step_matrix(m)
     points = []
     dets = []
     numerators = []
     t = 1
     while len(points) < d + 1:
-        solved = _solve_at_point(rows, diag, m, d, t)
+        solved = _solve_at_point(step_matrix, m, d, t)
         if solved is not None:
             points.append(t)
             dets.append(solved[0])

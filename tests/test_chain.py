@@ -16,10 +16,27 @@ def test_cell_index_is_dense():
 
 def test_neighbors_stay_in_triangle():
     for m in (1, 2, 3, 6):
-        for i, j in chain._triangle_cells(m):
-            for k, l in chain.neighbors(m, i, j):
+        self_coeff, nbrs, diag = chain.stencil(m)
+        cells = chain._triangle_cells(m)
+        d = len(cells)
+        assert nbrs.shape == (d, 4) and self_coeff.shape == (d,)
+        assert sorted(diag) == [chain.cell_index(m, i, i) for i in range(m)]
+        position = {chain.cell_index(m, k, l): (k, l)
+                    for k in range(m) for l in range(k, m)}
+        for i, j in cells:
+            row = chain.cell_index(m, i, j)
+            real = [c for c in nbrs[row] if 0 <= c < d]
+            padding = [c for c in nbrs[row] if not 0 <= c < d]
+            assert padding == [d] * (4 - len(real))
+            for c in real:
+                k, l = position[c]
                 assert 0 <= k <= l < m
                 assert abs(k - i) + abs(l - j) == 1
+            # No neighbour is missing or listed twice.
+            assert sorted(position[c] for c in real) == sorted(
+                (k, l) for k, l in position.values() if abs(k - i) + abs(l - j) == 1)
+            # Rows of m*A conserve mass: m minus the diagonal's 2p outflow.
+            assert self_coeff[row] + len(real) == m - 2 * (i == j)
 
 
 def test_initial_state():
@@ -80,7 +97,8 @@ def test_totals_approach_limit_from_below(m):
     assert float(limit - value) < 1e-10
 
 
-@pytest.mark.parametrize("m,n", [(2, 10), (3, 15), (5, 30), (8, 25)])
+@pytest.mark.parametrize("m,n", [(2, 10), (3, 15), (5, 30), (8, 25),
+                                 (40, 40), (60, 120)])
 def test_float_dp_tracks_exact(m, n):
     exact = float(chain.expected_inversions_dp(m, n))
     approx = chain.expected_inversions_float(m, n)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from invwalk import cli
+from invwalk import cli, genfun
 
 
 def run(capsys, *argv):
@@ -39,6 +39,22 @@ def test_gf_series_and_poles(capsys):
     payload = json.loads(out)
     assert payload["series"] == ["0", "1", "1", "3/2", "5/4"]
     assert payload["pole_check"]["passed"]
+
+
+def test_gf_lazy_pole_check_builds_gf_once(capsys, monkeypatch):
+    calls = []
+    build_gf = genfun.build_gf
+
+    def counting_build_gf(m):
+        calls.append(m)
+        return build_gf(m)
+
+    monkeypatch.setattr(genfun, "build_gf", counting_build_gf)
+    code, out, _ = run(capsys, "gf", "--m", "2", "--p", "1/2",
+                       "--check-poles", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pole_check"]["passed"]
+    assert calls == [2]
 
 
 def test_gf_lazy_variant(capsys):

@@ -108,9 +108,13 @@ def test_series_equals_dp(m):
         list(chain.iterate_totals(m, 30))
 
 
-def test_dimension_limit():
+def test_dimension_limit(monkeypatch):
+    def no_solves(*args):
+        raise AssertionError("build_gf solved a point before refusing")
+
+    monkeypatch.setattr(genfun, "_solve_at_point", no_solves)
     with pytest.raises(WorkBudgetError):
-        genfun.build_gf(50, dimension_limit=100)
+        genfun.build_gf(50)  # d = 1275 > DEFAULT_DIMENSION_LIMIT
 
 
 def test_aperiodic_gf_identity_at_p_one():
