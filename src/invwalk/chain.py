@@ -3,8 +3,8 @@
 State: the probabilities p_{i,j} (0 <= i <= j < m) that positions i and
 j+1 are inverted after n uniform adjacent transpositions.  One step mixes
 each cell with its grid neighbours inside the triangle and injects mass on
-the diagonal; ``stencil`` writes that rule down once, and the exact DP, the
-float64 fast path and the generating function's linear system all read it.
+the diagonal; ``stencil`` writes that rule down once, and the exact DP and
+the float64 fast path both step with it.
 All denominators divide m^n, so the state is stored as a single big-integer
 numerator array over the implied denominator m^n; this keeps the arithmetic
 exact with no gcd work.
@@ -39,7 +39,7 @@ def stencil(m: int):
     neighbour count, minus 2 on the diagonal; ``diag`` lists the diagonal
     cells.  One step is then ``m p' = self_coeff p + sum_c p[nbrs[:, c]] + e``
     with e injected on the diagonal, so each row of ``m A`` sums to
-    ``m - 2 [i == j]``.
+    ``m - 2 [i == j]``.  The exact and the float64 DP both step with it.
     """
     d = m * (m + 1) // 2
     j = np.repeat(np.arange(m), np.arange(1, m + 1))

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -120,7 +121,9 @@ def _cmd_lazy(args) -> int:
 
 
 def _cmd_gf(args) -> int:
+    start = time.perf_counter()
     base = genfun.build_gf(args.m)
+    elapsed = time.perf_counter() - start
     rf = base if args.p is None else genfun.aperiodic_gf(base, args.m, args.p)
     lines = [str(rf)]
     payload = {
@@ -130,6 +133,9 @@ def _cmd_gf(args) -> int:
         "num_coeffs": [str(c) for c in rf.num.coeffs],
         "den_coeffs": [str(c) for c in rf.den.coeffs],
     }
+    if not args.no_meta:
+        payload["meta"] = {"method": "berlekamp-massey", "terms": genfun.gf_terms(args.m),
+                           "order": base.order, "elapsed_s": elapsed}
     rows = [_value_row(args.m, "", "gf", str(rf))]
     if args.series is not None:
         coeffs = genfun.series(rf, args.series)

@@ -259,25 +259,59 @@ def _h_coefficient(s: int, m: int) -> int:
     return total
 
 
+def _eriksen_inner_sums(m: int, N: int) -> list:
+    """``[A_1, ..., A_N]``, the n-independent inner sums of Eriksen's formula
+    ``I_{m,n} = sum_{r=1}^n C(n, r) A_r / m^r``.
+
+    ``A_r = sum_s C(r-1, s-1) (-4)^(r-s) g_s h_s`` is ``(E - 4)^(r-1)``
+    applied to ``g h`` at index 1, E the shift, so N passes of
+    ``v <- shift(v) - 4 v`` give all of them in O(N^2) integer operations.
+    ``g_s`` depends only on ceil(s/2) and ``h_s`` only on floor(s/2), so
+    each is computed once per half-index.
+    """
+    g = [_g_coefficient(2 * k - 1, m) for k in range(1, (N + 1) // 2 + 1)]
+    h = [_h_coefficient(2 * k, m) for k in range(N // 2 + 1)]
+    v = [g[(s - 1) // 2] * h[s // 2] for s in range(1, N + 1)]
+    inner = []
+    while v:
+        inner.append(v[0])
+        v = [b - 4 * a for a, b in zip(v, v[1:])]
+    return inner
+
+
+def _check_eriksen_args(m: int, n: int) -> None:
+    if m < 1 or n < 0:
+        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    check_budget(n * n * (n // max(m, 1) + m + 1), f"eriksen m={m}, n={n}")
+
+
 def eriksen(m: int, n: int) -> Fraction:
     """Exact binomial expression for I_{m,n}.
 
     The unbounded inner sums are finitely supported: binomials with upper
     index outside [0, top] vanish, which fixes the truncation ranges.
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
-    check_budget(n * n * (n // max(m, 1) + m + 1), f"eriksen m={m}, n={n}")
-    gh = {}
-    for s in range(1, n + 1):
-        gh[s] = _g_coefficient(s, m) * _h_coefficient(s, m)
-    total = Fraction(0)
-    for r in range(1, n + 1):
-        inner = 0
-        for s in range(1, r + 1):
-            inner += math.comb(r - 1, s - 1) * (-4) ** (r - s) * gh[s]
-        total += Fraction(math.comb(n, r) * inner, m**r)
-    return total
+    _check_eriksen_args(m, n)
+    inner = _eriksen_inner_sums(m, n)
+    return Fraction(sum(math.comb(n, r) * inner[r - 1] * m ** (n - r)
+                        for r in range(1, n + 1)), m**n)
+
+
+def eriksen_series(m: int, N: int) -> list:
+    """``[I_{m,0}, ..., I_{m,N}]`` by Eriksen's formula, in O(N^2).
+
+    The inner sums do not depend on n, so they are computed once; the
+    outer sum ``m^n I_{m,n} = sum_r C(n, r) m^(n-r) A_r`` is ``(E + m)^n``
+    applied to ``(0, A_1, A_2, ...)`` at index 0, so N passes of
+    ``w <- shift(w) + m w`` give every n.
+    """
+    _check_eriksen_args(m, N)
+    w = [0] + _eriksen_inner_sums(m, N)
+    out = []
+    for n in range(N + 1):
+        out.append(Fraction(w[0], m**n))
+        w = [b + m * a for a, b in zip(w, w[1:])]
+    return out
 
 
 def bounds(m: int, n: int, precision: int = 128) -> BoundsPair:

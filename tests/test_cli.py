@@ -98,6 +98,29 @@ def test_closed_meta(capsys):
     assert "meta" not in json.loads(out)
 
 
+def test_gf_meta(capsys):
+    args = ("gf", "--m", "3", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["method"] == "berlekamp-massey"
+    assert meta["terms"] == 2 * 6 + 2
+    assert meta["order"] == 5  # 3 (27t + 9t^2 - 7t^3 - t^4) over a quintic
+    assert meta["elapsed_s"] >= 0
+    code, out, _ = run(capsys, *args, "--no-meta")
+    assert code == 0
+    assert "meta" not in json.loads(out)
+
+
+def test_gf_budget_env_refuses(capsys, monkeypatch):
+    code, _, _ = run(capsys, "gf", "--m", "8")
+    assert code == 0
+    monkeypatch.setenv("INVWALK_BUDGET", str(10**4))
+    code, _, err = run(capsys, "gf", "--m", "8")
+    assert code == 3
+    assert "build_gf" in err
+
+
 def test_bounds_text(capsys):
     code, out, _ = run(capsys, "bounds", "--m", "3", "--n", "0")
     assert code == 0

@@ -36,9 +36,19 @@ def test_eriksen_dp_property(m, n):
     assert formulas.eriksen(m, n) == chain.expected_inversions_dp(m, n)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12, 20])
+@pytest.mark.parametrize("N", [0, 1, 2, 45])
+def test_eriksen_series_equals_dp(m, N):
+    values = formulas.eriksen_series(m, N)
+    assert values == list(chain.iterate_totals(m, N))
+    assert values[-1] == formulas.eriksen(m, N)
+
+
 def test_eriksen_budget():
     with pytest.raises(WorkBudgetError):
         formulas.eriksen(2, 10**6)
+    with pytest.raises(WorkBudgetError):
+        formulas.eriksen_series(2, 10**6)
 
 
 @pytest.mark.parametrize("variant", formulas.VARIANTS)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,19 +103,85 @@ def test_series_examples():
         [0, 1, 1, Fraction(3, 2), Fraction(5, 4)]
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", range(1, 11))
 def test_series_equals_dp(m):
-    assert genfun.series(genfun.build_gf(m), 30) == \
-        list(chain.iterate_totals(m, 30))
+    # Ten terms past the 2(d+1) that Berlekamp-Massey saw, and at least 30.
+    n_max = max(30, genfun.gf_terms(m) + 10)
+    rf = genfun.build_gf(m)
+    assert genfun.series(rf, n_max) == list(chain.iterate_totals(m, n_max))
+    assert rf.num.gcd(rf.den).degree == 0
+    scaled = [int(v * m**n) for n, v in enumerate(formulas.eriksen_series(m, rf.order * 2))]
+    assert genfun.berlekamp_massey(scaled)[1] == rf.order
 
 
 def test_dimension_limit(monkeypatch):
-    def no_solves(*args):
-        raise AssertionError("build_gf solved a point before refusing")
+    def no_terms(*args):
+        raise AssertionError("build_gf computed a term before refusing")
 
-    monkeypatch.setattr(genfun, "_solve_at_point", no_solves)
-    with pytest.raises(WorkBudgetError):
-        genfun.build_gf(50)  # d = 1275 > DEFAULT_DIMENSION_LIMIT
+    monkeypatch.setattr(formulas, "eriksen_series", no_terms)
+    for m in (25, 50):  # 652 and 2552 terms; the default budget admits m <= 24
+        with pytest.raises(WorkBudgetError, match="Berlekamp-Massey"):
+            genfun.build_gf(m)
+
+
+def test_gf_budget_follows_env(monkeypatch):
+    monkeypatch.setenv("INVWALK_BUDGET", str(10**4))
+    assert genfun.build_gf(3).den.degree == 5
+    with pytest.raises(WorkBudgetError, match="Berlekamp-Massey"):
+        genfun.build_gf(8)
+
+
+# num and den coefficients of I_m(t), m = 5..8, from the earlier
+# Cramer's-rule (evaluation-interpolation) construction.
+_GF_COEFFS = {
+    5: ([0, 390625, -937500, 800000, -252500, -18375, 29600, -6390, 492, -12],
+        [390625, -1562500, 2484375, -1937500, 675625, 15000, -90375, 27900, -3258,
+         108]),
+    6: ([0, 30233088, -115893504, 182518272, -150745536, 68094432, -15037488,
+         530712, 382536, -58788, 2463],
+        [30233088, -166281984, 393030144, -519701184, 417687840, -205562448,
+         57366792, -6060312, -1044108, 364713, -33464, 923]),
+    7: ([0, 33232930569601, -242125637007093, 806019677575833, -1623652195113305,
+         2208940911041305, -2144458591100581, 1529632810407289, -812726308704009,
+         322305860900135, -94536026053987, 20046767219983, -2940352070831,
+         272918083935, -12695665731, -7619073, 18212593],
+        [33232930569601, -299096375126409, 1242504669459368, -3160131963434712,
+         5502797504778364, -6949188289361948, 6575253204240728, -4747500172460360,
+         2638115708661566, -1128852265049166, 369241110730744, -90781937406664,
+         16266616754892, -2007083363628, 151030961480, -4525955672, -177051447,
+         13053263]),
+    8: ([0, 562949953421312, -4996180836614144, 20490498695233536,
+         -51505522691538944, 88728664216174592, -110961064207712256,
+         104075016156479488, -74578083381772288, 41194830793015296,
+         -17564806093471744, 5748514572992512, -1424765759913984, 261216111321088,
+         -34084180194304, 2965483718400, -152223571232, 3418639106],
+        [562949953421312, -5981343255101440, 29625241298796544, -90822958989180928,
+         192984769078755328, -301557539412115456, 358782062313865216,
+         -331965696072220672, 241852732388933632, -139579652208328704,
+         63858102019555328, -23059427961012224, 6508103529046016, -1412001412729856,
+         229467820946432, -26821659623648, 2109118354178, -98579447867,
+         2028086809]),
+}
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_build_gf_coefficients_pinned(m):
+    rf = genfun.build_gf(m)
+    num, den = _GF_COEFFS[m]
+    assert rf.num.coeffs == tuple(num)
+    assert rf.den.coeffs == tuple(den)
+
+
+def test_berlekamp_massey_fibonacci():
+    den, order = genfun.berlekamp_massey([0, 1, 1, 2, 3, 5])
+    assert order == 2
+    assert den * Fraction(1, den.coeffs[0]) == poly(1, -1, -1)
+
+
+def test_build_gf_timing_guard():
+    start = time.perf_counter()
+    genfun.build_gf(12)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_aperiodic_gf_identity_at_p_one():
@@ -137,7 +204,7 @@ def test_aperiodic_gf_matches_exact_mix(m):
             assert c == formulas.aperiodic_expected(m, n, p)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 10])
 def test_pole_check_passes(m):
     table = spectral.build_table(m, 128)
     report = genfun.pole_check(genfun.build_gf(m), table)
