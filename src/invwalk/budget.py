@@ -1,8 +1,8 @@
-"""Work-budget guard shared by the exact computation paths.
+"""Work-budget guard shared by the exact routes and Monte Carlo.
 
-Exact DP, the binomial sum and the generating-function build can be asked
-for absurdly large inputs; every such entry point estimates its cell-update
-count up front and refuses jobs above the budget instead of hanging.
+Exact DP, the binomial sum, the generating-function build and Monte Carlo
+can be asked for absurdly large inputs; every such entry point estimates its
+work up front and refuses jobs above the budget instead of hanging.
 """
 
 import os

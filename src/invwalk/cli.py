@@ -173,7 +173,14 @@ def _cmd_simulate(args) -> int:
         "sum_counts": summary.sum_counts, "sum_squares": summary.sum_squares,
     }
     if not args.no_meta:
-        payload["meta"] = {"elapsed_s": summary.elapsed}
+        trial_steps = summary.trials * summary.n
+        payload["meta"] = {
+            "method": simulate.METHOD, "dtype": simulate.perm_dtype(summary.m).name,
+            "blocks": summary.blocks, "trial_steps": trial_steps,
+            "rejection_redraws": summary.rejection_redraws,
+            "elapsed_s": summary.elapsed,
+            "trial_steps_per_s": trial_steps / summary.elapsed if summary.elapsed > 0 else None,
+        }
     flags = f"trials={summary.trials};seed={summary.seed};stderr={summary.stderr:.6g}"
     rows = [_value_row(args.m, args.n, "simulate", summary.mean, "", flags)]
     _output(args, payload, rows,

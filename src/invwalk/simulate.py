@@ -6,6 +6,21 @@ splittable stream (SplitMix64 finalizer over a (seed, trial, step, slot)
 counter), so trial k is a fixed function of (seed, k) and the summary is
 bit-identical for any worker count.  Sums and sums of squares accumulate
 in exact integers; floats appear only in the final summary.
+
+Layout: each worker takes one contiguous span of trials and walks it in
+blocks of at most 2^16 trials and 2^22 permutation entries, so memory is
+bounded whatever the trial count (hence m < 2^22).  A block keeps all its
+permutations in one flat array of the narrowest dtype holding 0..m (int8
+up to m = 127, then int16, then int32); a step gathers the two entries at
+``t (m+1) + i`` and ``+ 1`` with ``take`` and scatters them back swapped.
+Blocks change neither the stream nor the exact sums.
+
+Budget: ``monte_carlo`` refuses, before allocating anything, a request
+whose ``estimated_work`` exceeds the work budget.  One unit is one
+trial-step; each step of a block adds about 1000 units of fixed numpy
+overhead, and filling the permutations one unit per 16 entries.  Measured
+on a 2-core x86_64 VM, a unit takes 13-34 ns for m <= 5000, so the
+default budget of 10^9 admits roughly 15-30 s of work.
 """
 
 from __future__ import annotations
@@ -17,6 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .budget import check_budget
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -25,6 +42,13 @@ _MIX2 = 0x94D049BB133111EB
 # index; each slot reserves _ATTEMPTS counters for rejection redraws.
 _SLOTS = 2
 _ATTEMPTS = 8
+# Block limits, the worker cap and the budget calibration (module docstring).
+_BLOCK_TRIALS = 1 << 16
+_BLOCK_CELLS = 1 << 22
+MAX_WORKERS = 32
+_STEP_OVERHEAD = 1000
+_CELLS_PER_UNIT = 16
+METHOD = "numpy-flat"
 
 
 def _mix64(z: int) -> int:
@@ -76,6 +100,8 @@ class SimulationSummary:
     sum_counts: int
     sum_squares: int
     elapsed: float
+    blocks: int
+    rejection_redraws: int
 
     def key_fields(self) -> tuple:
         """Everything except wall-clock time; used by determinism checks."""
@@ -108,17 +134,56 @@ def simulate_once(m: int, n: int, seed: int = 0, trial: int = 0,
     return count
 
 
+def estimated_work(m: int, n: int, trials: int) -> int:
+    """Budget units for monte_carlo: trial-steps plus per-block-step and fill costs."""
+    blocks = -(-trials // _block_size(m))
+    return n * (trials + _STEP_OVERHEAD * blocks) + trials * (m + 1) // _CELLS_PER_UNIT
+
+
+def perm_dtype(m: int) -> np.dtype:
+    """Narrowest integer dtype that holds the permutation entries 0..m."""
+    return np.dtype(np.int8 if m <= 127 else np.int16 if m <= 32767 else np.int32)
+
+
+def _block_size(m: int) -> int:
+    """Trials per block: _BLOCK_TRIALS, or fewer when their permutations would
+    pass _BLOCK_CELLS entries."""
+    return min(_BLOCK_TRIALS, _BLOCK_CELLS // (m + 1))
+
+
 def _run_chunk(m, n, seed, lo, hi, hold_threshold):
-    """Vectorized simulation of trials [lo, hi); returns exact (sum, sumsq)."""
+    """Simulate trials [lo, hi) in blocks of _block_size(m) trials.
+
+    Returns exact integers (sum, sumsq, blocks, rejection_redraws).
+    """
+    total = total_sq = blocks = redraws = 0
+    block = _block_size(m)
+    for start in range(lo, hi, block):
+        b_sum, b_sq, b_redraws = _run_block(m, n, seed, start, min(hi, start + block),
+                                            hold_threshold)
+        total += b_sum
+        total_sq += b_sq
+        redraws += b_redraws
+        blocks += 1
+    return total, total_sq, blocks, redraws
+
+
+def _run_block(m, n, seed, lo, hi, hold_threshold):
+    """Vectorized simulation of trials [lo, hi); returns exact (sum, sumsq, redraws).
+
+    All permutations live in one flat array of perm_dtype(m), trial t's at
+    offsets t (m+1) .. t (m+1) + m, so a step is one flat gather and one flat
+    scatter per swapped entry.
+    """
     size = hi - lo
-    if size == 0:
-        return 0, 0
     trials = np.arange(lo, hi, dtype=np.uint64)
     seed_mixed = np.uint64(_mix64(seed))
     keys = _mix64_np(seed_mixed ^ (np.uint64(_GAMMA) * (trials + np.uint64(1))))
-    perm = np.tile(np.arange(m + 1, dtype=np.int64), (size, 1))
+    perm = np.tile(np.arange(m + 1, dtype=perm_dtype(m)), size)
+    base = np.arange(size, dtype=np.int64) * (m + 1)
     counts = np.zeros(size, dtype=np.int64)
-    rows = np.arange(size)
+    m_u = np.uint64(m)
+    redraws = 0
     limit_int = (1 << 64) - ((1 << 64) % m)
     needs_rejection = limit_int < (1 << 64)
     limit = np.uint64(limit_int) if needs_rejection else None
@@ -135,29 +200,31 @@ def _run_chunk(m, n, seed, lo, hi, hold_threshold):
                 bad = v >= limit
                 if not bad.any():
                     break
+                redraws += int(np.count_nonzero(bad))
                 redraw = _mix64_np(
                     keys[bad] + np.uint64((_GAMMA * _counter(step, 1, attempt)) & _MASK)
                 )
                 v[bad] = redraw
-        idx = (v % np.uint64(m)).astype(np.int64)
-        act_rows = rows if move is None else rows[move]
-        act_idx = idx if move is None else idx[move]
-        left = perm[act_rows, act_idx]
-        right = perm[act_rows, act_idx + 1]
+        pos = base + (v % m_u).astype(np.int64)
+        if move is not None:
+            pos = pos[move]
+        right_pos = pos + 1
+        left = perm.take(pos)
+        right = perm.take(right_pos)
         delta = np.where(left < right, 1, -1)
         if move is None:
             counts += delta
         else:
             counts[move] += delta
-        perm[act_rows, act_idx] = right
-        perm[act_rows, act_idx + 1] = left
+        perm[pos] = right
+        perm[right_pos] = left
     total = int(counts.sum())
     max_count = m * (m + 1) // 2
     if size * max_count * max_count < (1 << 62):
         total_sq = int((counts * counts).sum())
     else:
         total_sq = int((counts.astype(object) ** 2).sum())
-    return total, total_sq
+    return total, total_sq, redraws
 
 
 def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
@@ -165,10 +232,12 @@ def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
     """Run independent trials; bit-identical summary for any worker count."""
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    if m >= _BLOCK_CELLS:
+        raise ValueError(f"monte_carlo needs m < {_BLOCK_CELLS}, got m={m}")
     if trials < 2:
         raise ValueError(f"trials must be >= 2 (variance undefined), got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
 
     hold_threshold = None
     if lazy_p is not None:
@@ -176,29 +245,31 @@ def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
         if not (0 < lazy_p <= 1):
             raise ValueError(f"lazy_p must lie in (0, 1], got {lazy_p}")
         hold_threshold = (lazy_p.numerator << 64) // lazy_p.denominator
+    check_budget(estimated_work(m, n, trials),
+                 f"monte_carlo m={m}, n={n}, trials={trials}")
 
     start = time.monotonic()
     edges = [trials * w // workers for w in range(workers + 1)]
     chunks = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    if workers == 1:
+    if len(chunks) == 1:
         results = [_run_chunk(m, n, seed, lo, hi, hold_threshold) for lo, hi in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(
                 lambda span: _run_chunk(m, n, seed, span[0], span[1], hold_threshold),
                 chunks,
             ))
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
+    total, total_sq, blocks, redraws = (sum(column) for column in zip(*results))
     elapsed = time.monotonic() - start
 
     mean = Fraction(total, trials)
     # Unbiased sample variance from the exact moments.
-    var = Fraction(trials * total_sq - total * total, trials * (trials - 1)) if trials > 1 else Fraction(0)
+    var = Fraction(trials * total_sq - total * total, trials * (trials - 1))
     variance = float(var)
     return SimulationSummary(
         m=m, n=n, trials=trials, seed=seed, lazy_p=lazy_p,
         mean=float(mean), variance=variance,
         stderr=float(variance / trials) ** 0.5,
         sum_counts=total, sum_squares=total_sq, elapsed=elapsed,
+        blocks=blocks, rejection_redraws=redraws,
     )

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from invwalk import cli, genfun
+from invwalk import cli, genfun, simulate
 
 
 def run(capsys, *argv):
@@ -110,6 +110,45 @@ def test_gf_meta(capsys):
     code, out, _ = run(capsys, *args, "--no-meta")
     assert code == 0
     assert "meta" not in json.loads(out)
+
+
+def test_simulate_meta(capsys):
+    args = ("simulate", "--m", "130", "--n", "20", "--trials", "500",
+            "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["method"] == "numpy-flat"
+    assert meta["dtype"] == "int16"
+    assert meta["blocks"] == 1
+    assert meta["trial_steps"] == 500 * 20
+    assert meta["rejection_redraws"] == 0
+    assert meta["elapsed_s"] > 0
+    assert meta["trial_steps_per_s"] == pytest.approx(500 * 20 / meta["elapsed_s"])
+    code, out, _ = run(capsys, *args, "--no-meta")
+    assert code == 0
+    assert "meta" not in json.loads(out)
+
+
+def test_simulate_budget_env_refuses(capsys, monkeypatch):
+    args = ("simulate", "--m", "5", "--n", "100", "--trials", "1000")
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    monkeypatch.setenv("INVWALK_BUDGET", str(10**4))
+    code, _, err = run(capsys, *args)
+    assert code == 3
+    assert "monte_carlo" in err
+
+
+def test_simulate_workers_cap_is_argument_error(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    code, _, err = run(capsys, "simulate", "--m", "5", "--n", "10",
+                       "--trials", "100000", "--workers", "100000")
+    assert code == 2
+    assert err.startswith("error: argument:") and "workers" in err
 
 
 def test_gf_budget_env_refuses(capsys, monkeypatch):

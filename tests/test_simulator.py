@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invwalk import chain, formulas, simulate
+from invwalk.budget import WorkBudgetError
 
 
 def test_simulate_once_trivial_cases():
@@ -25,9 +26,10 @@ def test_parity_and_range(m, n, seed, trial):
     assert 0 <= count <= m * (m + 1) // 2
 
 
-def test_scalar_and_vectorized_paths_agree():
-    values = [simulate.simulate_once(5, 50, seed=42, trial=t) for t in range(300)]
-    total, total_sq = simulate._run_chunk(5, 50, 42, 0, 300, None)
+@pytest.mark.parametrize("m", [5, 130])  # m = 130 takes the int16 layout
+def test_scalar_and_vectorized_paths_agree(m):
+    values = [simulate.simulate_once(m, 50, seed=42, trial=t) for t in range(300)]
+    total, total_sq, _, _ = simulate._run_chunk(m, 50, 42, 0, 300, None)
     assert total == sum(values)
     assert total_sq == sum(v * v for v in values)
 
@@ -37,7 +39,7 @@ def test_scalar_and_vectorized_lazy_paths_agree():
     threshold = (p.numerator << 64) // p.denominator
     values = [simulate.simulate_once(4, 30, seed=7, trial=t, lazy_p=p)
               for t in range(200)]
-    total, total_sq = simulate._run_chunk(4, 30, 7, 0, 200, threshold)
+    total, total_sq, _, _ = simulate._run_chunk(4, 30, 7, 0, 200, threshold)
     assert total == sum(values)
     assert total_sq == sum(v * v for v in values)
 
@@ -104,4 +106,111 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         simulate.monte_carlo(3, 5, 10, seed=0, workers=0)
     with pytest.raises(ValueError):
+        simulate.monte_carlo(simulate._BLOCK_CELLS, 1, 2, seed=0)
+    with pytest.raises(ValueError):
         simulate.simulate_once(2, 3, lazy_p=Fraction(3, 2))
+
+
+# (sum_counts, sum_squares) of monte_carlo(m, 2m + 9, 301, seed=1000 + m),
+# plain and lazy with p = m/(m+1), as computed by the earlier kernel on an
+# int64 (trials, m + 1) array; m crosses the int8/int16 boundary.
+PINNED = {
+    (1, False): (301, 301),
+    (1, True): (139, 139),
+    (2, False): (519, 1173),
+    (2, True): (427, 885),
+    (5, False): (1669, 10837),
+    (5, True): (1522, 9046),
+    (20, False): (6029, 126645),
+    (20, True): (5840, 118902),
+    (126, False): (34605, 4012189),
+    (126, True): (34410, 3967052),
+    (127, False): (35063, 4113413),
+    (127, True): (34872, 4068164),
+    (128, False): (35471, 4211389),
+    (128, True): (35320, 4176826),
+    (300, False): (81883, 22356645),
+    (300, True): (81682, 22247938),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("m, lazy", sorted(PINNED))
+def test_summaries_pinned(m, lazy, workers):
+    p = Fraction(m, m + 1) if lazy else None
+    s = simulate.monte_carlo(m, 2 * m + 9, 301, seed=1000 + m, lazy_p=p, workers=workers)
+    assert (s.sum_counts, s.sum_squares) == PINNED[m, lazy]
+
+
+@pytest.mark.parametrize("lazy_p", [None, Fraction(5, 6)])
+def test_blocks_do_not_change_summary(monkeypatch, lazy_p):
+    whole = simulate.monte_carlo(5, 40, 100, seed=8, lazy_p=lazy_p, workers=2)
+    assert whole.blocks == 2
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 7)
+    blocked = simulate.monte_carlo(5, 40, 100, seed=8, lazy_p=lazy_p, workers=2)
+    assert blocked.blocks == 2 * 8  # 50 trials per worker in blocks of 7
+    assert blocked.key_fields() == whole.key_fields()
+
+
+def test_block_size_bounds_cells():
+    assert simulate._block_size(20) == simulate._BLOCK_TRIALS
+    assert simulate._block_size(3000) * 3001 <= simulate._BLOCK_CELLS
+    assert simulate._block_size(simulate._BLOCK_CELLS - 1) == 1
+
+
+def test_perm_dtype_is_narrowest():
+    assert [simulate.perm_dtype(m).name for m in (1, 127, 128, 32767, 32768)] == [
+        "int8", "int8", "int16", "int16", "int32"]
+
+
+def test_budget_refuses_before_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("simulated before the budget check")
+
+    monkeypatch.setattr(simulate, "_run_chunk", fail)
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    with pytest.raises(WorkBudgetError, match="monte_carlo"):
+        simulate.monte_carlo(20, 10**6, 10**5)
+    with pytest.raises(WorkBudgetError):  # filling the permutations counts too
+        simulate.monte_carlo(10**6, 1, 10**5)
+
+
+def test_budget_admits_criterion_12():
+    # criterion 12's largest request and the benchmark's widest ones
+    assert simulate.estimated_work(20, 1000, 10**5) < 2 * 10**8
+    assert simulate.estimated_work(40, 60, 3_000_000 // 41) < 10**7
+
+
+def test_pool_sized_by_nonempty_chunks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records its size, maps serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    split = simulate.monte_carlo(4, 10, 3, seed=2, workers=simulate.MAX_WORKERS)
+    assert sizes == [3]
+    assert split.key_fields() == simulate.monte_carlo(4, 10, 3, seed=2).key_fields()
+
+
+def test_workers_above_cap_refused(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="workers"):
+        simulate.monte_carlo(5, 10, 100000, workers=simulate.MAX_WORKERS + 1)
+    with pytest.raises(ValueError, match="workers"):
+        simulate.monte_carlo(5, 10, 100000, workers=100000)
