@@ -26,12 +26,19 @@ def test_parity_and_range(m, n, seed, trial):
     assert 0 <= count <= m * (m + 1) // 2
 
 
-@pytest.mark.parametrize("m", [5, 130])  # m = 130 takes the int16 layout
-def test_scalar_and_vectorized_paths_agree(m):
+def _assert_scalar_and_vectorized_agree(m):
     values = [simulate.simulate_once(m, 50, seed=42, trial=t) for t in range(300)]
     total, total_sq, _, _ = simulate._run_chunk(m, 50, 42, 0, 300, None)
     assert total == sum(values)
     assert total_sq == sum(v * v for v in values)
+
+
+def test_scalar_and_vectorized_paths_agree():
+    _assert_scalar_and_vectorized_agree(5)
+
+
+def test_scalar_and_vectorized_paths_agree_int16():
+    _assert_scalar_and_vectorized_agree(130)  # m = 130 takes the int16 layout
 
 
 def test_scalar_and_vectorized_lazy_paths_agree():
