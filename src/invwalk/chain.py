@@ -190,144 +190,45 @@ def brute_force_expected(m: int, n: int) -> Fraction:
 # --- functional-equation verification on truncated series -----------------
 
 
-class _BivariateSeries:
-    """Polynomial in (u, v) per power of t, truncated at t^N; exact rationals."""
-
-    def __init__(self, order: int, coeffs=None):
-        self.order = order
-        self.coeffs = coeffs if coeffs is not None else [dict() for _ in range(order + 1)]
-
-    @classmethod
-    def from_states(cls, states, extract):
-        series = cls(len(states) - 1)
-        for r, state in enumerate(states):
-            layer = series.coeffs[r]
-            for (i, j), value in extract(state).items():
-                if value:
-                    layer[(i, j)] = layer.get((i, j), Fraction(0)) + value
-        return series
-
-    def scaled(self, factor: Fraction) -> "_BivariateSeries":
-        out = _BivariateSeries(self.order)
-        for r, layer in enumerate(self.coeffs):
-            out.coeffs[r] = {k: factor * v for k, v in layer.items()}
-        return out
-
-    def times_uv_poly(self, poly: dict) -> "_BivariateSeries":
-        """Multiply every t-layer by a fixed polynomial in (u, v)."""
-        out = _BivariateSeries(self.order)
-        for r, layer in enumerate(self.coeffs):
-            dst = out.coeffs[r]
-            for (i1, j1), v1 in layer.items():
-                for (i2, j2), v2 in poly.items():
-                    key = (i1 + i2, j1 + j2)
-                    acc = dst.get(key, Fraction(0)) + v1 * v2
-                    if acc:
-                        dst[key] = acc
-                    elif key in dst:
-                        del dst[key]
-        return out
-
-    def times_t(self) -> "_BivariateSeries":
-        out = _BivariateSeries(self.order)
-        for r in range(1, self.order + 1):
-            out.coeffs[r] = dict(self.coeffs[r - 1])
-        return out
-
-    def times_one_minus_t(self) -> "_BivariateSeries":
-        shifted = self.times_t()
-        return self.sub(shifted)
-
-    def times_geom_t(self) -> "_BivariateSeries":
-        """Multiply by 1/(1-t) mod t^{N+1} (prefix sums over t)."""
-        out = _BivariateSeries(self.order)
-        running: dict = {}
-        for r in range(self.order + 1):
-            for k, v in self.coeffs[r].items():
-                acc = running.get(k, Fraction(0)) + v
-                if acc:
-                    running[k] = acc
-                elif k in running:
-                    del running[k]
-            out.coeffs[r] = dict(running)
-        return out
-
-    def add(self, other: "_BivariateSeries") -> "_BivariateSeries":
-        out = _BivariateSeries(self.order)
-        for r in range(self.order + 1):
-            layer = dict(self.coeffs[r])
-            for k, v in other.coeffs[r].items():
-                acc = layer.get(k, Fraction(0)) + v
-                if acc:
-                    layer[k] = acc
-                elif k in layer:
-                    del layer[k]
-            out.coeffs[r] = layer
-        return out
-
-    def sub(self, other: "_BivariateSeries") -> "_BivariateSeries":
-        return self.add(other.scaled(Fraction(-1)))
-
-    def max_abs_coefficient(self) -> Fraction:
-        best = Fraction(0)
-        for layer in self.coeffs:
-            for v in layer.values():
-                if abs(v) > best:
-                    best = abs(v)
-        return best
+def _shift(series, r: int, a: int, b: int):
+    """Multiply an (N+1, U, V) coefficient array by t^r u^a v^b, truncating at t^N."""
+    out = np.zeros_like(series)
+    T, U, V = series.shape
+    out[r:, a:, b:] = series[:T - r, :U - a, :V - b]
+    return out
 
 
 def functional_equation_residual(m: int, N: int) -> Fraction:
     """Largest |coefficient| of LHS - RHS of the P(u, v) functional equation,
     after clearing the 1/u, 1/v poles by multiplying through by u*v and
     truncating at t^N.  Exact arithmetic; the contract is residual == 0.
+
+    Each series is an integer object array of shape (N+1, m+2, m+2) whose
+    entry [r, i, j] is m^N times the coefficient of t^r u^i v^j; the equation
+    is multiplied through by m as well, so no division remains.
     """
     if m < 1 or N < 1:
         raise ValueError(f"need m >= 1 and N >= 1, got m={m}, N={N}")
     check_budget((N + 1) * m * m * (m * m + 1), f"functional equation m={m}, N={N}")
 
-    states = [InversionState.initial(m)]
-    for _ in range(N):
-        states.append(dp_step(states[-1]))
+    i, j = np.array(_triangle_cells(m)).T
+    diag = range(m)
+    P = np.zeros((N + 1, m + 2, m + 2), dtype=object)
+    for r, p in enumerate(_exact_numerators(m, N)):
+        P[r, i, j] = p * m ** (N - r)
+    Pl, Pt, Pd, geom = (np.zeros_like(P) for _ in range(4))
+    Pl[:, 0, :] = P[:, 0, :]               # P_l(v): the left border i = 0
+    Pt[:, :, 0] = P[:, :, m - 1]           # P_t(u): the top border j = m-1
+    Pd[:, diag, diag] = P[:, diag, diag]   # P_d(uv): the diagonal, as u^i v^i
+    geom[:, range(1, m + 1), range(1, m + 1)] = m**N  # uv (1 + ... + (uv)^{m-1}) / (1-t)
 
-    def full(state):
-        return {cell: p for cell, p in state.probabilities().items()}
-
-    def left_border(state):
-        return {(0, j): state.probability(0, j) for j in range(m)}
-
-    def top_border(state):
-        return {(i, 0): state.probability(i, m - 1) for i in range(m)}
-
-    def diag_uv(state):
-        # P_d(uv): coefficient of (uv)^i, encoded as monomial u^i v^i
-        return {(i, i): state.probability(i, i) for i in range(m)}
-
-    P = _BivariateSeries.from_states(states, full)
-    Pl = _BivariateSeries.from_states(states, left_border)   # polynomial in v
-    Pt = _BivariateSeries.from_states(states, top_border)    # polynomial in u
-    Pduv = _BivariateSeries.from_states(states, diag_uv)
-
-    inv_m = Fraction(1, m)
-
-    # LHS * uv = uv (1-t) P + (t/m)(4uv - u^2 v - u - u v^2 - v) P
-    kernel_uv = {(1, 1): Fraction(4), (2, 1): Fraction(-1), (1, 0): Fraction(-1),
-                 (1, 2): Fraction(-1), (0, 1): Fraction(-1)}
-    lhs = P.times_uv_poly({(1, 1): Fraction(1)}).times_one_minus_t()
-    lhs = lhs.add(P.times_uv_poly(kernel_uv).times_t().scaled(inv_m))
-
-    # RHS * uv, term by term (all times t/m):
-    # uv * (1 + uv + ... + (uv)^{m-1}) / (1-t)
-    geom_uv = {(i + 1, i + 1): Fraction(1) for i in range(m)}
-    one = _BivariateSeries(N)
-    one.coeffs[0] = {(0, 0): Fraction(1)}
-    term1 = one.times_uv_poly(geom_uv).times_geom_t()
-    # -(v - uv) P_l(v)
-    term2 = Pl.times_uv_poly({(0, 1): Fraction(-1), (1, 1): Fraction(1)})
-    # -(v-1) v^{m-1} uv P_t(u) = -(u v^{m+1} - u v^m) P_t(u)
-    term3 = Pt.times_uv_poly({(1, m + 1): Fraction(-1), (1, m): Fraction(1)})
-    # -(u^2 v + u) P_d(uv)
-    term4 = Pduv.times_uv_poly({(2, 1): Fraction(-1), (1, 0): Fraction(-1)})
-
-    rhs = term1.add(term2).add(term3).add(term4).times_t().scaled(inv_m)
-    return lhs.sub(rhs).max_abs_coefficient()
+    # m uv LHS = m uv (1-t) P + t (4uv - u^2 v - u - u v^2 - v) P
+    uvP = _shift(P, 0, 1, 1)
+    kernel = (4 * uvP - _shift(P, 0, 2, 1) - _shift(P, 0, 1, 0)
+              - _shift(P, 0, 1, 2) - _shift(P, 0, 0, 1))
+    # m uv RHS = t (geom - (v - uv) P_l - (v-1) v^{m-1} uv P_t - (u^2 v + u) P_d)
+    rhs = (geom + _shift(Pl, 0, 1, 1) - _shift(Pl, 0, 0, 1)
+           + _shift(Pt, 0, 1, m) - _shift(Pt, 0, 1, m + 1)
+           - _shift(Pd, 0, 2, 1) - _shift(Pd, 0, 1, 0))
+    residual = m * uvP + _shift(kernel - m * uvP - rhs, 1, 0, 0)
+    return Fraction(abs(residual).max(), m ** (N + 1))

@@ -1,9 +1,20 @@
 """Command-line front end.
 
-Subcommands route to the library modules; ``verify`` runs the
-cross-method invariant suite; ``sweep`` emits CSV/JSON tables over an
-(m, n) grid for plotting the regime curves.  Exit codes: 0 success,
+Subcommands route to the library modules; ``sweep`` emits CSV/JSON tables
+over an (m, n) grid for plotting the regime curves.  Exit codes: 0 success,
 1 verification failure, 2 argument error, 3 work-budget refusal.
+
+``verify`` prints one ``ok``/``FAIL`` line per check of ``invwalk.checks``
+(a check that raises fails).  At ``--level quick`` / ``full`` they run:
+trig identities on the 53/128-bit tables for m = 1..20 / 1..200, with
+every table entry within 4 * 2^-p; DP = Eriksen = series(GF) exactly and
+the 128-bit closed form within 1e-9 (compared at 200 bits) for m <= 4,
+n <= 10 / m <= 8, n <= 25; the functional equation at (m, N) = (1, 4),
+(2, 4) / (1, 6), (2, 6), (3, 5), (4, 8), (5, 10), (6, 12); the sandwich
+bounds for m = 3..6, n <= 50 / m = 3..12, n <= 300; spectral
+certification for m = 2 / 2, 3; Monte Carlo at 2e4 / 1e5 trials on
+(5, 10), (10, 100) / {5, 10, 20} x {10, 100, 1000}, at most one 4-sigma
+miss, with workers 1 and 4 bit-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from fractions import Fraction
 
 import mpmath
 
-from . import asymptotics, chain, formulas, genfun, simulate, spectral
+from . import asymptotics, chain, checks, formulas, genfun, simulate, spectral
 from .budget import WorkBudgetError
 
 CSV_HEADER = ("m", "n", "method", "value", "precision_bits", "flags")
@@ -336,105 +347,19 @@ def _cmd_sweep(args) -> int:
 
 # --- verify ------------------------------------------------------------
 
-def _verify_checks(level: str):
-    """Yield (name, callable) pairs; each callable returns (ok, detail)."""
-
-    def identities():
-        ms = range(1, 21) if level == "quick" else range(1, 201)
-        worst = ("", 0.0)
-        for m in ms:
-            for precision, drop in ((53, 46), (128, 120)):
-                table = spectral.build_table(m, precision)
-                report = spectral.verify_identities(table)
-                tol = (m + 1) ** 3 * 2.0 ** (-drop)
-                for check in report.checks:
-                    if abs(check.residual) >= tol:
-                        return False, (f"m={m} prec={precision} "
-                                       f"{check.name}: {check.residual}")
-                    rel = abs(check.residual) / tol
-                    if rel > worst[1]:
-                        worst = (f"m={m} prec={precision} {check.name}", rel)
-        if worst[1] == 0:
-            return True, "all residuals 0"
-        return True, f"worst residual/tol = {worst[1]:.3g} at {worst[0]}"
-
-    def cross_method():
-        max_m, max_n = (4, 10) if level == "quick" else (8, 25)
-        for m in range(1, max_m + 1):
-            dp_values = list(chain.iterate_totals(m, max_n))
-            gf_values = genfun.series(genfun.build_gf(m), max_n)
-            if dp_values != gf_values:
-                return False, f"dp != series(gf) at m={m}"
-            for n in range(max_n + 1):
-                if formulas.eriksen(m, n) != dp_values[n]:
-                    return False, f"eriksen != dp at m={m}, n={n}"
-                approx = formulas.closed_form(
-                    m, n, formulas.ClosedFormOptions(precision=128))
-                exact = dp_values[n]
-                err = abs(approx - mpmath.mpf(exact.numerator) / exact.denominator)
-                scale = max(1.0, abs(float(exact)))
-                if err > 1e-9 * scale:
-                    return False, f"closed_form off at m={m}, n={n}: {err}"
-        return True, f"m <= {max_m}, n <= {max_n}"
-
-    def functional_equation():
-        cases = [(1, 4), (2, 4)] if level == "quick" else [(1, 6), (2, 6), (3, 5)]
-        for m, N in cases:
-            residual = chain.functional_equation_residual(m, N)
-            if residual != 0:
-                return False, f"nonzero residual at m={m}, N={N}"
-        return True, f"cases {cases}"
-
-    def sandwich():
-        m_top, n_top = (6, 50) if level == "quick" else (12, 300)
-        for m in range(3, m_top + 1):
-            for n, value in enumerate(chain.iterate_totals(m, n_top)):
-                pair = formulas.bounds(m, n)
-                lo = formulas.exact_fraction(pair.lower)
-                hi = formulas.exact_fraction(pair.upper)
-                if not (lo <= value <= hi):
-                    return False, f"sandwich broken at m={m}, n={n}"
-        return True, f"m in [3,{m_top}], n <= {n_top}"
-
-    def spectrum():
-        ms = [2] if level == "quick" else [2, 3]
-        for m in ms:
-            report = spectral.certify_spectrum(m)
-            if not report["passed"]:
-                return False, f"uncertified eigenvalue at m={m}"
-        return True, f"m in {ms}"
-
-    def monte_carlo():
-        grid = ([(5, 10), (10, 100)] if level == "quick"
-                else [(m, n) for m in (5, 10, 20) for n in (10, 100, 1000)])
-        trials = 20000 if level == "quick" else 100000
-        misses = []
-        for m, n in grid:
-            summary = simulate.monte_carlo(m, n, trials, seed=20260823)
-            exact = float(chain.expected_inversions_dp(m, n))
-            if abs(summary.mean - exact) > 4 * summary.stderr:
-                misses.append((m, n))
-        if len(misses) > 1:
-            return False, f"4-sigma misses at {misses}"
-        return True, f"{len(grid)} cells, misses: {misses or 'none'}"
-
-    yield "trig identities", identities
-    yield "cross-method grid", cross_method
-    yield "functional equation", functional_equation
-    yield "sandwich bounds", sandwich
-    yield "spectral certification", spectrum
-    yield "monte carlo", monte_carlo
-
-
 def _cmd_verify(args) -> int:
     failures = 0
-    for name, check in _verify_checks(args.level):
+    for name, check in checks.CHECKS.items():
         try:
-            ok, detail = check()
+            record = check(args.level)
         except WorkBudgetError:
             raise
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"exception: {exc!r}"
+        else:
+            ok = record.passed
+            detail = (f"{record.detail} [{checks.format_parameters(record.parameters)}; "
+                      f"{record.elapsed_s:.2f} s]")
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures += 1
@@ -514,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--no-meta", action="store_true")
     sub.set_defaults(run=_cmd_asym)
 
-    sub = subs.add_parser("verify", help="run the cross-method invariant suite")
-    sub.add_argument("--level", choices=("quick", "full"), default="quick")
+    sub = subs.add_parser("verify", help="run the cross-method checks")
+    sub.add_argument("--level", choices=checks.LEVELS, default="quick")
     sub.set_defaults(run=_cmd_verify)
 
     sub = subs.add_parser("sweep", help="tabulate values over an (m, n(m)) grid")

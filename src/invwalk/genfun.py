@@ -49,9 +49,6 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -132,16 +129,6 @@ class Polynomial:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
-    def evaluate(self, x):
-        """Horner evaluation; works for Fractions and mpmath numbers alike."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (Fraction(c) if isinstance(x, Fraction) else mpf(c.numerator) / c.denominator)
-        return acc
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
@@ -203,37 +190,10 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "RationalFunction":
-        return cls(poly, ONE)
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.num * other, self.den)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
@@ -246,9 +206,6 @@ class RationalFunction:
         if sum(1 for c in self.num.coeffs if c != 0) > 1:
             num = f"({num})"
         return f"{num} / ({den})"
-
-    def evaluate(self, x):
-        return self.num.evaluate(x) / self.den.evaluate(x)
 
     @property
     def order(self) -> int:

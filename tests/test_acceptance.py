@@ -1,18 +1,16 @@
 """Acceptance gate: thirteen cross-method criteria with hard tolerances.
 
 Each test prints one PASS/FAIL line (bypassing capture) and then asserts,
-so a plain ``pytest -v`` run leaves a complete scoreboard.
+so a plain ``pytest -v`` run leaves a complete scoreboard.  Criteria 2-6
+and 12 assert on the records of ``invwalk.checks`` at level "full", the
+same checks ``invwalk verify`` runs.
 """
 
 import math
 import time
-from fractions import Fraction
-
-import mpmath
-from mpmath import workprec
 
 from invwalk import asymptotics as asy
-from invwalk import chain, formulas, genfun, simulate, spectral
+from invwalk import chain, checks, formulas, genfun
 from invwalk.genfun import Polynomial, RationalFunction
 
 
@@ -20,6 +18,14 @@ def report(capsys, num: int, ok: bool, detail: str) -> None:
     with capsys.disabled():  # the scoreboard must survive passing tests
         print(f"{'PASS' if ok else 'FAIL'} criterion {num:2d}: {detail}",
               flush=True)
+
+
+def params(rec) -> str:
+    return checks.format_parameters(rec.parameters)
+
+
+def failures(rec) -> str:
+    return f"failures: {'none' if rec.passed else rec.detail}"
 
 
 def test_criterion_01_printed_generating_functions(capsys):
@@ -47,91 +53,50 @@ def test_criterion_01_printed_generating_functions(capsys):
 
 
 def test_criterion_02_four_way_agreement_grid(capsys):
-    start = time.monotonic()
-    worst_rel = 0.0
-    exact_failures = []
-    for m in range(1, 9):
-        dp_values = list(chain.iterate_totals(m, 25))
-        if genfun.series(genfun.build_gf(m), 25) != dp_values:
-            exact_failures.append(("gf", m))
-        for n in range(26):
-            if formulas.eriksen(m, n) != dp_values[n]:
-                exact_failures.append(("eriksen", m, n))
-            approx = formulas.closed_form(
-                m, n, formulas.ClosedFormOptions(precision=128))
-            with workprec(200):
-                exact = mpmath.mpf(dp_values[n].numerator) / dp_values[n].denominator
-                rel = float(abs(approx - exact) / max(1, abs(exact)))
-            worst_rel = max(worst_rel, rel)
-    elapsed = time.monotonic() - start
-    ok = not exact_failures and worst_rel <= 1e-9 and elapsed < 120
+    rec = checks.cross_method("full")
+    ok = rec.passed and rec.elapsed_s < 120
     report(capsys, 2, ok, f"dp = eriksen = series(gf) exactly and closed form within "
-                  f"1e-9 rel (worst {worst_rel:.2e}) for m<=8, n<=25, "
-                  f"{elapsed:.1f}s (< 2 min)")
-    assert ok
+                  f"{rec.tolerance['closed rel error']:g} rel (worst "
+                  f"{rec.measured['closed rel error']:.2e}) for {params(rec)}, "
+                  f"{rec.elapsed_s:.1f}s (< 2 min)")
+    assert ok, rec.detail
 
 
 def test_criterion_03_trig_identity_suite(capsys):
-    start = time.monotonic()
-    worst = 0.0
-    failures = []
-    for m in range(1, 201):
-        for precision, drop in ((53, 46), (128, 120)):
-            table = spectral.build_table(m, precision)
-            tol = (m + 1) ** 3 * math.ldexp(1, -drop)
-            residual = spectral.verify_identities(table).max_residual
-            worst = max(worst, residual / tol)
-            if residual >= tol:
-                failures.append((m, precision))
-    elapsed = time.monotonic() - start
-    ok = not failures and elapsed < 30
-    report(capsys, 3, ok, f"seven identities, m=1..200 at 53/128 bits, worst "
-                  f"residual/tol {worst:.2e}, failures={failures}, "
-                  f"{elapsed:.1f}s (< 30 s)")
-    assert ok
+    rec = checks.identities("full")
+    ok = rec.passed and rec.elapsed_s < 30
+    report(capsys, 3, ok, f"seven identities, {params(rec)}, worst residual/tol "
+                  f"{rec.measured['residual/tol']:.2e}, table entries within "
+                  f"{rec.measured['table error/2^-p']:.2f}*2^-p (<= "
+                  f"{rec.tolerance['table error/2^-p']}), {failures(rec)}, "
+                  f"{rec.elapsed_s:.1f}s (< 30 s)")
+    assert ok, rec.detail
 
 
 def test_criterion_04_spectral_certification(capsys):
-    start = time.monotonic()
-    worst = 0.0
-    passed = True
-    for m in (2, 3):
-        result = spectral.certify_spectrum(m, tol=1e-8)
-        worst = max(worst, max(result["residuals"].values()))
-        passed = passed and result["passed"]
-    elapsed = time.monotonic() - start
-    ok = passed and elapsed < 10
-    report(capsys, 4, ok, f"all certified x_jk are characteristic roots for m=2,3; "
-                  f"worst |det| {worst:.2e} (< 1e-8), {elapsed:.1f}s (< 10 s)")
-    assert ok
+    rec = checks.spectrum("full")
+    ok = rec.passed and rec.elapsed_s < 10
+    report(capsys, 4, ok, f"all certified x_jk are characteristic roots for {params(rec)}; "
+                  f"worst |det| {rec.measured['|det|']:.2e} (< {rec.tolerance['|det|']:g}), "
+                  f"{rec.elapsed_s:.1f}s (< 10 s)")
+    assert ok, rec.detail
 
 
 def test_criterion_05_functional_equation_residual(capsys):
-    start = time.monotonic()
-    residuals = {(m, N): chain.functional_equation_residual(m, N)
-                 for m, N in ((1, 6), (2, 6), (3, 5))}
-    elapsed = time.monotonic() - start
-    ok = all(r == 0 for r in residuals.values()) and elapsed < 30
-    report(capsys, 5, ok, f"truncated functional equation residuals "
-                  f"{set(residuals.values())} (exactly 0) for (1,6),(2,6),(3,5), "
-                  f"{elapsed:.1f}s (< 30 s)")
-    assert ok
+    rec = checks.functional_equation("full")
+    ok = rec.passed and rec.elapsed_s < 30
+    report(capsys, 5, ok, f"truncated functional equation max residual "
+                  f"{rec.measured['residual']} (exactly 0) for {params(rec)}, "
+                  f"{rec.elapsed_s:.1f}s (< 30 s)")
+    assert ok, rec.detail
 
 
 def test_criterion_06_sandwich_bounds(capsys):
-    start = time.monotonic()
-    violations = []
-    for m in range(3, 13):
-        for n, value in enumerate(chain.iterate_totals(m, 300)):
-            pair = formulas.bounds(m, n)
-            if not (formulas.exact_fraction(pair.lower) <= value
-                    <= formulas.exact_fraction(pair.upper)):
-                violations.append((m, n))
-    elapsed = time.monotonic() - start
-    ok = not violations and elapsed < 60
-    report(capsys, 6, ok, f"lower <= dp <= upper for m in [3,12], n <= 300, "
-                  f"violations={violations}, {elapsed:.1f}s (< 1 min)")
-    assert ok
+    rec = checks.sandwich("full")
+    ok = rec.passed and rec.elapsed_s < 60
+    report(capsys, 6, ok, f"lower <= dp <= upper for {params(rec)}, "
+                  f"{failures(rec)}, {rec.elapsed_s:.1f}s (< 1 min)")
+    assert ok, rec.detail
 
 
 def test_criterion_07_linear_regime(capsys):
@@ -264,24 +229,12 @@ def test_criterion_11_critical_window(capsys):
 
 
 def test_criterion_12_monte_carlo(capsys):
-    start = time.monotonic()
-    seed = 20260823
-    misses = []
-    identical = True
-    for m in (5, 10, 20):
-        for n in (10, 100, 1000):
-            one = simulate.monte_carlo(m, n, 100000, seed=seed, workers=1)
-            four = simulate.monte_carlo(m, n, 100000, seed=seed, workers=4)
-            identical = identical and one.key_fields() == four.key_fields()
-            exact = float(chain.expected_inversions_dp(m, n))
-            if abs(one.mean - exact) > 4 * one.stderr:
-                misses.append((m, n))
-    elapsed = time.monotonic() - start
-    ok = len(misses) <= 1 and identical and elapsed < 120
-    report(capsys, 12, ok, f"4-sigma agreement on 3x3 grid at 1e5 trials, misses="
-                   f"{misses or 'none'} (<= 1 allowed); worker bit-identity: "
-                   f"{identical}; {elapsed:.1f}s (< 2 min)")
-    assert ok
+    rec = checks.monte_carlo("full")
+    ok = rec.passed and rec.elapsed_s < 120
+    report(capsys, 12, ok, f"4-sigma agreement on {params(rec)}, {rec.detail} "
+                   f"(<= {rec.tolerance['4-sigma misses']} miss allowed; worker "
+                   f"bit-identity required); {rec.elapsed_s:.1f}s (< 2 min)")
+    assert ok, rec.detail
 
 
 def test_criterion_13_brute_force_ground_truth(capsys):

@@ -120,6 +120,12 @@ def test_functional_equation_residual_is_zero(m, N):
     assert chain.functional_equation_residual(m, N) == 0
 
 
+def test_functional_equation_detects_missing_diagonal_injection(monkeypatch):
+    step = chain._step
+    monkeypatch.setattr(chain, "_step", lambda p, rule, inject: step(p, rule, 0))
+    assert chain.functional_equation_residual(3, 5) == Fraction(1, 3)
+
+
 def test_budget_refusal():
     with pytest.raises(WorkBudgetError):
         chain.brute_force_expected(3, 50)

@@ -1,0 +1,52 @@
+import dataclasses
+
+import mpmath
+import pytest
+
+from invwalk import chain, checks, spectral
+
+
+def test_registry_names_and_order():
+    assert list(checks.CHECKS) == [
+        "trig identities", "cross-method grid", "functional equation",
+        "sandwich bounds", "spectral certification", "monte carlo",
+    ]
+
+
+def test_quick_records_pass():
+    for name, check in checks.CHECKS.items():
+        record = check("quick")
+        assert record.passed, record.detail
+        assert record.name == name
+        assert record.parameters
+        assert record.measured and set(record.measured) == set(record.tolerance)
+        assert isinstance(record.elapsed_s, float) and record.elapsed_s >= 0
+        assert record.detail
+
+
+def test_unknown_level_refused():
+    with pytest.raises(ValueError):
+        checks.sandwich("medium")
+
+
+def test_identities_check_fails_on_perturbed_table(monkeypatch):
+    build_table = spectral.build_table
+
+    def perturbed(m, precision):
+        table = build_table(m, precision)
+        with mpmath.workprec(precision):
+            return dataclasses.replace(table, c=tuple(c * (1 + mpmath.mpf(1e-6)) for c in table.c))
+
+    monkeypatch.setattr(spectral, "build_table", perturbed)
+    record = checks.identities("quick")
+    assert not record.passed
+    assert record.measured["residual/tol"] == 0  # the sums alone cannot see it
+    assert record.measured["table error/2^-p"] > record.tolerance["table error/2^-p"]
+
+
+def test_functional_equation_check_fails_without_diagonal_injection(monkeypatch):
+    step = chain._step
+    monkeypatch.setattr(chain, "_step", lambda p, rule, inject: step(p, rule, 0))
+    record = checks.functional_equation("quick")
+    assert not record.passed
+    assert record.measured["residual"] > 0

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from invwalk import cli, genfun, simulate
+from invwalk import checks, cli, genfun, simulate
 
 
 def run(capsys, *argv):
@@ -224,6 +224,44 @@ def test_verify_quick(capsys):
     assert "FAIL" not in out
     # Every identity residual is 0 at this level; no empty worst location.
     assert "ok   trig identities: all residuals 0" in out
+
+
+def _stub_check(name, passed):
+    def check(level):
+        return checks.CheckRecord(name=name, parameters={"m": "1..2"}, measured={"x": 0},
+                                  tolerance={"x": 0}, passed=passed, elapsed_s=0.0,
+                                  detail="stub detail")
+    return check
+
+
+def test_verify_failed_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "CHECKS", {"good": _stub_check("good", True),
+                                           "bad": _stub_check("bad", False)})
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert "ok   good: stub detail" in out
+    assert "FAIL bad: stub detail" in out
+    assert "verify (quick): 1 failed" in out
+
+
+def test_verify_crashed_check_fails_and_others_run(capsys, monkeypatch):
+    def crash(level):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(checks, "CHECKS", {"crash": crash, "good": _stub_check("good", True)})
+    code, out, _ = run(capsys, "verify", "--level", "full")
+    assert code == 1
+    assert "FAIL crash: exception: RuntimeError('boom')" in out
+    assert "ok   good: stub detail" in out
+
+
+def test_verify_budget_refusal_exits_3(capsys, monkeypatch):
+    # The exact DP of the cross-method grid refuses under this budget.
+    monkeypatch.setattr(checks, "CHECKS", {"cross-method grid": checks.cross_method})
+    monkeypatch.setenv("INVWALK_BUDGET", "10")
+    code, out, err = run(capsys, "verify")
+    assert code == 3
+    assert "FAIL" not in out
+    assert "error: budget" in err
 
 
 def test_sweep_csv(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -102,6 +103,24 @@ def test_identities_property(m, precision):
     tol = (m + 1) ** 3 * math.ldexp(1, -precision + 7)
     assert report.all_passed
     assert report.max_residual < tol
+
+
+@pytest.mark.parametrize("m", [5, 64, 90])
+def test_identities_reject_perturbed_table(m):
+    # The seven sums are evaluated on guarded values, so only the entry
+    # bound can see a table that is off.
+    table = spectral.build_table(m, 53)
+    with workprec(53):
+        scaled = dataclasses.replace(table, c=tuple(c * (1 + mpmath.mpf(1e-6)) for c in table.c))
+        s = list(table.s)
+        s[m // 3] += mpmath.ldexp(1, -50)  # 8 * 2^-p
+        shifted = dataclasses.replace(table, s=tuple(s))
+    assert spectral.verify_identities(table).all_passed
+    for bad in (scaled, shifted):
+        report = spectral.verify_identities(bad)
+        assert report.max_residual == 0
+        assert report.table_error > spectral.TABLE_ERROR_BOUND
+        assert not report.all_passed
 
 
 @pytest.mark.parametrize("m", [2, 3])
