@@ -32,10 +32,6 @@ class Polynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, value) -> "Polynomial":
-        return cls([value])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -113,10 +109,6 @@ class Polynomial:
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
         return Fraction(num_gcd, den_lcm)
 
-    def primitive(self) -> "Polynomial":
-        c = self.content()
-        return self if c == 1 else Polynomial([v / c for v in self.coeffs])
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -157,7 +149,6 @@ def format_polynomial(poly: Polynomial, var: str = "t") -> str:
     return " ".join(parts)
 
 
-T = Polynomial([0, 1])
 ONE = Polynomial([1])
 
 

@@ -11,12 +11,15 @@ A ``SpectralTable`` is immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
 import mpmath
 from mpmath import mpf, workprec
+
+from .budget import check_budget
 
 MIN_PRECISION = 53
 
@@ -151,38 +154,9 @@ def _identity_values(m: int) -> tuple:
     )
 
 
-def _identity_sums_direct(m: int, c, s):
-    """Literal evaluation of the seven sums (quadratic work for the last four)."""
-    one = mpf(1)
-    s1 = mpmath.fsum(one / (1 - cj) for cj in c)
-    s2 = mpmath.fsum(cj / (1 - cj) for cj in c)
-    s3 = mpmath.fsum((c[k] / s[k]) ** 2 for k in range((m - 1) // 2 + 1))
-    s4 = mpmath.fsum(
-        (c[j] + c[k]) ** 2 / (s[j] ** 2 * s[k] ** 2)
-        for j in range(m + 1)
-        for k in range(m + 1)
-    )
-    s5 = mpmath.fsum(
-        (c[j] + c[k]) * (1 - c[j] * c[k]) / ((1 - c[j]) * (1 - c[k]))
-        for j in range(m + 1)
-        for k in range(m + 1)
-    )
-    s6 = mpmath.fsum(
-        (1 - c[j] * c[k]) ** 2 / ((1 - c[j]) * (1 - c[k]))
-        for j in range(m + 1)
-        for k in range(m + 1)
-    )
-    s7 = mpmath.fsum(
-        (c[j] + c[k]) / ((1 - c[j]) * (1 - c[k]))
-        for j in range(m + 1)
-        for k in range(m + 1)
-    )
-    return s1, s2, s3, s4, s5, s6, s7
-
-
-def _identity_sums_factored(m: int, c, s):
-    """Same seven sums, with the double sums expanded into products of
-    single sums (exact algebra on the summands, linear work)."""
+def _identity_sums(m: int, c, s):
+    """The seven sums, in linear work: each double sum over (j, k) is
+    expanded into products of single sums (exact algebra on the summands)."""
     one = mpf(1)
     inv_s2 = [one / sk**2 for sk in s]
     c2_s2 = [ck**2 * i for ck, i in zip(c, inv_s2)]
@@ -211,7 +185,7 @@ def _identity_sums_factored(m: int, c, s):
     return s1, s2, s3, s4, s5, s6, s7
 
 
-def verify_identities(table: SpectralTable, direct: bool | None = None) -> IdentityReport:
+def verify_identities(table: SpectralTable) -> IdentityReport:
     """Check the seven trigonometric identities behind the closed forms, and the table.
 
     Sums are evaluated on c and s recomputed with guard bits beyond the
@@ -220,16 +194,12 @@ def verify_identities(table: SpectralTable, direct: bool | None = None) -> Ident
     table precision is at ulp scale), and every table entry must lie within
     ``TABLE_ERROR_BOUND`` * 2**-precision of its guarded value.  (Summed on
     the table's own entries, correct tables miss the tolerance by up to 7e4
-    times.)  ``direct`` forces the literal double sums; by default the
-    quadratic evaluation is used up to m = 63 and the exact factored
-    restructuring beyond that.
+    times.)  The double sums are evaluated as products of single sums.
 
     Each residual must stay below (m+1)^3 * 2**(-precision+7).
     """
     m, precision = table.m, table.precision
     tol = (m + 1) ** 3 * 2.0 ** (-precision + 7)
-    if direct is None:
-        direct = m <= 63
 
     guard = 40 + max(0, (2 * (m + 1) ** 2).bit_length())
     with workprec(precision + guard):
@@ -237,13 +207,9 @@ def verify_identities(table: SpectralTable, direct: bool | None = None) -> Ident
         c, s = _mirrored_cos_sin([(2 * k + 1) * pi / (2 * m + 2) for k in range(m + 1)])
         table_error = float(max(abs(t - g) for t, g in zip(table.c + table.s, c + s))
                             * mpf(2) ** precision)
-        if direct:
-            sums = _identity_sums_direct(m, c, s)
-        else:
-            sums = _identity_sums_factored(m, c, s)
-        exacts = _identity_values(m)
         checks = []
-        for name, computed, exact in zip(IDENTITY_NAMES, sums, exacts):
+        for name, computed, exact in zip(IDENTITY_NAMES, _identity_sums(m, c, s),
+                                         _identity_values(m)):
             with workprec(precision):
                 rounded = +computed
                 residual = abs(rounded - mpf(exact.numerator) / exact.denominator)
@@ -261,16 +227,26 @@ def verify_identities(table: SpectralTable, direct: bool | None = None) -> Ident
                           table_error=table_error)
 
 
+def _state_count(m: int) -> int:
+    """(m+1)!, capped at 21! (over 10^19 states, far past any budget) so that
+    refusing a huge m does not first compute a huge factorial."""
+    return math.factorial(min(m, 20) + 1)
+
+
 def transition_matrix(m: int):
     """Full (m+1)! x (m+1)! transition matrix of the chain, as exact Fractions.
 
-    Desk-scale only (m <= 5 or so); used for spectral certification.
+    Desk-scale only; used for spectral certification.  One work unit is
+    one matrix entry: measured 25-36 ns and 8 bytes each at m = 5 and 6 on a
+    2-core x86_64 VM, so the default budget admits m <= 6 (0.6 s, 215 MiB)
+    and refuses m = 7 (1.6e9 entries).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    size = _state_count(m)
+    check_budget(size * size, f"transition_matrix m={m}: {size}x{size} entries")
     states = list(permutations(range(m + 1)))
     index = {p: i for i, p in enumerate(states)}
-    size = len(states)
     step = Fraction(1, m)
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for i, p in enumerate(states):
@@ -312,7 +288,18 @@ def certify_spectrum(m: int, tol: float = 1e-8, precision: int = 256) -> dict:
     Builds the full (m+1)! transition matrix and evaluates its characteristic
     polynomial at each candidate at high precision.  Returns per-pair
     |det(P - x Id)| values and an overall pass flag.
+
+    Each candidate costs one (m+1)!-sized elimination at ``precision``:
+    measured 340 ns per candidate * size^3 at m = 4 and 256 bits (7.0 s) on a
+    2-core x86_64 VM.  The estimate charges 16 units for each, about 20 ns a
+    unit, so the default budget admits m <= 4 and refuses m = 5 (about 40 min).
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    size = _state_count(m)
+    candidates = (m + 1) * (m + 2) // 2 - (m // 2 + 1)
+    check_budget(16 * candidates * size**3,
+                 f"certify_spectrum m={m}: {candidates} determinants of size {size}")
     table = build_table(m, precision)
     matrix = transition_matrix(m)
     residuals = {}

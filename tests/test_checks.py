@@ -44,6 +44,25 @@ def test_identities_check_fails_on_perturbed_table(monkeypatch):
     assert record.measured["table error/2^-p"] > record.tolerance["table error/2^-p"]
 
 
+def test_identities_check_fails_on_wrong_sum(monkeypatch):
+    identity_sums = spectral._identity_sums
+
+    def one_off(m, c, s):
+        sums = list(identity_sums(m, c, s))
+        sums[4] += 1
+        return tuple(sums)
+
+    monkeypatch.setattr(spectral, "_identity_sums", one_off)
+    report = spectral.verify_identities(spectral.build_table(5, 53))
+    assert not report.all_passed
+    assert [check.passed for check in report.checks] == [True] * 4 + [False] + [True] * 2
+    assert report.max_residual / report.checks[4].tolerance > 1
+    record = checks.identities("quick")
+    assert not record.passed
+    assert record.measured["residual/tol"] > record.tolerance["residual/tol"]
+    assert record.measured["table error/2^-p"] <= record.tolerance["table error/2^-p"]
+
+
 def test_functional_equation_check_fails_without_diagonal_injection(monkeypatch):
     step = chain._step
     monkeypatch.setattr(chain, "_step", lambda p, rule, inject: step(p, rule, 0))

@@ -28,7 +28,6 @@ def test_polynomial_gcd_and_content():
     g = (poly(1, 1) * poly(2, -2)).gcd(poly(1, 1) * poly(0, 3))
     assert g == poly(1, 1)
     assert poly(4, -6).content() == 2
-    assert poly(Fraction(1, 2), Fraction(3, 4)).primitive().coeffs == (2, 3)
 
 
 def test_format_polynomial():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import workprec
 
 from invwalk import spectral
+from invwalk.budget import WorkBudgetError
 
 
 def test_table_values_m2():
@@ -83,15 +84,43 @@ def test_identities_exact_targets(m, precision):
     ]
 
 
-@pytest.mark.parametrize("m", [10, 64, 90])
-def test_direct_and_factored_evaluations_agree(m):
-    # The factored restructuring must reproduce the literal double sums.
-    table = spectral.build_table(m, 128)
-    direct = spectral.verify_identities(table, direct=True)
-    factored = spectral.verify_identities(table, direct=False)
-    for a, b in zip(direct.checks, factored.checks):
-        assert a.name == b.name
-        assert a.passed and b.passed
+def _identity_sums_direct(m, c, s):
+    """Literal evaluation of the seven sums, the last four as (m+1)^2 double sums."""
+    one = mpmath.mpf(1)
+    pairs = [(j, k) for j in range(m + 1) for k in range(m + 1)]
+    return (
+        mpmath.fsum(one / (1 - cj) for cj in c),
+        mpmath.fsum(cj / (1 - cj) for cj in c),
+        mpmath.fsum((c[k] / s[k]) ** 2 for k in range((m - 1) // 2 + 1)),
+        mpmath.fsum((c[j] + c[k]) ** 2 / (s[j] ** 2 * s[k] ** 2) for j, k in pairs),
+        mpmath.fsum((c[j] + c[k]) * (1 - c[j] * c[k]) / ((1 - c[j]) * (1 - c[k]))
+                    for j, k in pairs),
+        mpmath.fsum((1 - c[j] * c[k]) ** 2 / ((1 - c[j]) * (1 - c[k])) for j, k in pairs),
+        mpmath.fsum((c[j] + c[k]) / ((1 - c[j]) * (1 - c[k])) for j, k in pairs),
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 63, 64, 90])
+def test_direct_and_factored_evaluations_agree(m, monkeypatch):
+    # verify_identities evaluates the double sums as products of single
+    # sums; the literal double sums, on the same guarded c and s, are the oracle.
+    identity_sums = spectral._identity_sums
+    pairs = []
+
+    def with_oracle(m, c, s):
+        sums = identity_sums(m, c, s)
+        pairs[:] = zip(sums, _identity_sums_direct(m, c, s))
+        return sums
+
+    monkeypatch.setattr(spectral, "_identity_sums", with_oracle)
+    for precision in (53, 128):
+        report = spectral.verify_identities(spectral.build_table(m, precision))
+        assert report.all_passed
+        for check, (factored, direct) in zip(report.checks, pairs, strict=True):
+            with workprec(precision):
+                factored, direct = +factored, +direct
+                assert check.computed == float(factored)
+                assert abs(factored - direct) < check.tolerance, (precision, check.name)
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,3 +164,31 @@ def test_transition_matrix_is_stochastic():
     for row in matrix:
         assert sum(row) == 1
         assert all(v >= 0 for v in row)
+
+
+def _no_work(*args):
+    raise AssertionError("work started before the budget check")
+
+
+def test_certification_budget(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(spectral, "build_table", admitted)
+    with pytest.raises(Admitted):  # m = 4 passes the default budget
+        spectral.certify_spectrum(4)
+    monkeypatch.setattr(spectral, "build_table", _no_work)
+    monkeypatch.setattr(spectral, "transition_matrix", _no_work)
+    for m in (5, 7, 10**6):
+        with pytest.raises(WorkBudgetError, match="certify_spectrum"):
+            spectral.certify_spectrum(m)
+
+
+def test_transition_matrix_budget(monkeypatch):
+    monkeypatch.setattr(spectral, "permutations", _no_work)
+    for m in (7, 10**6):  # 1.6e9 entries; the default budget admits m <= 6
+        with pytest.raises(WorkBudgetError, match="transition_matrix"):
+            spectral.transition_matrix(m)
