@@ -12,7 +12,6 @@ exact with no gcd work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -78,61 +77,6 @@ def _exact_numerators(m: int, n: int):
         p = _step(p, rule, den)
         den *= m
         yield p
-
-
-@dataclass(frozen=True)
-class InversionState:
-    """Exact inversion probabilities after n steps for the chain on S_{m+1}.
-
-    ``numerators[cell_index(m, i, j)] / m**n`` is p_{i,j}^{(n)}.
-    """
-
-    m: int
-    n: int
-    numerators: tuple
-
-    @classmethod
-    def initial(cls, m: int) -> "InversionState":
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        return cls(m=m, n=0, numerators=(0,) * (m * (m + 1) // 2))
-
-    @property
-    def denominator(self) -> int:
-        return self.m**self.n
-
-    def probability(self, i: int, j: int) -> Fraction:
-        if not (0 <= i <= j < self.m):
-            raise ValueError(f"cell ({i}, {j}) outside triangle for m={self.m}")
-        return Fraction(self.numerators[cell_index(self.m, i, j)], self.denominator)
-
-    def probabilities(self) -> dict:
-        den = self.denominator
-        return {
-            (i, j): Fraction(self.numerators[cell_index(self.m, i, j)], den)
-            for i, j in _triangle_cells(self.m)
-        }
-
-    def total(self) -> Fraction:
-        """I_{m,n} = sum of all cell probabilities."""
-        return Fraction(sum(self.numerators), self.denominator)
-
-
-def dp_step(state: InversionState) -> InversionState:
-    """One exact chain step: p' = p + (1/m) sum_nbrs (p_k - p) + (delta/m)(1 - 2p)."""
-    p = np.array(state.numerators, dtype=object)
-    new = _step(p, stencil(state.m), state.denominator)
-    return InversionState(m=state.m, n=state.n + 1, numerators=tuple(new.tolist()))
-
-
-def symmetry_check(state: InversionState) -> bool:
-    """p_{i,j} == p_{m-j-1, m-i-1} exactly (conjugation by the reversal)."""
-    m = state.m
-    nums = state.numerators
-    return all(
-        nums[cell_index(m, i, j)] == nums[cell_index(m, m - j - 1, m - i - 1)]
-        for i, j in _triangle_cells(m)
-    )
 
 
 def _check_dp_args(m: int, n: int, what: str) -> None:

@@ -5,16 +5,8 @@ over an (m, n) grid for plotting the regime curves.  Exit codes: 0 success,
 1 verification failure, 2 argument error, 3 work-budget refusal.
 
 ``verify`` prints one ``ok``/``FAIL`` line per check of ``invwalk.checks``
-(a check that raises fails).  At ``--level quick`` / ``full`` they run:
-trig identities on the 53/128-bit tables for m = 1..20 / 1..200, with
-every table entry within 4 * 2^-p; DP = Eriksen = series(GF) exactly and
-the 128-bit closed form within 1e-9 (compared at 200 bits) for m <= 4,
-n <= 10 / m <= 8, n <= 25; the functional equation at (m, N) = (1, 4),
-(2, 4) / (1, 6), (2, 6), (3, 5), (4, 8), (5, 10), (6, 12); the sandwich
-bounds for m = 3..6, n <= 50 / m = 3..12, n <= 300; spectral
-certification for m = 2 / 2, 3; Monte Carlo at 2e4 / 1e5 trials on
-(5, 10), (10, 100) / {5, 10, 20} x {10, 100, 1000}, at most one 4-sigma
-miss, with workers 1 and 4 bit-identical.
+(a check that raises fails), each with the grid it ran; README lists the
+grids at ``--level quick`` and ``full``.
 """
 
 from __future__ import annotations
@@ -122,8 +114,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_lazy(args) -> int:
-    p = args.p if args.p is not None else Fraction(args.m, args.m + 1)
-    value = formulas.aperiodic_expected(args.m, args.n, p)
+    value = formulas.aperiodic_expected(args.m, args.n, args.p)
+    p = formulas.move_probability(args.m, args.p)
     payload = {"method": "lazy", "m": args.m, "n": args.n,
                "p": str(p), "value": str(value)}
     rows = [_value_row(args.m, args.n, "lazy", float(value), "", f"p={p}")]
@@ -402,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("gf", help="exact generating function in t")
     _add_common(sub, n_required=False)
     sub.add_argument("--p", type=_fraction_arg, default=None,
-                     help="lazy-chain hold-complement probability (rational)")
+                     help="lazy-chain move probability (rational; default: the plain chain)")
     sub.add_argument("--series", type=int, default=None, metavar="N",
                      help="also print the first N+1 series coefficients")
     sub.add_argument("--check-poles", action="store_true",
@@ -417,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("lazy", help="exact expectation for the lazy chain")
     _add_common(sub)
     sub.add_argument("--p", type=_fraction_arg, default=None,
-                     help="move probability (default m/(m+1))")
+                     help="lazy-chain move probability (rational; default m/(m+1))")
     sub.set_defaults(run=_cmd_lazy)
 
     sub = subs.add_parser("simulate", help="Monte Carlo estimate")

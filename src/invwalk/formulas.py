@@ -332,19 +332,24 @@ def bounds(m: int, n: int, precision: int = 128) -> BoundsPair:
             return BoundsPair(lower=+lower, upper=+upper)
 
 
+def move_probability(m: int, p: Fraction | None = None) -> Fraction:
+    """The lazy chain's move probability p as a Fraction in (0, 1]; default
+    m/(m+1), the standard aperiodic variant."""
+    p = Fraction(m, m + 1) if p is None else Fraction(p)
+    if not (0 < p <= 1):
+        raise ValueError(f"p must lie in (0, 1], got {p}")
+    return p
+
+
 def aperiodic_expected(m: int, n: int, p: Fraction | None = None) -> Fraction:
     """Expected inversions for the lazy chain: binomial mix of the I_{m,k}.
 
-    Default hold parameter p = m/(m+1) gives the standard aperiodic variant.
-    Exact when fed the exact DP values (always the case here).
+    p is the move probability (see ``move_probability``).  Exact when fed
+    the exact DP values (always the case here).
     """
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
-    if p is None:
-        p = Fraction(m, m + 1)
-    p = Fraction(p)
-    if not (0 < p <= 1):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    p = move_probability(m, p)
     q = 1 - p
     total = Fraction(0)
     for k, value in enumerate(iterate_totals(m, n)):

@@ -54,12 +54,6 @@ class Polynomial:
             out[i] += v
         return Polynomial(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial([c * other for c in self.coeffs])
@@ -76,28 +70,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        quo = [Fraction(0)] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            factor = rem[i] / lead
-            if factor == 0:
-                continue
-            quo[i - d] = factor
-            for j, bj in enumerate(other.coeffs):
-                rem[i - d + j] -= factor * bj
-        return Polynomial(quo), Polynomial(rem)
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        quo, rem = self.divmod(other)
-        if not rem.is_zero():
-            raise ValueError("inexact polynomial division")
-        return quo
-
     def content(self) -> Fraction:
         """Positive rational c such that self / c has coprime integer coefficients."""
         if self.is_zero():
@@ -108,18 +80,6 @@ class Polynomial:
             num_gcd = math.gcd(num_gcd, c.numerator)
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
         return Fraction(num_gcd, den_lcm)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Polynomial([c / lead for c in self.coeffs])
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -153,33 +113,27 @@ ONE = Polynomial([1])
 
 
 class RationalFunction:
-    """Reduced ratio of polynomials, expandable at t = 0.
+    """Ratio of polynomials in lowest terms, expandable at t = 0.
 
-    Normal form: gcd(num, den) = 1, denominator has coprime integer
-    coefficients and positive constant term.
+    The caller passes a coprime pair (``build_gf`` and ``aperiodic_gf``
+    both build one; no gcd is taken here).  Normal form: the denominator
+    has coprime integer coefficients and positive constant term.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial, reduce: bool = True):
+    def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if den.coeffs[0] == 0:
             raise ValueError("denominator vanishes at t=0; not series-expandable")
-        if reduce and not num.is_zero():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
         # Normalize: denominator primitive integer with positive constant
         # term (the constant term is nonzero by the check above).
         scale = den.content()
         if den.coeffs[0] < 0:
             scale = -scale
-        den = Polynomial([c / scale for c in den.coeffs])
-        num = Polynomial([c / scale for c in num.coeffs])
-        self.num = num
-        self.den = den
+        self.num = Polynomial([c / scale for c in num.coeffs])
+        self.den = Polynomial([c / scale for c in den.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -280,42 +234,46 @@ def build_gf(m: int) -> RationalFunction:
     den = Polynomial([c / Fraction(m) ** i for i, c in enumerate(scaled.coeffs)])
     num = [sum(den.coeffs[i] * values[k - i] for i in range(min(k, den.degree) + 1))
            for k in range(order)]
-    return RationalFunction(Polynomial(num), den, reduce=False)
+    return RationalFunction(Polynomial(num), den)
 
 
 def aperiodic_gf(rf: RationalFunction, m: int, p: Fraction | None = None) -> RationalFunction:
-    """GF of the lazy chain: 1/(1 - t(1-p)) * I_m(t p / (1 - t(1-p))).
+    """GF of the lazy chain, 1/(1 - q t) * I_m(t p / (1 - q t)) with q = 1 - p,
+    built in lowest terms.  p is the move probability (default m/(m+1)).
 
-    Default p = m/(m+1) (the standard aperiodic variant).
+    With rf = N/D and e = max(deg N, deg D - 1) the result is
+    ``(1-qt)^e N(s) / ((1-qt)^(e+1) D(s))``, s = tp/(1-qt), and the pair is
+    coprime.  A common root with 1 - qt != 0 would make s a common root of
+    N and D.  At t = 1/q only the top terms survive: the numerator is
+    nonzero iff e = deg N, the denominator iff e + 1 = deg D, and the
+    choice of e makes one of them hold.
     """
-    if p is None:
-        p = Fraction(m, m + 1)
-    p = Fraction(p)
-    if not (0 < p <= 1):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    p = formulas.move_probability(m, p)
     if p == 1:
         return rf
-    q = 1 - p
-    tp = Polynomial([0, p])          # t*p
-    omqt = Polynomial([1, -q])       # 1 - t(1-p)
-    deg = max(rf.num.degree, rf.den.degree, 0)
+    e = max(rf.num.degree, rf.den.degree - 1)
+    # With p = a/b, b^k (1-qt)^k s^i = (a t)^i (b + (a-b) t)^(k-i); the
+    # sums run over integers (the denominator is integral in normal form).
+    a, b = p.numerator, p.denominator
+    binomial_rows = [[math.comb(k, j) * b ** (k - j) * (a - b) ** j for j in range(k + 1)]
+                     for k in range(e + 2)]
 
-    def substituted(poly: Polynomial) -> Polynomial:
-        acc = Polynomial()
-        tp_pow = ONE
-        omqt_pows = [ONE]
-        for _ in range(deg):
-            omqt_pows.append(omqt_pows[-1] * omqt)
-        for i in range(deg + 1):
-            c = poly.coeffs[i] if i <= poly.degree else Fraction(0)
-            if c != 0:
-                acc = acc + c * (tp_pow * omqt_pows[deg - i])
-            tp_pow = tp_pow * tp
-        return acc
+    def homogenized(coeffs, k: int) -> Polynomial:
+        """b^k (1-qt)^k P(s) for P with integer coefficients ``coeffs``, k >= deg P."""
+        out = [0] * (k + 1)
+        for i, c in enumerate(coeffs):
+            if c:
+                c *= a**i
+                for j, w in enumerate(binomial_rows[k - i]):
+                    out[i + j] += c * w
+        return Polynomial(out)
 
-    num = substituted(rf.num)
-    den = substituted(rf.den) * omqt  # extra factor for the 1/(1 - t(1-p)) prefactor
-    return RationalFunction(num, den)
+    scale = math.lcm(*(c.denominator for c in rf.num.coeffs))
+    num = homogenized([int(c * scale) for c in rf.num.coeffs], e) * Fraction(b, scale)
+    return RationalFunction(num, homogenized([int(c) for c in rf.den.coeffs], e + 1))
+
+
+POLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -326,16 +284,16 @@ class PoleCheckReport:
     passed: bool
 
 
-def pole_check(rf: RationalFunction, table: SpectralTable, tol: float = 1e-8,
-               precision: int = 128) -> PoleCheckReport:
+def pole_check(rf: RationalFunction, table: SpectralTable) -> PoleCheckReport:
     """Verify every denominator root is 1 or a reciprocal certified x_{jk}.
 
-    Candidates are evaluated against the denominator at high precision and
-    matched roots deflated (synthetic division) until the remaining degree
-    is zero or no candidate matches.
+    Candidates are evaluated against the denominator at the table's
+    precision and matched roots deflated (synthetic division) until the
+    remaining degree is zero or no candidate matches; ``POLE_TOL`` is the
+    relative residual that counts as a root.
     """
-    m = table.m
-    with workprec(precision):
+    m, tol = table.m, POLE_TOL
+    with workprec(table.precision):
         candidates = [(mpf(1), "1")]
         seen = []
         for j in range(m + 1):

@@ -109,18 +109,24 @@ class SimulationSummary:
                 self.sum_counts, self.sum_squares)
 
 
+def _lazy_move(lazy_p: Fraction | None):
+    """``(lazy_p, threshold)``: a step moves when its slot-0 draw is below
+    ``threshold`` = floor(lazy_p 2^64); both are None for the plain chain."""
+    if lazy_p is None:
+        return None, None
+    lazy_p = Fraction(lazy_p)
+    if not (0 < lazy_p <= 1):
+        raise ValueError(f"lazy_p must lie in (0, 1], got {lazy_p}")
+    return lazy_p, (lazy_p.numerator << 64) // lazy_p.denominator
+
+
 def simulate_once(m: int, n: int, seed: int = 0, trial: int = 0,
                   lazy_p: Fraction | None = None) -> int:
     """Inversion count after n steps for one trial of the (seed, trial) stream."""
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
     key = trial_key(seed, trial)
-    hold_threshold = None
-    if lazy_p is not None:
-        lazy_p = Fraction(lazy_p)
-        if not (0 < lazy_p <= 1):
-            raise ValueError(f"lazy_p must lie in (0, 1], got {lazy_p}")
-        hold_threshold = (lazy_p.numerator << 64) // lazy_p.denominator
+    lazy_p, hold_threshold = _lazy_move(lazy_p)
     perm = list(range(m + 1))
     count = 0
     for step in range(n):
@@ -239,12 +245,7 @@ def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
 
-    hold_threshold = None
-    if lazy_p is not None:
-        lazy_p = Fraction(lazy_p)
-        if not (0 < lazy_p <= 1):
-            raise ValueError(f"lazy_p must lie in (0, 1], got {lazy_p}")
-        hold_threshold = (lazy_p.numerator << 64) // lazy_p.denominator
+    lazy_p, hold_threshold = _lazy_move(lazy_p)
     check_budget(estimated_work(m, n, trials),
                  f"monte_carlo m={m}, n={n}, trials={trials}")
 

@@ -27,6 +27,10 @@ MIN_PRECISION = 53
 # correct tables stay below 2.8 for m <= 300 at 53, 128 and 256 bits.
 TABLE_ERROR_BOUND = 4
 
+# certify_spectrum's bound on |det(P - x Id)| and its working precision.
+CERTIFY_TOL = 1e-8
+CERTIFY_PRECISION = 256
+
 # Names and exact integer values of the trigonometric identities checked by
 # verify_identities, as functions of m.  The first three are single sums,
 # the rest are (m+1)^2 double sums.
@@ -47,7 +51,6 @@ class SpectralTable:
 
     m: int
     precision: int
-    alphas: tuple = field(repr=False)
     c: tuple = field(repr=False)
     s: tuple = field(repr=False)
 
@@ -93,9 +96,8 @@ def build_table(m: int, precision: int = MIN_PRECISION) -> SpectralTable:
 
     with workprec(precision):
         pi = mpmath.pi()
-        alphas = tuple((2 * k + 1) * pi / (2 * m + 2) for k in range(m + 1))
-        c, s = _mirrored_cos_sin(alphas)
-    return SpectralTable(m=m, precision=precision, alphas=alphas, c=c, s=s)
+        c, s = _mirrored_cos_sin([(2 * k + 1) * pi / (2 * m + 2) for k in range(m + 1)])
+    return SpectralTable(m=m, precision=precision, c=c, s=s)
 
 
 def _mirrored_cos_sin(alphas):
@@ -282,14 +284,15 @@ def _det_high_precision(matrix, shift):
     return det
 
 
-def certify_spectrum(m: int, tol: float = 1e-8, precision: int = 256) -> dict:
+def certify_spectrum(m: int) -> dict:
     """Desk-scale check that every x_{jk} with j+k != m is an eigenvalue.
 
     Builds the full (m+1)! transition matrix and evaluates its characteristic
-    polynomial at each candidate at high precision.  Returns per-pair
-    |det(P - x Id)| values and an overall pass flag.
+    polynomial at each candidate at ``CERTIFY_PRECISION`` bits.  Returns
+    per-pair |det(P - x Id)| values, the tolerance ``CERTIFY_TOL`` and an
+    overall pass flag.
 
-    Each candidate costs one (m+1)!-sized elimination at ``precision``:
+    Each candidate costs one (m+1)!-sized elimination:
     measured 340 ns per candidate * size^3 at m = 4 and 256 bits (7.0 s) on a
     2-core x86_64 VM.  The estimate charges 16 units for each, about 20 ns a
     unit, so the default budget admits m <= 4 and refuses m = 5 (about 40 min).
@@ -300,10 +303,10 @@ def certify_spectrum(m: int, tol: float = 1e-8, precision: int = 256) -> dict:
     candidates = (m + 1) * (m + 2) // 2 - (m // 2 + 1)
     check_budget(16 * candidates * size**3,
                  f"certify_spectrum m={m}: {candidates} determinants of size {size}")
-    table = build_table(m, precision)
+    table = build_table(m, CERTIFY_PRECISION)
     matrix = transition_matrix(m)
     residuals = {}
-    with workprec(precision):
+    with workprec(CERTIFY_PRECISION):
         for j in range(m + 1):
             for k in range(j, m + 1):
                 if j + k == m:
@@ -313,6 +316,6 @@ def certify_spectrum(m: int, tol: float = 1e-8, precision: int = 256) -> dict:
     return {
         "m": m,
         "residuals": residuals,
-        "tolerance": tol,
-        "passed": all(r < tol for r in residuals.values()),
+        "tolerance": CERTIFY_TOL,
+        "passed": all(r < CERTIFY_TOL for r in residuals.values()),
     }

@@ -39,18 +39,23 @@ def test_neighbors_stay_in_triangle():
             assert self_coeff[row] + len(real) == m - 2 * (i == j)
 
 
+def _probabilities(m, n):
+    """{(i, j): p_ij} after n exact DP steps."""
+    for p in chain._exact_numerators(m, n):
+        pass
+    return {cell: Fraction(p[chain.cell_index(m, *cell)], m**n)
+            for cell in chain._triangle_cells(m)}
+
+
 def test_initial_state():
-    state = chain.InversionState.initial(3)
-    assert state.total() == 0
-    assert state.denominator == 1
+    assert _probabilities(3, 0) == dict.fromkeys(chain._triangle_cells(3), 0)
 
 
 def test_single_step_m2():
-    state = chain.dp_step(chain.InversionState.initial(2))
-    assert state.probabilities() == {
+    assert _probabilities(2, 1) == {
         (0, 0): Fraction(1, 2), (0, 1): Fraction(0), (1, 1): Fraction(1, 2),
     }
-    assert state.total() == 1
+    assert chain.expected_inversions_dp(2, 1) == 1
 
 
 @pytest.mark.parametrize("m,n,expected", [
@@ -69,18 +74,18 @@ def test_dp_equals_brute_force(m, n):
 
 
 def test_symmetry_holds_along_trajectory():
-    state = chain.InversionState.initial(4)
-    for _ in range(12):
-        state = chain.dp_step(state)
-        assert chain.symmetry_check(state)
+    # p_{i,j} == p_{m-j-1, m-i-1} exactly (conjugation by the reversal).
+    m = 4
+    cells = chain._triangle_cells(m)
+    for p in chain._exact_numerators(m, 12):
+        assert all(p[chain.cell_index(m, i, j)] == p[chain.cell_index(m, m - j - 1, m - i - 1)]
+                   for i, j in cells)
 
 
 def test_probabilities_bounded():
-    state = chain.InversionState.initial(3)
-    for _ in range(20):
-        state = chain.dp_step(state)
-        for p in state.probabilities().values():
-            assert 0 <= p <= 1
+    m = 3
+    for n, p in enumerate(chain._exact_numerators(m, 20)):
+        assert all(0 <= v <= m**n for v in p)
 
 
 @pytest.mark.parametrize("m", [8, 9, 10])

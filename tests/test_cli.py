@@ -64,6 +64,12 @@ def test_gf_lazy_variant(capsys):
     assert json.loads(out)["series"] == ["0", "1/2", "1/2", "1/2"]
 
 
+def test_gf_lazy_rejects_p_zero(capsys):
+    code, _, err = run(capsys, "gf", "--m", "2", "--p", "0")
+    assert code == 2
+    assert "p must lie in (0, 1]" in err
+
+
 def test_csv_schema(capsys):
     code, out, _ = run(capsys, "eriksen", "--m", "2", "--n", "3",
                        "--format", "csv")
