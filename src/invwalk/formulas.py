@@ -332,13 +332,19 @@ def bounds(m: int, n: int, precision: int = 128) -> BoundsPair:
             return BoundsPair(lower=+lower, upper=+upper)
 
 
+def check_probability(p, name: str = "p") -> Fraction:
+    """p as a Fraction, checked to lie in (0, 1]; ``name`` labels the error.
+    The one range rule for the lazy chain's move probability."""
+    p = Fraction(p)
+    if not (0 < p <= 1):
+        raise ValueError(f"{name} must lie in (0, 1], got {p}")
+    return p
+
+
 def move_probability(m: int, p: Fraction | None = None) -> Fraction:
     """The lazy chain's move probability p as a Fraction in (0, 1]; default
     m/(m+1), the standard aperiodic variant."""
-    p = Fraction(m, m + 1) if p is None else Fraction(p)
-    if not (0 < p <= 1):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    return p
+    return check_probability(Fraction(m, m + 1) if p is None else p)
 
 
 def aperiodic_expected(m: int, n: int, p: Fraction | None = None) -> Fraction:

@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import check_budget
+from .formulas import check_probability
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -114,9 +115,7 @@ def _lazy_move(lazy_p: Fraction | None):
     ``threshold`` = floor(lazy_p 2^64); both are None for the plain chain."""
     if lazy_p is None:
         return None, None
-    lazy_p = Fraction(lazy_p)
-    if not (0 < lazy_p <= 1):
-        raise ValueError(f"lazy_p must lie in (0, 1], got {lazy_p}")
+    lazy_p = check_probability(lazy_p, "lazy_p")
     return lazy_p, (lazy_p.numerator << 64) // lazy_p.denominator
 
 
