@@ -114,8 +114,10 @@ def test_argument_validation():
         simulate.monte_carlo(3, 5, 10, seed=0, workers=0)
     with pytest.raises(ValueError):
         simulate.monte_carlo(simulate._BLOCK_CELLS, 1, 2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"lazy_p must lie in \(0, 1\]"):
         simulate.simulate_once(2, 3, lazy_p=Fraction(3, 2))
+    with pytest.raises(ValueError, match=r"lazy_p must lie in \(0, 1\]"):
+        simulate.monte_carlo(3, 5, 10, seed=0, lazy_p=0)
 
 
 # (sum_counts, sum_squares) of monte_carlo(m, 2m + 9, 301, seed=1000 + m),
