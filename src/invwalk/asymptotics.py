@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf, workprec
 
+from .budget import check_budget
 from .formulas import bounds
 
 REGIMES = ("sublinear", "linear", "intermediate", "cubic", "critical_log", "supercubic")
@@ -37,102 +38,80 @@ class RegimeEstimate:
     upper: float
 
 
-def f_kappa(kappa: float, method: str = "series", tol: float = 1e-10) -> float:
+F_PRECISION = 150   # working bits of both f methods
+G_TOL = 1e-12       # absolute accuracy of g's truncated theta series
+
+
+def f_kappa(kappa: float, method: str = "series") -> float:
     """Linear-regime ratio f(kappa) = lim I_{m, kappa m} / (kappa m).
 
-    ``series``: alternating entire series sum_j (-1)^j (2j)! (2k)^j / (j!(j+1)!^2),
-    summed at enough extra precision to absorb the ~e^{8 kappa} cancellation.
-    ``quadrature``: (1/(2 pi k)) int_0^inf (1 - exp(-8k t^2/(1+t^2)))/(t^2(1+t^2)) dt
-    with the tail beyond T bounded by 1/(3T^3).
+    ``series``: the entire series sum_j t_j, t_j = (-1)^j (2j)! (2k)^j /
+    (j! (j+1)!^2), is a hypergeometric 2F2(1/2, 1; 2, 2; -8k): t_0 = 1 and
+    t_{j+1}/t_j = -(2j+2)(2j+1)(2k) / ((j+1)(j+2)^2) = -8k (j+1/2) / (j+2)^2,
+    which is (j+1/2)(j+1) z / ((j+2)(j+2)(j+1)) at z = -8k.  mpmath sums it,
+    or uses its asymptotic expansion at large |z| (DLMF 16.11).
+    ``quadrature``: with x = 8k, f = (1/(2 pi k)) int_0^inf (1 - e^{-x t^2/(1+t^2)})
+    / (t^2 (1+t^2)) dt = (4/pi) int_0^inf h, h = that integrand over x (h(0) = 1),
+    by tanh-sinh over [0, 1, inf].  mpmath's quadrature controls the absolute
+    error, so h is kept O(1): unscaled, the result is off by 4e-9 at k = 1e-300.
+
+    Both run at ``F_PRECISION`` bits.  They give the same float for every
+    k = 10^(e/10), e = -60..120, and 1e-300 <= k <= 3e31 at the points
+    checked; above that, tanh-sinh stops resolving h's drop at t ~ 1/sqrt(x).
 
     For large kappa, f(k) = sqrt(2/(pi k)) - 1/(4k) + O(k^-3/2): split
     1/(t^2(1+t^2)) = 1/t^2 - 1/(1+t^2) in the integral; the second piece
     tends to pi/2 and gives the -1/(4k).  So sqrt(k) f(k) approaches
     sqrt(2/pi) only like 1/sqrt(k) (3.1% below it at k = 100).
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if method not in ("series", "quadrature"):
+        raise ValueError(f"method must be 'series' or 'quadrature', got {method!r}")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if kappa == 0:
         return 1.0
-    if method == "series":
-        return _f_series(kappa, tol)
-    if method == "quadrature":
-        return _f_quadrature(kappa, tol)
-    raise ValueError(f"method must be 'series' or 'quadrature', got {method!r}")
+    with workprec(F_PRECISION):
+        x = 8 * mpf(kappa)
+        if method == "series":
+            return float(mpmath.hyp2f2(0.5, 1, 2, 2, -x))
 
-
-def _f_series(kappa: float, tol: float) -> float:
-    # Largest term ~ exp(8 kappa); add that many bits plus slack.
-    extra = int(8 * kappa * 1.4427) + 64
-    with workprec(53 + extra):
-        k2 = 2 * mpf(kappa)
-        total = mpf(0)
-        term = mpf(1)  # j = 0
-        j = 0
-        hump = 8 * kappa
-        while True:
-            total += term
-            if abs(term) < tol / 8 and j > hump:
-                break
-            # ratio t_{j+1}/t_j = -(2j+1)(2j+2) (2k) / ((j+1)(j+2)^2)
-            term = term * (-(2 * j + 1) * (2 * j + 2)) * k2 / ((j + 1) * (j + 2) ** 2)
-            j += 1
-            if j > 100000:
-                raise RuntimeError("f_kappa series failed to converge")
-        return float(total)
-
-
-def _f_quadrature(kappa: float, tol: float) -> float:
-    with workprec(150):
-        k = mpf(kappa)
-        prefactor = 1 / (2 * mpmath.pi() * k)
-        # Tail: integrand <= 1/(t^2(1+t^2)) <= 1/t^4, so beyond T the
-        # contribution is below prefactor/(3 T^3).
-        T = (1 / (3 * prefactor * (tol / 2))) ** mpf("1/3")
-
-        def integrand(t):
+        def h(t):
             if t == 0:
-                return 8 * k
+                return mpf(1)
             t2 = t * t
-            return -mpmath.expm1(-8 * k * t2 / (1 + t2)) / (t2 * (1 + t2))
+            return -mpmath.expm1(-x * t2 / (1 + t2)) / (x * t2 * (1 + t2))
 
-        value = prefactor * mpmath.quad(integrand, [0, 1, T])
-        return float(value)
+        return float(4 * mpmath.quad(h, [0, 1, mpmath.inf]) / mpmath.pi)
 
 
-def g_kappa(kappa: float, tol: float = 1e-12) -> float:
+def g_kappa(kappa: float) -> float:
     """Cubic-regime ratio g(kappa) = 1/4 - (16/pi^4) (sum_j e^{-k pi^2 (2j+1)^2/2}/(2j+1)^2)^2.
 
-    The theta-like series is truncated once the analytic tail bound
-    (geometric-in-j^2 decay under the 1/(2j+1)^2 envelope) drops below the
-    requested accuracy.  kappa <= 0 is an error: the series only converges
-    for positive kappa (the kappa -> 0+ limit is 0 but is not computed).
+    The theta-like series is truncated where the analytic tail bound
+    (geometric-in-j^2 decay under the 1/(2j+1)^2 envelope) puts g within
+    ``G_TOL``; the term count is known before summing and is charged to the
+    work budget.  kappa <= 0 is an error: the series only converges for
+    positive kappa (the kappa -> 0+ limit is 0 but is not computed).
 
     For small kappa, g(k) = sqrt(2k/pi) - (2/pi) k up to terms exponentially
     small in 1/k, so g(k)/sqrt(k) = sqrt(2/pi) - (2/pi) sqrt(k) + ...
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     with workprec(120):
-        k = mpf(kappa)
         pi2 = mpmath.pi() ** 2
-        rate = k * pi2 / 2
-        # |dg| <= (32/pi^4) * S * tail with S <= pi^2/8, so tail <= tol*pi^2/4 works.
-        tail_target = tol * pi2 / 4
-        total = mpf(0)
-        j = 0
-        while True:
-            total += mpmath.exp(-rate * (2 * j + 1) ** 2) / (2 * j + 1) ** 2
-            tail_bound = mpmath.exp(-rate * (2 * j + 3) ** 2) * pi2 / 8
-            if tail_bound < tail_target:
-                break
-            j += 1
-            if j > 1000000:
-                raise RuntimeError("g_kappa series failed to converge")
+        rate = mpf(kappa) * pi2 / 2
+        # Summing j = 0..J leaves a tail below e^{-rate (2J+3)^2} pi^2/8, and
+        # |dg| <= (32/pi^4) S tail with S <= pi^2/8, so g is within G_TOL once
+        # (2J+3)^2 > log(1/(2 G_TOL)) / rate: J + 1 = floor((s+1)/2) terms,
+        # s = sqrt(log(1/(2 G_TOL)) / rate), and at least one.
+        s = mpmath.sqrt(mpmath.log(1 / (2 * mpf(G_TOL))) / rate)
+        terms = max(1, int((s + 1) / 2))
+        # One term (an exp and a division at 120 bits) took 7-8 us on a
+        # 2-core x86_64 VM: 500 units of about 16 ns.
+        check_budget(500 * terms, f"g_kappa kappa={kappa}: {terms} series terms")
+        total = sum((mpmath.exp(-rate * (2 * j + 1) ** 2) / (2 * j + 1) ** 2
+                     for j in range(terms)), mpf(0))
         return float(mpf(1) / 4 - 16 / pi2**2 * total**2)
 
 
@@ -212,15 +191,13 @@ def predict(m: int, n: int) -> RegimeEstimate:
                           kappa=kappa, clamped=clamped, lower=lower, upper=upper)
 
 
-def consistency_limits(tol: float = 1e-10) -> dict:
+def consistency_limits() -> dict:
     """Check sqrt(k) f(k) (k -> inf) and g(k)/sqrt(k) (k -> 0+) against sqrt(2/pi)."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     target = math.sqrt(2 / math.pi)
     f_points = [10.0, 50.0, 100.0]
     g_points = [1e-2, 1e-3, 1e-4]
-    f_values = [math.sqrt(k) * f_kappa(k, method="quadrature", tol=tol) for k in f_points]
-    g_values = [g_kappa(k, tol=tol) / math.sqrt(k) for k in g_points]
+    f_values = [math.sqrt(k) * f_kappa(k, method="quadrature") for k in f_points]
+    g_values = [g_kappa(k) / math.sqrt(k) for k in g_points]
     f_dev = [abs(v - target) for v in f_values]
     g_dev = [abs(v - target) for v in g_values]
     return {

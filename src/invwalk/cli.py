@@ -297,6 +297,18 @@ def _int_list(text: str):
     return values
 
 
+SWEEP_METHODS = ("dp", "eriksen", "closed", "predict", "simulate")
+
+
+def _sweep_methods(text: str):
+    methods = text.split(",")
+    unknown = [name for name in methods if name not in SWEEP_METHODS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown sweep method(s) {unknown}; "
+                                         f"choose from {','.join(SWEEP_METHODS)}")
+    return methods
+
+
 def _sweep_cell(method: str, m: int, n: int, args):
     """One (value, precision_bits, flags) measurement for the sweep table."""
     if method == "dp":
@@ -311,11 +323,10 @@ def _sweep_cell(method: str, m: int, n: int, args):
     if method == "predict":
         est = asymptotics.predict(m, n)
         return est.predicted, "", f"regime={est.regime};clamped={est.clamped}"
-    if method == "simulate":
-        summary = simulate.monte_carlo(m, n, args.trials, seed=args.seed,
-                                       workers=args.workers)
-        return summary.mean, "", f"trials={args.trials};stderr={summary.stderr:.6g}"
-    raise ValueError(f"unknown sweep method {method!r}")
+    # "simulate", the last of SWEEP_METHODS (the parser admits no other name)
+    summary = simulate.monte_carlo(m, n, args.trials, seed=args.seed,
+                                   workers=args.workers)
+    return summary.mean, "", f"trials={args.trials};stderr={summary.stderr:.6g}"
 
 
 def _cmd_sweep(args) -> int:
@@ -440,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated m values")
     sub.add_argument("--n-expr", required=True,
                      help="n as an expression of m, e.g. 'm^2' or 'm^3*log(m)'")
-    sub.add_argument("--methods", type=lambda s: s.split(","),
-                     default=["closed"],
-                     help="comma-separated subset of dp,eriksen,closed,predict,simulate")
+    sub.add_argument("--methods", type=_sweep_methods, default=["closed"],
+                     help=f"comma-separated subset of {','.join(SWEEP_METHODS)}")
     sub.add_argument("--precision", type=int, default=53)
     sub.add_argument("--trials", type=int, default=10000)
     sub.add_argument("--seed", type=int, default=0)

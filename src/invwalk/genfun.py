@@ -159,9 +159,16 @@ class RationalFunction:
 
 
 def series(rf: RationalFunction, N: int) -> list:
-    """First N+1 Taylor coefficients of rf at t = 0 (exact rationals)."""
+    """First N+1 Taylor coefficients of rf at t = 0 (exact rationals).
+
+    Coefficient n takes about ``rf.order`` products whose denominators grow
+    like m^n, so the expansion costs about N^2 order.  Measured on a 2-core
+    x86_64 VM it took 3-20 ns per unit of (N+1)^2 order for m = 2..20 and
+    N = 250..4000 (larger m at the slow end).
+    """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
+    check_budget((N + 1) ** 2 * rf.order, f"series: {N + 1} coefficients of order {rf.order}")
     a = rf.num.coeffs
     b = rf.den.coeffs
     b0 = b[0]

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -15,11 +16,21 @@ def test_f_small_kappa_expansion():
     assert asy.f_kappa(0.01) == pytest.approx(0.9901316851, abs=1e-8)
 
 
-@pytest.mark.parametrize("kappa", [0.01, 0.1, 0.5, 1.0, 5.0, 20.0])
+@pytest.mark.parametrize("kappa", [1e-4, 0.01, 0.1, 0.5, 1.0, 5.0, 20.0, 100.0, 1e4, 1e6])
 def test_f_series_quadrature_agree(kappa):
     a = asy.f_kappa(kappa, method="series")
     b = asy.f_kappa(kappa, method="quadrature")
-    assert abs(a - b) <= 1e-8
+    assert abs(a - b) <= 1e-14 * abs(a)
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+def test_f_large_kappa_timing_guard(method):
+    # The series' terms reach e^{8 kappa} here; neither method may pay for that.
+    start = time.perf_counter()
+    value = asy.f_kappa(1e4, method=method)
+    assert time.perf_counter() - start < 1
+    # Two-term expansion; the next term is O(kappa^-3/2), 3e-6 relative here.
+    assert value == pytest.approx(math.sqrt(2 / (math.pi * 1e4)) - 1 / 4e4, rel=1e-5)
 
 
 def test_f_monotone_decreasing():
@@ -34,8 +45,12 @@ def test_f_domain_errors():
         asy.f_kappa(-0.5)
     with pytest.raises(ValueError):
         asy.f_kappa(1.0, method="magic")
-    with pytest.raises(ValueError):
-        asy.f_kappa(1.0, tol=0)
+    for bad in (math.nan, math.inf):
+        for method in ("series", "quadrature"):
+            with pytest.raises(ValueError, match="kappa"):
+                asy.f_kappa(bad, method=method)
+    with pytest.raises(ValueError, match="method"):
+        asy.f_kappa(0.0, method="magic")
 
 
 def test_g_monotone_increasing_in_band():
@@ -54,6 +69,8 @@ def test_g_limits():
         asy.g_kappa(0.0)
     with pytest.raises(ValueError):
         asy.g_kappa(-1.0)
+    with pytest.raises(ValueError, match="kappa"):
+        asy.g_kappa(math.nan)
 
 
 def test_critical_estimate():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from invwalk import checks, cli, genfun, simulate
+from invwalk import chain, checks, cli, genfun, simulate
 
 
 def run(capsys, *argv):
@@ -166,6 +166,15 @@ def test_gf_budget_env_refuses(capsys, monkeypatch):
     assert "build_gf" in err
 
 
+def test_gf_series_budget_refuses_before_work(capsys, monkeypatch):
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "gf", "--m", "6", "--series", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert err.startswith("error: budget:") and "series" in err
+
+
 def test_bounds_text(capsys):
     code, out, _ = run(capsys, "bounds", "--m", "3", "--n", "0")
     assert code == 0
@@ -215,6 +224,21 @@ def test_asym_f_and_g(capsys):
     code, out, _ = run(capsys, "asym", "--g", "10", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == 0.25
+
+
+def test_asym_bad_kappa_exits_2(capsys):
+    code, _, err = run(capsys, "asym", "--f", "nan")
+    assert code == 2
+    assert err.startswith("error: argument:") and "kappa" in err
+
+
+def test_asym_g_budget_refuses_before_work(capsys, monkeypatch):
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "asym", "--g", "1e-13")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert err.startswith("error: budget:")
 
 
 def test_asym_requires_one_mode(capsys):
@@ -291,6 +315,16 @@ def test_sweep_log_expression(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][1] == "2303"  # round(1000 * log(10))
+
+
+def test_sweep_rejects_unknown_method_before_computing(monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("the DP ran before --methods was checked")
+
+    monkeypatch.setattr(chain, "expected_inversions_dp", no_dp)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", "--m-values", "3", "--n-expr", "m", "--methods", "dp,bogus"])
+    assert info.value.code == 2
 
 
 def test_n_expression_grammar():
