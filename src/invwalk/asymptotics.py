@@ -39,6 +39,7 @@ class RegimeEstimate:
 
 
 F_PRECISION = 150   # working bits of both f methods
+F_QUADRATURE_MAX = 3e31  # largest kappa at which the quadrature is verified
 G_TOL = 1e-12       # absolute accuracy of g's truncated theta series
 
 
@@ -57,7 +58,9 @@ def f_kappa(kappa: float, method: str = "series") -> float:
 
     Both run at ``F_PRECISION`` bits.  They give the same float for every
     k = 10^(e/10), e = -60..120, and 1e-300 <= k <= 3e31 at the points
-    checked; above that, tanh-sinh stops resolving h's drop at t ~ 1/sqrt(x).
+    checked; above that, tanh-sinh stops resolving h's drop at t ~ 1/sqrt(x)
+    and drifts silently (2e-11 relative at 1e50, 28x too small at 1e100),
+    so the quadrature refuses k > ``F_QUADRATURE_MAX`` with ``ValueError``.
 
     For large kappa, f(k) = sqrt(2/(pi k)) - 1/(4k) + O(k^-3/2): split
     1/(t^2(1+t^2)) = 1/t^2 - 1/(1+t^2) in the integral; the second piece
@@ -68,6 +71,9 @@ def f_kappa(kappa: float, method: str = "series") -> float:
         raise ValueError(f"method must be 'series' or 'quadrature', got {method!r}")
     if not 0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+    if method == "quadrature" and kappa > F_QUADRATURE_MAX:
+        raise ValueError(f"quadrature is verified only for kappa <= {F_QUADRATURE_MAX:g}, "
+                         f"got {kappa}; use method='series'")
     if kappa == 0:
         return 1.0
     with workprec(F_PRECISION):

@@ -86,7 +86,7 @@ def _cmd_closed(args) -> int:
     }
     if not args.no_meta:
         payload["meta"] = {"saturated": info.saturated, "terms": info.terms,
-                           "skipped": info.skipped}
+                           "powers": info.powers, "skipped": info.skipped}
     rows = [_value_row(args.m, args.n, f"closed:{info.variant}", text_value,
                        info.precision, flags)]
     _output(args, payload, rows, f"I({args.m},{args.n}) = {text_value}")

@@ -24,7 +24,8 @@ from .spectral import MIN_PRECISION, build_table
 VARIANTS = ("theorem1", "ser2", "ser3")
 
 # Slack, in bits, between a pair's float bound and the cut below which its
-# summand is skipped; it absorbs the float error of both bounds.
+# summand (theorem 1) or its power x^n (ser3) is skipped; it absorbs the
+# float error of the bounds.
 SKIP_MARGIN_BITS = 8
 # Entries of the pair-selection bound evaluated per numpy block.
 _BLOCK_ENTRIES = 2**16
@@ -50,7 +51,8 @@ class ClosedFormResult:
     variant: str
     precision: int
     saturated: bool
-    terms: int    # orbit summands computed (each one power x^n)
+    terms: int    # orbit summands computed
+    powers: int   # of those, the ones whose x^n was raised
     skipped: int  # of the (m+1)^2 pairs, those left out of the sum
 
 
@@ -95,17 +97,18 @@ def _saturated(m: int, n: int, precision: int, work: int) -> bool:
         return n * mpmath.log(x00) < -(precision + 64) * mpmath.log(2)
 
 
-def _live_columns(m: int, n: int, work: int):
-    """For each row j in turn, the columns k whose theorem-1 summand can
-    change the sum at ``work`` bits (see ``closed_form_info``).
+def _log_bound_blocks(m: int, n: int, weighted: bool):
+    """Blocks of consecutive rows j, in order, of a float array over
+    (j, k) bounding log(x_jk^n) or, if ``weighted``, log(w_jk x_jk^n) for
+    theorem 1's weights, up to the constant log 4.
 
-    The float bound of log(w_jk x_jk^n), up to the constant log 4, uses
-    theta_i = i pi/(2m+2) and the cancellation-free forms
-    (c_j + c_k)^2 = 4 cos^2 theta_{j+k+1} cos^2 theta_{|j-k|},
-    1 - c_j c_k = sin^2 theta_{|j-k|} + sin^2 theta_{j+k+1} and
+    It uses theta_i = i pi/(2m+2) and the cancellation-free forms
+    1 - c_j c_k = sin^2 theta_{|j-k|} + sin^2 theta_{j+k+1},
+    (c_j + c_k)^2 = 4 cos^2 theta_{j+k+1} cos^2 theta_{|j-k|} and
     s_j^2 = sin^2 theta_{2j+1}.  cos^2 theta_{m+1} is set to 0: the pairs
-    j + k = m have weight exactly 0 in the mirrored spectral table.  Rows
-    are evaluated in blocks, so memory stays O(m).
+    j + k = m have weight exactly 0 in the mirrored spectral table.  A
+    block holds about ``_BLOCK_ENTRIES`` entries and at least one row, so
+    memory stays O(m).
     """
     theta = np.arange(2 * m + 2) * (math.pi / (2 * m + 2))
     sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
@@ -114,18 +117,39 @@ def _live_columns(m: int, n: int, work: int):
         log_cos2 = np.log(cos2)
     log_s2 = np.log(sin2[1::2])
     k = np.arange(m + 1)
-
-    def bound(rows):
-        j = rows[:, None]
-        d, s = np.abs(j - k), j + k + 1
-        return (log_cos2[s] + log_cos2[d] - log_s2[j] - log_s2[k]
-                + float(n) * np.log1p(-(4 / m) * (sin2[d] + sin2[s])))
-
-    cut = bound(k[:1])[0, 0] - (work + 1 + SKIP_MARGIN_BITS) * math.log(2)
     step = max(1, _BLOCK_ENTRIES // (m + 1))
     for j0 in range(0, m + 1, step):
-        for live in bound(k[j0:j0 + step]) >= cut:
+        j = k[j0:j0 + step, None]
+        d, s = np.abs(j - k), j + k + 1
+        bound = float(n) * np.log1p(-(4 / m) * (sin2[d] + sin2[s]))
+        if weighted:
+            bound = log_cos2[s] + log_cos2[d] - log_s2[j] - log_s2[k] + bound
+        yield bound
+
+
+def _skip_margin(work: int) -> float:
+    # How far, in nats, a bound must fall below its reference to be cut:
+    # a factor 2^-(work + 1) and the float bounds' slack.
+    return (work + 1 + SKIP_MARGIN_BITS) * math.log(2)
+
+
+def _live_columns(m: int, n: int, work: int):
+    """For each row j in turn, the columns k whose theorem-1 summand can
+    change the sum at ``work`` bits (see ``closed_form_info``)."""
+    cut = None
+    for block in _log_bound_blocks(m, n, weighted=True):
+        if cut is None:
+            cut = block[0, 0] - _skip_margin(work)  # T00's bound
+        for live in block >= cut:
             yield np.flatnonzero(live).tolist()
+
+
+def _powered_columns(m: int, n: int, work: int):
+    """For each row j in turn, whether each x_jk^n can reach 2^-(work+1),
+    where ser3's 1 - x_jk^n can differ from 1 (see ``closed_form_info``)."""
+    cut = -_skip_margin(work)
+    for block in _log_bound_blocks(m, n, weighted=False):
+        yield from (block >= cut).tolist()
 
 
 def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> ClosedFormResult:
@@ -152,9 +176,23 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     A float bound of log(w_jk x_jk^n) selects the pairs within
     ``work + 1 + SKIP_MARGIN_BITS`` bits of T00 (``_live_columns``); the
     margin covers the float error of the bound.  ``ser2`` and ``ser3``,
-    whose weights change sign, and m < 8 add every pair.  ``terms``
-    counts the orbit summands computed and ``skipped`` the pairs left
-    out (all of them when the result is saturated).
+    whose weights change sign, and m < 8 add every pair.
+
+    ``ser3`` at m >= 8 raises x_jk^n only where it can change the summand
+    w_jk (1 - x_jk^n), again bit-identically:
+
+    - x_jk^n > 0, as above, and the floats just below 1 at ``work`` bits
+      are spaced 2^-work, so if x_jk^n < 2^-(work+1), then 1 - x_jk^n
+      lies within half an ulp of 1 and rounds to exactly 1;
+    - then w_jk (1 - x_jk^n) rounds to w_jk * 1 = w_jk, bit for bit.
+
+    The float bound of log(x_jk^n) from the same rows
+    (``_powered_columns``) certifies x_jk^n < 2^-(work+1) with the same
+    margin, and such an orbit's term is computed with x^n taken as 0,
+    which gives the same bits.  ``terms`` counts the orbit summands
+    computed, ``powers`` the x^n among them that were raised, and
+    ``skipped`` the pairs left out (all of them when the result is
+    saturated).
     """
     if opts is None:
         opts = ClosedFormOptions()
@@ -169,7 +207,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
             limit = _limit_value(m)
         with workprec(precision):
             return ClosedFormResult(+limit, m, n, opts.variant, precision, True,
-                                    terms=0, skipped=pairs)
+                                    terms=0, powers=0, skipped=pairs)
     check_budget(pairs, f"closed_form m={m}, n={n}")
     table = build_table(m, work)
     with workprec(work):
@@ -178,8 +216,9 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
         inv_omc = [1 / (1 - cj) for cj in c]
         four_over_m = mpf(4) / m
 
-        def summand(j, k):
-            xn = (1 - four_over_m * (1 - c[j] * c[k])) ** n
+        def summand(j, k, powered):
+            # Unpowered (ser3 only), x^n is too small to change 1 - x^n.
+            xn = (1 - four_over_m * (1 - c[j] * c[k])) ** n if powered else 0
             if opts.variant == "theorem1":
                 return (c[j] + c[k]) ** 2 * inv_s2[j] * inv_s2[k] * xn
             weight = (c[j] + c[k]) * inv_omc[j] * inv_omc[k]
@@ -195,20 +234,25 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
                 rep = min(rep, mirrored)
             return rep
 
+        rows = [range(m + 1)] * (m + 1)
+        powered = [[True] * (m + 1)] * (m + 1)
         if opts.variant == "theorem1" and m >= 8:
             rows = _live_columns(m, n, work)
-        else:
-            rows = [range(m + 1)] * (m + 1)
+        elif opts.variant == "ser3" and m >= 8:
+            powered = _powered_columns(m, n, work)
         cache: dict = {}
         total = mpf(0)
-        summed = 0
-        for j, columns in enumerate(rows):
+        summed = powers = 0
+        for j, (columns, row_powered) in enumerate(zip(rows, powered)):
             for k in columns:
                 orbit = orbit_of(j, k)
                 term = cache.get(orbit)
                 if term is None:
-                    term = summand(*orbit)
+                    # x^n is symmetric in (j, k), so the row's test holds at
+                    # the orbit's representative too.
+                    term = summand(*orbit, row_powered[k])
                     cache[orbit] = term
+                    powers += row_powered[k]
                 total += term
                 summed += 1
 
@@ -221,7 +265,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
         with workprec(precision):
             value = +value
     return ClosedFormResult(value, m, n, opts.variant, precision, False,
-                            terms=len(cache), skipped=pairs - summed)
+                            terms=len(cache), powers=powers, skipped=pairs - summed)
 
 
 def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):

@@ -33,6 +33,17 @@ def test_f_large_kappa_timing_guard(method):
     assert value == pytest.approx(math.sqrt(2 / (math.pi * 1e4)) - 1 / 4e4, rel=1e-5)
 
 
+def test_f_quadrature_refuses_beyond_verified_range():
+    # Above 3e31 tanh-sinh drifts from 2F2 (28x too small at 1e100).
+    limit = asy.F_QUADRATURE_MAX
+    assert limit == 3e31
+    assert asy.f_kappa(limit, method="quadrature") == asy.f_kappa(limit, method="series")
+    for kappa in (1e32, 1e100):
+        with pytest.raises(ValueError, match="kappa"):
+            asy.f_kappa(kappa, method="quadrature")
+        assert asy.f_kappa(kappa) > 0
+
+
 def test_f_monotone_decreasing():
     grid = [k / 10 for k in range(1, 51)]
     values = [asy.f_kappa(k) for k in grid]

@@ -88,7 +88,7 @@ def test_closed_json_fields(capsys):
     assert payload["saturated"] is True
     assert payload["precision_bits"] == 53
     assert float(payload["value"]) == 3.0
-    assert payload["meta"] == {"saturated": True, "terms": 0, "skipped": 16}
+    assert payload["meta"] == {"saturated": True, "terms": 0, "powers": 0, "skipped": 16}
 
 
 def test_closed_meta(capsys):
@@ -98,7 +98,14 @@ def test_closed_meta(capsys):
     meta = json.loads(out)["meta"]
     assert meta["saturated"] is False
     assert 0 < meta["terms"] < 41 * 42 // 2
+    assert meta["powers"] == meta["terms"]  # theorem 1 raises x^n per term
     assert 0 < meta["skipped"] < 41**2
+    code, out, _ = run(capsys, *args, "--variant", "ser3")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["terms"] == 41 * 42 // 2
+    assert 0 < meta["powers"] < meta["terms"]
+    assert meta["skipped"] == 0
     code, out, _ = run(capsys, *args, "--no-meta")
     assert code == 0
     assert "meta" not in json.loads(out)
@@ -228,6 +235,9 @@ def test_asym_f_and_g(capsys):
 
 def test_asym_bad_kappa_exits_2(capsys):
     code, _, err = run(capsys, "asym", "--f", "nan")
+    assert code == 2
+    assert err.startswith("error: argument:") and "kappa" in err
+    code, _, err = run(capsys, "asym", "--f", "1e32", "--method", "quadrature")
     assert code == 2
     assert err.startswith("error: argument:") and "kappa" in err
 

@@ -69,6 +69,11 @@ def test_variants_agree():
             assert abs(v - values[0]) < 1e-30 * max(1, abs(values[0]))
 
 
+def _work(m, precision):
+    """``closed_form``'s working precision, ``precision`` plus its guard bits."""
+    return precision + 32 + (2 * (m + 1) ** 2).bit_length()
+
+
 def _full_loop(m, n, precision, reuse=True):
     """Every variant by the plain double loop over all (m+1)^2 pairs.
 
@@ -80,7 +85,7 @@ def _full_loop(m, n, precision, reuse=True):
     computed up front and reused for (k, j) only; without it each of the
     (m+1)^2 pairs is computed afresh.
     """
-    work = precision + 32 + (2 * (m + 1) ** 2).bit_length()
+    work = _work(m, precision)
     table = spectral.build_table(m, work)
     c = table.c
     with workprec(work):
@@ -125,6 +130,53 @@ def test_closed_form_equals_full_loop():
                         variant=variant, precision=precision))
                     assert not info.saturated
                     assert info.value == expected[variant], (m, n, precision, variant)
+
+
+def test_ser3_power_skip_is_bit_identical():
+    # Far past n = m, ser3 takes x^n as 0 wherever 1 - x^n rounds to 1;
+    # the sum must equal the full loop's, which raises every x^n.  The
+    # guard bits would hide a cut tens of bits too loose in the sum, so
+    # each x^n left unraised is raised here to check that 1 - x^n is 1.
+    points = [(8, 8**3), (40, asymptotics.critical_step_count(40, 1)),
+              (140, 140**2), (140, 140**3)]
+    for m, n in points:
+        for precision in (53, 256):
+            expected = _full_loop(m, n, precision)["ser3"]
+            info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
+                variant="ser3", precision=precision))
+            assert info.value == expected, (m, n, precision)
+            assert info.powers < info.terms == (m + 1) * (m + 2) // 2, (m, n, precision)
+            work = _work(m, precision)
+            c = spectral.build_table(m, work).c
+            with workprec(work):
+                four_over_m = mpmath.mpf(4) / m
+                for j, powered in enumerate(formulas._powered_columns(m, n, work)):
+                    for k in range(j, m + 1):
+                        if not powered[k]:
+                            xn = (1 - four_over_m * (1 - c[j] * c[k])) ** n
+                            assert 1 - xn == 1, (m, n, precision, j, k)
+    for m in (8, 40, 140):
+        info = formulas.closed_form_info(m, m, formulas.ClosedFormOptions(variant="ser3"))
+        assert info.powers == info.terms, m
+
+
+def test_theorem1_skip_is_certified():
+    # Every summand theorem 1 leaves out must vanish next to T00, its first
+    # summand and a lower bound on the running total.  As for ser3, the
+    # guard bits would hide a cut tens of bits too loose in the sum.
+    for m, n in [(8, 8**3), (40, 1600), (140, 140**3)]:
+        work = _work(m, 53)
+        table = spectral.build_table(m, work)
+        c, s = table.c, table.s
+        with workprec(work):
+            def summand(j, k):
+                x = 1 - mpmath.mpf(4) / m * (1 - c[j] * c[k])
+                return (c[j] + c[k]) ** 2 / (s[j] ** 2 * s[k] ** 2) * x**n
+
+            t00 = summand(0, 0)
+            for j, live in enumerate(formulas._live_columns(m, n, work)):
+                for k in set(range(j, m + 1)) - set(live):
+                    assert t00 + summand(j, k) == t00, (m, n, j, k)
 
 
 def test_symmetry_halving_is_bit_identical():
