@@ -38,6 +38,12 @@ def work_budget() -> int:
     return value
 
 
+def check_walk_args(m: int, n: int) -> None:
+    """The one range rule for a walk of n steps on S_{m+1}."""
+    if m < 1 or n < 0:
+        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+
+
 def check_budget(estimated: int, what: str) -> None:
     budget = work_budget()
     if estimated > budget:

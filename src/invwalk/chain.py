@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, check_walk_args
 
 
 def _triangle_cells(m: int):
@@ -80,8 +80,7 @@ def _exact_numerators(m: int, n: int):
 
 
 def _check_dp_args(m: int, n: int, what: str) -> None:
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    check_walk_args(m, n)
     check_budget(n * m * (m + 1) // 2, f"{what} m={m}, n={n}")
 
 
@@ -112,8 +111,7 @@ def expected_inversions_float(m: int, n: int) -> float:
 
 def brute_force_expected(m: int, n: int) -> Fraction:
     """Average inversion count over all m^n generator sequences (oracle)."""
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    check_walk_args(m, n)
     check_budget(m**n * max(n, 1), f"brute force m={m}, n={n}")
     total = 0
     count = 0

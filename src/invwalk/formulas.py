@@ -1,10 +1,11 @@
 """Closed-form evaluators for the expected inversion number I_{m,n}.
 
-Three algebraically equal spectral sums, an exact binomial
-formula, the two-sided sandwich bounds, and the lazified (aperiodic)
-expectation.  The spectral sums run at a configurable binary precision
-with internal guard bits: the summands span a ~m^4 dynamic range and the
-result suffers heavy cancellation for small n.
+Two algebraically equal spectral sums (theorem 1's double sum and the
+signed series ``ser3``), an exact binomial formula, the two-sided
+sandwich bounds, and the lazified (aperiodic) expectation.  The spectral
+sums run at a configurable binary precision with internal guard bits:
+the summands span a ~m^4 dynamic range and the result suffers heavy
+cancellation for small n.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import mpmath
 import numpy as np
 from mpmath import mpf, workprec
 
-from .budget import check_budget
+from .budget import check_budget, check_walk_args
 from .chain import iterate_totals
-from .spectral import MIN_PRECISION, build_table
+from .spectral import MIN_PRECISION, build_table, check_precision
 
-VARIANTS = ("theorem1", "ser2", "ser3")
+VARIANTS = ("theorem1", "ser3")
 
 # Slack, in bits, between a pair's float bound and the cut below which its
 # summand (theorem 1) or its power x^n (ser3) is skipped; it absorbs the
@@ -39,8 +40,7 @@ class ClosedFormOptions:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.precision < MIN_PRECISION:
-            raise ValueError(f"precision must be >= {MIN_PRECISION}, got {self.precision}")
+        check_precision(self.precision)
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,21 @@ def exact_fraction(value) -> Fraction:
     return Fraction(p, q)
 
 
+def _corner(m: int):
+    """c_0 and x_00 at the ambient precision.  c_0 is computed as
+    ``build_table`` computes it, bit for bit, so no table is needed."""
+    c0 = mpmath.cos(mpmath.pi() / (2 * m + 2))
+    return c0, 1 - mpf(4) / m * (1 - c0**2)
+
+
 def _saturated(m: int, n: int, precision: int, work: int) -> bool:
     # x_00^n below relative 2^-(precision+64): the whole sum is invisible
     # next to m(m+1)/4 at working precision.  Only valid for m >= 3, where
     # every certified |x_jk| < 1; for m <= 2 an eigenvalue -1 persists.
-    # c_0 is computed as ``build_table(m, work)`` computes it, bit for bit,
-    # so the test needs no table.
     if n == 0 or m < 3:
         return False
     with workprec(work):
-        c0 = mpmath.cos(mpmath.pi() / (2 * m + 2))
-        x00 = 1 - mpf(4) / m * (1 - c0**2)
+        x00 = _corner(m)[1]
         if x00 <= 0:
             return False
         return n * mpmath.log(x00) < -(precision + 64) * mpmath.log(2)
@@ -155,8 +159,16 @@ def _powered_columns(m: int, n: int, work: int):
 def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> ClosedFormResult:
     """I_{m,n} by the spectral double sum, with saturation metadata.
 
+    ``theorem1`` is the limit m(m+1)/4 minus sum w_jk x_jk^n / (8(m+1)^2),
+    w_jk = (c_j + c_k)^2/(s_j^2 s_k^2); ``ser3`` is the signed series
+    sum v_jk (1 - x_jk^n) / (8(m+1)^2), v_jk = (c_j + c_k)/((1 - c_j)(1 - c_k)).
+    Each builds one per-index factor list, 1/s_k^2 or 1/(1 - c_k).  At
+    n = 0 the walk is at the identity and for m = 1 (S_2) every step
+    swaps, so there I_{m,n} = n mod 2 is returned exactly: the sums would
+    leave a cancellation residue of about 2^-work m(m+1)/4 instead.
+
     The sum runs over the pairs (j, k) in row-major order.  The
-    j <-> k and, for the theorem-1 weights, (j, k) -> (m-j, m-k)
+    j <-> k and, for theorem 1, (j, k) -> (m-j, m-k)
     symmetries make the summands of one orbit bit-equal (the table mirrors
     c exactly), so each orbit's term, and its power x^n, is computed once.
 
@@ -165,7 +177,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
 
     - every x_jk > 0, since x_jk >= 1 - (4/m)(1 + c_0^2) and c_0^2 < 1
       (at m = 7 the pair (0, m) already has x < 0), so every summand
-      w_jk x_jk^n with w_jk = (c_j + c_k)^2/(s_j^2 s_k^2) is >= 0;
+      w_jk x_jk^n is >= 0;
     - the loop adds the (0, 0) summand T00 first, and adding summands
       >= 0 with rounding to nearest never lowers the running total, so it
       stays >= T00;
@@ -175,70 +187,66 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
 
     A float bound of log(w_jk x_jk^n) selects the pairs within
     ``work + 1 + SKIP_MARGIN_BITS`` bits of T00 (``_live_columns``); the
-    margin covers the float error of the bound.  ``ser2`` and ``ser3``,
-    whose weights change sign, and m < 8 add every pair.
+    margin covers the float error of the bound.  ``ser3``, whose weights
+    change sign, and m < 8 add every pair.
 
     ``ser3`` at m >= 8 raises x_jk^n only where it can change the summand
-    w_jk (1 - x_jk^n), again bit-identically:
+    v_jk (1 - x_jk^n), again bit-identically:
 
     - x_jk^n > 0, as above, and the floats just below 1 at ``work`` bits
       are spaced 2^-work, so if x_jk^n < 2^-(work+1), then 1 - x_jk^n
       lies within half an ulp of 1 and rounds to exactly 1;
-    - then w_jk (1 - x_jk^n) rounds to w_jk * 1 = w_jk, bit for bit.
+    - then v_jk (1 - x_jk^n) rounds to v_jk * 1 = v_jk, bit for bit.
 
     The float bound of log(x_jk^n) from the same rows
     (``_powered_columns``) certifies x_jk^n < 2^-(work+1) with the same
     margin, and such an orbit's term is computed with x^n taken as 0,
     which gives the same bits.  ``terms`` counts the orbit summands
     computed, ``powers`` the x^n among them that were raised, and
-    ``skipped`` the pairs left out (all of them when the result is
-    saturated).
+    ``skipped`` the pairs left out (all of them when the value is exact
+    or saturated).
     """
     if opts is None:
         opts = ClosedFormOptions()
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    check_walk_args(m, n)
     precision = opts.precision
     guard = 32 + (2 * (m + 1) ** 2).bit_length()
     work = precision + guard
     pairs = (m + 1) ** 2
-    if _saturated(m, n, precision, work):
+    exact = n == 0 or m == 1
+    if exact or _saturated(m, n, precision, work):
         with workprec(work):
-            limit = _limit_value(m)
+            value = mpf(n % 2) if exact else _limit_value(m)
         with workprec(precision):
-            return ClosedFormResult(+limit, m, n, opts.variant, precision, True,
+            return ClosedFormResult(+value, m, n, opts.variant, precision, not exact,
                                     terms=0, powers=0, skipped=pairs)
     check_budget(pairs, f"closed_form m={m}, n={n}")
+    theorem1 = opts.variant == "theorem1"
     table = build_table(m, work)
     with workprec(work):
         c = table.c
-        inv_s2 = [1 / sk**2 for sk in table.s]
-        inv_omc = [1 / (1 - cj) for cj in c]
+        if theorem1:
+            factor = [1 / sk**2 for sk in table.s]
+        else:
+            factor = [1 / (1 - cj) for cj in c]
         four_over_m = mpf(4) / m
 
         def summand(j, k, powered):
             # Unpowered (ser3 only), x^n is too small to change 1 - x^n.
             xn = (1 - four_over_m * (1 - c[j] * c[k])) ** n if powered else 0
-            if opts.variant == "theorem1":
-                return (c[j] + c[k]) ** 2 * inv_s2[j] * inv_s2[k] * xn
-            weight = (c[j] + c[k]) * inv_omc[j] * inv_omc[k]
-            if opts.variant == "ser2":
-                return weight * xn
-            return weight * (1 - xn)  # ser3
+            if theorem1:
+                return (c[j] + c[k]) ** 2 * factor[j] * factor[k] * xn
+            return (c[j] + c[k]) * factor[j] * factor[k] * (1 - xn)
 
         def orbit_of(j, k):
             rep = (j, k) if j <= k else (k, j)
-            if opts.variant == "theorem1":
-                mj, mk = m - rep[0], m - rep[1]
-                mirrored = (mj, mk) if mj <= mk else (mk, mj)
-                rep = min(rep, mirrored)
-            return rep
+            return min(rep, (m - rep[1], m - rep[0])) if theorem1 else rep
 
         rows = [range(m + 1)] * (m + 1)
         powered = [[True] * (m + 1)] * (m + 1)
-        if opts.variant == "theorem1" and m >= 8:
+        if theorem1 and m >= 8:
             rows = _live_columns(m, n, work)
-        elif opts.variant == "ser3" and m >= 8:
+        elif m >= 8:
             powered = _powered_columns(m, n, work)
         cache: dict = {}
         total = mpf(0)
@@ -256,12 +264,8 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
                 total += term
                 summed += 1
 
-        limit = _limit_value(m)
         scale = 1 / (8 * mpf(m + 1) ** 2)
-        if opts.variant == "ser3":
-            value = scale * total
-        else:
-            value = limit - scale * total
+        value = _limit_value(m) - scale * total if theorem1 else scale * total
         with workprec(precision):
             value = +value
     return ClosedFormResult(value, m, n, opts.variant, precision, False,
@@ -324,8 +328,7 @@ def _eriksen_inner_sums(m: int, N: int) -> list:
 
 
 def _check_eriksen_args(m: int, n: int) -> None:
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    check_walk_args(m, n)
     check_budget(n * n * (n // max(m, 1) + m + 1), f"eriksen m={m}, n={n}")
 
 
@@ -364,10 +367,10 @@ def bounds(m: int, n: int, precision: int = 128) -> BoundsPair:
         raise ValueError(f"bounds require m >= 3, got {m}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    check_precision(precision)
     with workprec(precision + 32):
-        alpha0 = mpmath.pi() / (2 * m + 2)
-        c0, s0 = mpmath.cos(alpha0), mpmath.sin(alpha0)
-        x00 = 1 - mpf(4) / m * (1 - c0**2)
+        c0, x00 = _corner(m)
+        s0 = mpmath.sin(mpmath.pi() / (2 * m + 2))
         xn = x00**n
         limit = _limit_value(m)
         lower = limit * (1 - xn)
@@ -397,8 +400,7 @@ def aperiodic_expected(m: int, n: int, p: Fraction | None = None) -> Fraction:
     p is the move probability (see ``move_probability``).  Exact when fed
     the exact DP values (always the case here).
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    check_walk_args(m, n)
     p = move_probability(m, p)
     q = 1 - p
     total = Fraction(0)

@@ -45,28 +45,10 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Polynomial(out)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Polynomial(out)
+    def __mul__(self, scalar: int | Fraction) -> "Polynomial":
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return Polynomial([c * scalar for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -136,9 +118,11 @@ class RationalFunction:
         self.den = Polynomial([c / scale for c in den.coeffs])
 
     def __eq__(self, other):
+        # Both sides are coprime and in normal form, so equal functions
+        # have equal coefficients.
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        return self.num == other.num and self.den == other.den
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

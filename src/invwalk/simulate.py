@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, check_walk_args
 from .formulas import check_probability
 
 _MASK = (1 << 64) - 1
@@ -122,8 +122,7 @@ def _lazy_move(lazy_p: Fraction | None):
 def simulate_once(m: int, n: int, seed: int = 0, trial: int = 0,
                   lazy_p: Fraction | None = None) -> int:
     """Inversion count after n steps for one trial of the (seed, trial) stream."""
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    check_walk_args(m, n)
     key = trial_key(seed, trial)
     lazy_p, hold_threshold = _lazy_move(lazy_p)
     perm = list(range(m + 1))
@@ -235,8 +234,7 @@ def _run_block(m, n, seed, lo, hi, hold_threshold):
 def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
                 lazy_p: Fraction | None = None, workers: int = 1) -> SimulationSummary:
     """Run independent trials; bit-identical summary for any worker count."""
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    check_walk_args(m, n)
     if m >= _BLOCK_CELLS:
         raise ValueError(f"monte_carlo needs m < {_BLOCK_CELLS}, got m={m}")
     if trials < 2:

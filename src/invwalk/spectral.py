@@ -82,33 +82,34 @@ class IdentityReport:
         return max(check.residual for check in self.checks)
 
 
-def build_table(m: int, precision: int = MIN_PRECISION) -> SpectralTable:
-    """Populate the c_k / s_k table for the chain on S_{m+1}.
-
-    The upper half of the arrays is mirrored from the lower half so that
-    c[m-k] == -c[k] and s[m-k] == s[k] hold exactly at working precision
-    (not merely up to rounding); downstream symmetry-halving relies on this.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+def check_precision(precision: int) -> None:
+    """The one floor on a binary precision: the closed form, the bounds
+    and the spectral table all refuse fewer than ``MIN_PRECISION`` bits."""
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
 
+
+def build_table(m: int, precision: int = MIN_PRECISION) -> SpectralTable:
+    """Populate the c_k / s_k table for the chain on S_{m+1}."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    check_precision(precision)
     with workprec(precision):
-        pi = mpmath.pi()
-        c, s = _mirrored_cos_sin([(2 * k + 1) * pi / (2 * m + 2) for k in range(m + 1)])
+        c, s = _mirrored_cos_sin(m)
     return SpectralTable(m=m, precision=precision, c=c, s=s)
 
 
-def _mirrored_cos_sin(alphas):
-    """cos and sin of the angles a_0..a_m at the ambient precision.
+def _mirrored_cos_sin(m: int):
+    """c_k and s_k, k = 0..m, at the ambient precision.
 
     Only k <= m/2 is computed (per index, no recurrence, so errors stay
-    O(ulp)); c_{m-k} = -c_k and s_{m-k} = s_k are mirrored.
+    O(ulp)); the upper half is mirrored so that c[m-k] == -c[k] and
+    s[m-k] == s[k] hold exactly at working precision (not merely up to
+    rounding); downstream symmetry-halving relies on this.
     """
-    m = len(alphas) - 1
     c = [None] * (m + 1)
     s = [None] * (m + 1)
+    pi = mpmath.pi()
     for k in range(m // 2 + 1):
         mirror = m - k
         if mirror == k:
@@ -116,8 +117,9 @@ def _mirrored_cos_sin(alphas):
             c[k] = mpf(0)
             s[k] = mpf(1)
         else:
-            c[k] = mpmath.cos(alphas[k])
-            s[k] = mpmath.sin(alphas[k])
+            alpha = (2 * k + 1) * pi / (2 * m + 2)
+            c[k] = mpmath.cos(alpha)
+            s[k] = mpmath.sin(alpha)
             c[mirror] = -c[k]
             s[mirror] = s[k]
     return tuple(c), tuple(s)
@@ -205,8 +207,9 @@ def verify_identities(table: SpectralTable) -> IdentityReport:
 
     guard = 40 + max(0, (2 * (m + 1) ** 2).bit_length())
     with workprec(precision + guard):
-        pi = mpmath.pi()
-        c, s = _mirrored_cos_sin([(2 * k + 1) * pi / (2 * m + 2) for k in range(m + 1)])
+        # Not via ``build_table``, so that a substituted table builder
+        # cannot also supply the reference its table is checked against.
+        c, s = _mirrored_cos_sin(m)
         table_error = float(max(abs(t - g) for t, g in zip(table.c + table.s, c + s))
                             * mpf(2) ** precision)
         checks = []

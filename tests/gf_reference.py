@@ -1,0 +1,46 @@
+"""Test-side polynomial sum and product, and the paper's printed GFs.
+
+``genfun`` multiplies polynomials only by scalars; the reference
+generating functions and the Euclid oracle need the full product.
+"""
+
+from fractions import Fraction
+
+from invwalk.genfun import Polynomial, RationalFunction
+
+
+def poly(*coeffs):
+    return Polynomial(coeffs)
+
+
+def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    if len(a.coeffs) < len(b.coeffs):
+        a, b = b, a
+    out = list(a.coeffs)
+    for i, v in enumerate(b.coeffs):
+        out[i] += v
+    return Polynomial(out)
+
+
+def poly_mul(*factors: Polynomial) -> Polynomial:
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f.coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return Polynomial(out)
+
+
+def printed_gfs() -> dict:
+    """I_m(t) for m = 1..4 as the paper prints them."""
+    one_minus_t = poly(1, -1)
+    return {
+        1: RationalFunction(poly(0, 1), poly(1, 0, -1)),
+        2: RationalFunction(poly(0, 2, 1), poly_mul(one_minus_t, poly(2, -1), poly(1, 1))),
+        3: RationalFunction(3 * poly(0, 27, 9, -7, -1),
+                            poly_mul(one_minus_t, poly(9, 6, -1), poly(9, -6, -1))),
+        4: RationalFunction(poly(0, 256, -192, -48, 44, -5),
+                            poly_mul(one_minus_t, poly(16, 0, -5), poly(16, -20, 5))),
+    }

@@ -11,7 +11,8 @@ import time
 
 from invwalk import asymptotics as asy
 from invwalk import chain, checks, formulas, genfun
-from invwalk.genfun import Polynomial, RationalFunction
+
+from gf_reference import printed_gfs
 
 
 def report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -30,18 +31,7 @@ def failures(rec) -> str:
 
 def test_criterion_01_printed_generating_functions(capsys):
     start = time.monotonic()
-    one_minus_t = Polynomial([1, -1])
-    printed = {
-        1: RationalFunction(Polynomial([0, 1]), Polynomial([1, 0, -1])),
-        2: RationalFunction(Polynomial([0, 2, 1]),
-                            one_minus_t * Polynomial([2, -1]) * Polynomial([1, 1])),
-        3: RationalFunction(3 * Polynomial([0, 27, 9, -7, -1]),
-                            one_minus_t * Polynomial([9, 6, -1])
-                            * Polynomial([9, -6, -1])),
-        4: RationalFunction(Polynomial([0, 256, -192, -48, 44, -5]),
-                            one_minus_t * Polynomial([16, 0, -5])
-                            * Polynomial([16, -20, 5])),
-    }
+    printed = printed_gfs()
     mismatches = [m for m, ref in printed.items()
                   if (lambda g: g.num != ref.num or g.den != ref.den)
                   (genfun.build_gf(m))]

@@ -188,6 +188,18 @@ def test_bounds_text(capsys):
     assert out.startswith("0.0 <= I(3,0) <= 1.75628")
 
 
+def test_bounds_refuses_low_precision(capsys):
+    code, out, err = run(capsys, "bounds", "--m", "3", "--n", "1", "--precision", "-100")
+    assert (code, out) == (2, "")
+    assert "precision must be >= 53" in err
+
+
+def test_closed_ser2_exits_2():
+    with pytest.raises(SystemExit) as info:
+        cli.main(["closed", "--m", "3", "--n", "2", "--variant", "ser2"])
+    assert info.value.code == 2
+
+
 def test_lazy_json(capsys):
     code, out, _ = run(capsys, "lazy", "--m", "1", "--n", "2",
                        "--p", "1/2", "--format", "json")

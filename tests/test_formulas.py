@@ -60,6 +60,23 @@ def test_closed_form_matches_dp(variant, m, n):
     assert abs(value - exact) <= 1e-30 * max(1, abs(exact))
 
 
+def test_exact_zeros_are_exact():
+    # n = 0 is the identity and S_2 alternates, so I(m, n) = n mod 2 there;
+    # the sums would leave a residue of about 2^-work m(m+1)/4 instead.
+    for m in range(1, 30):
+        for n, exact in enumerate(chain.iterate_totals(m, 7)):
+            for precision in (53, 128, 256):
+                with workprec(precision):
+                    expected = mpmath.mpf(exact.numerator) / exact.denominator
+                for variant in formulas.VARIANTS:
+                    info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
+                        variant=variant, precision=precision))
+                    assert info.value == expected, (m, n, precision, variant)
+    info = formulas.closed_form_info(1, 4)
+    assert (info.value, info.saturated, info.terms, info.powers, info.skipped) == \
+        (0, False, 0, 0, 4)
+
+
 def test_variants_agree():
     for m, n in [(2, 5), (4, 12), (9, 40)]:
         values = [formulas.closed_form(
@@ -75,7 +92,7 @@ def _work(m, precision):
 
 
 def _full_loop(m, n, precision, reuse=True):
-    """Every variant by the plain double loop over all (m+1)^2 pairs.
+    """Both variants by the plain double loop over all (m+1)^2 pairs.
 
     The guard bits, operations and addition order of ``closed_form``,
     with no summand skipped.  Each summand is
@@ -95,10 +112,9 @@ def _full_loop(m, n, precision, reuse=True):
 
         def summands(a, b):
             xn = (1 - four_over_m * (1 - c[a] * c[b])) ** n
-            weight = (c[a] + c[b]) * inv_omc[a] * inv_omc[b]
             t, u = min((a, b), (m - b, m - a))
             return {"theorem1": (c[t] + c[u]) ** 2 * inv_s2[t] * inv_s2[u] * xn,
-                    "ser2": weight * xn, "ser3": weight * (1 - xn)}
+                    "ser3": (c[a] + c[b]) * inv_omc[a] * inv_omc[b] * (1 - xn)}
 
         if reuse:
             upper = {(a, b): summands(a, b) for a in range(m + 1) for b in range(a, m + 1)}
@@ -112,15 +128,15 @@ def _full_loop(m, n, precision, reuse=True):
                     totals[variant] += term
         limit = mpmath.mpf(m) * (m + 1) / 4
         scale = 1 / (8 * mpmath.mpf(m + 1) ** 2)
-        values = {v: limit - scale * t for v, t in totals.items()}
-        values["ser3"] = scale * totals["ser3"]
+        values = {"theorem1": limit - scale * totals["theorem1"],
+                  "ser3": scale * totals["ser3"]}
     with workprec(precision):
         return {v: +x for v, x in values.items()}
 
 
 def test_closed_form_equals_full_loop():
     # m = 7 and 8 lie on either side of the m >= 8 edge above which
-    # theorem 1 skips summands; ser2 and ser3 always add every pair.
+    # theorem 1 skips summands; ser3 always adds every pair.
     for m in (7, 8, 40, 100):
         for n in (1, m, m**2, m**3, asymptotics.critical_step_count(m, 0)):
             for precision in (53, 256):
@@ -214,7 +230,7 @@ def test_closed_form_counts_terms():
     info = formulas.closed_form_info(120, 120**3)
     assert 0 < info.terms < 10
     assert info.skipped > 120**2
-    full = formulas.closed_form_info(120, 120**3, formulas.ClosedFormOptions(variant="ser2"))
+    full = formulas.closed_form_info(120, 120**3, formulas.ClosedFormOptions(variant="ser3"))
     assert full.skipped == 0
     assert full.terms == 121 * 122 // 2
 
@@ -260,6 +276,8 @@ def test_bounds_examples():
     assert float(pair.upper) == pytest.approx(1.7562815664617709, rel=1e-12)
     with pytest.raises(ValueError):
         formulas.bounds(2, 5)
+    with pytest.raises(ValueError, match="precision must be >= 53"):
+        formulas.bounds(3, 1, precision=52)
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])

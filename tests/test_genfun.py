@@ -8,9 +8,7 @@ from invwalk import chain, formulas, genfun, spectral
 from invwalk.budget import WorkBudgetError
 from invwalk.genfun import Polynomial, RationalFunction
 
-
-def poly(*coeffs):
-    return Polynomial(coeffs)
+from gf_reference import poly, poly_add, poly_mul, printed_gfs
 
 
 def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -49,14 +47,14 @@ def _substituted_then_reduced(rf: RationalFunction, p: Fraction) -> RationalFunc
         for i, c in enumerate(coeffs):
             term = Polynomial([c * p**i])
             for _ in range(i):
-                term = term * poly(0, 1)
+                term = poly_mul(term, poly(0, 1))
             for _ in range(deg - i):
-                term = term * poly(1, -q)
-            acc = acc + term
+                term = poly_mul(term, poly(1, -q))
+            acc = poly_add(acc, term)
         return acc
 
     num = substituted(rf.num.coeffs)
-    den = substituted(rf.den.coeffs) * poly(1, -q)
+    den = poly_mul(substituted(rf.den.coeffs), poly(1, -q))
     g = _euclid_gcd(num, den)
     return RationalFunction(_exact_quotient(num, g), _exact_quotient(den, g))
 
@@ -64,14 +62,18 @@ def _substituted_then_reduced(rf: RationalFunction, p: Fraction) -> RationalFunc
 def test_polynomial_arithmetic():
     a = poly(1, 2)
     b = poly(0, 1, 1)
-    assert (a + b).coeffs == (1, 3, 1)
-    assert (a * b).coeffs == (0, 1, 3, 2)
+    assert (a * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
+    assert (3 * b).coeffs == (0, 3, 3)
+    with pytest.raises(TypeError):
+        a * b  # genfun keeps only the scalar product; the tests own the rest
+    assert poly_add(a, b).coeffs == (1, 3, 1)
+    assert poly_mul(a, b).coeffs == (0, 1, 3, 2)
     assert poly(0, 0, 0).degree == -1
 
 
 def test_polynomial_gcd_and_content():
     # The oracle's gcd; genfun itself takes none.
-    g = _euclid_gcd(poly(1, 1) * poly(2, -2), poly(1, 1) * poly(0, 3))
+    g = _euclid_gcd(poly_mul(poly(1, 1), poly(2, -2)), poly_mul(poly(1, 1), poly(0, 3)))
     assert g == poly(1, 1)
     assert _euclid_gcd(poly(1, 1), poly(2, 1)) == poly(1)
     assert poly(4, -6).content() == 2
@@ -114,23 +116,10 @@ def test_series_satisfies_recurrence(num, den_tail):
         assert conv == expected
 
 
-def _printed_gfs():
-    one_minus_t = poly(1, -1)
-    return {
-        1: RationalFunction(poly(0, 1), poly(1, 0, -1)),
-        2: RationalFunction(poly(0, 2, 1),
-                            one_minus_t * poly(2, -1) * poly(1, 1)),
-        3: RationalFunction(3 * poly(0, 27, 9, -7, -1),
-                            one_minus_t * poly(9, 6, -1) * poly(9, -6, -1)),
-        4: RationalFunction(poly(0, 256, -192, -48, 44, -5),
-                            one_minus_t * poly(16, 0, -5) * poly(16, -20, 5)),
-    }
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_build_gf_matches_reference(m):
     built = genfun.build_gf(m)
-    reference = _printed_gfs()[m]
+    reference = printed_gfs()[m]
     assert built.num == reference.num
     assert built.den == reference.den
 
@@ -289,7 +278,7 @@ def test_pole_check_m2_candidates():
 
 def test_pole_check_rejects_alien_root():
     table = spectral.build_table(2, 128)
-    alien = RationalFunction(poly(1), poly(1, 0, 0, -1) * genfun.build_gf(2).den)
+    alien = RationalFunction(poly(1), poly_mul(poly(1, 0, 0, -1), genfun.build_gf(2).den))
     report = genfun.pole_check(alien, table)
     assert not report.passed
     assert report.unmatched_degree > 0
