@@ -94,8 +94,14 @@ def _cmd_closed(args) -> int:
 
 
 def _cmd_eriksen(args) -> int:
+    start = time.perf_counter()
     value = formulas.eriksen(args.m, args.n)
+    elapsed = time.perf_counter() - start
     payload = {"method": "eriksen", "m": args.m, "n": args.n, "value": str(value)}
+    if not args.no_meta:
+        payload["meta"] = {"method": "negacyclic-pascal",
+                           "work_estimated": formulas.eriksen_work(args.m, args.n),
+                           "elapsed_s": elapsed}
     rows = [_value_row(args.m, args.n, "eriksen", float(value))]
     _output(args, payload, rows, f"I({args.m},{args.n}) = {value}")
     return 0

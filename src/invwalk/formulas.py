@@ -5,7 +5,10 @@ signed series ``ser3``), an exact binomial formula, the two-sided
 sandwich bounds, and the lazified (aperiodic) expectation.  The spectral
 sums run at a configurable binary precision with internal guard bits:
 the summands span a ~m^4 dynamic range and the result suffers heavy
-cancellation for small n.
+cancellation for small n.  Eriksen's binomial formula takes O(n m)
+big-integer operations for one n (one negacyclic Pascal recurrence for
+its inner sums, one synthetic division for the outer sum) and O(N^2) for
+every n <= N; it shares no code with the DP that checks it.
 """
 
 from __future__ import annotations
@@ -277,87 +280,115 @@ def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):
     return closed_form_info(m, n, opts).value
 
 
-def _g_coefficient(s: int, m: int) -> int:
-    half = (s + 1) // 2  # ceil(s/2)
-    top = 2 * half - 1
-    total = 0
-    for l in range(m + 1):
-        k = 0
-        while True:
-            idx = half + l + k * (m + 1)
-            if idx > top:
-                break
-            total += (-1) ** k * (m - 2 * l) * math.comb(top, idx)
-            k += 1
-    return total
+def _g_h_coefficients(m: int, K: int):
+    """``([g_1, g_3, ..., g_{2K+1}], [h_0, h_2, ..., h_{2K}])``, the two
+    inner sums of Eriksen's formula, by one negacyclic Pascal recurrence
+    in O(K m) operations.
 
+    Eriksen's inner sums are periodic-signed sums over one Pascal row:
+    with a = ceil(s/2), b = floor(s/2),
 
-def _h_coefficient(s: int, m: int) -> int:
-    half = s // 2  # floor(s/2)
-    top = 2 * half
-    total = 0
-    j = -(half // (m + 1)) - 1
-    while True:
-        idx = half + j * (m + 1)
-        if idx > top:
-            break
-        if idx >= 0:
-            total += (1 - 2 * (j & 1)) * math.comb(top, idx)
-        j += 1
-    return total
+        g_s = sum_{t >= 0} w(t) C(2a - 1, a + t),
+        w(t) = (-1)^floor(t/(m+1)) (m - 2 (t mod (m+1))),
+        h_s = sum_j (-1)^j C(2b, b + j(m+1)),
 
+    binomials outside the row being 0.  Since w(-1-t) = w(t) and
+    C(2a-1, a+t) = C(2a-1, a-1-t), the sum over t < 0 equals the one over
+    t >= 0, so g_s is half the sum over the whole row.  Because
+    w(t + m + 1) = -w(t), both sums read coefficients modulo x^(m+1) + 1
+    (where x^(m+1) = -1) of ``H_k = x^-k (1 + x)^2k``, with k = b for h_s
+    and k = a - 1 for g_s:
 
-def _eriksen_inner_sums(m: int, N: int) -> list:
-    """``[A_1, ..., A_N]``, the n-independent inner sums of Eriksen's formula
-    ``I_{m,n} = sum_{r=1}^n C(n, r) A_r / m^r``.
+        h_{2k} = [x^0] H_k,
+        g_{2k+1} = 1/2 sum_l (m - 2l) [x^l] (1 + x^-1) H_k
+                 = sum_l (m + 1 - 2l) [x^l] H_k - [x^0] H_k,
 
-    ``A_r = sum_s C(r-1, s-1) (-4)^(r-s) g_s h_s`` is ``(E - 4)^(r-1)``
-    applied to ``g h`` at index 1, E the shift, so N passes of
-    ``v <- shift(v) - 4 v`` give all of them in O(N^2) integer operations.
-    ``g_s`` depends only on ceil(s/2) and ``h_s`` only on floor(s/2), so
-    each is computed once per half-index.
+    the second line by shifting the index of the x^-1 part (its l = m + 1
+    term wraps to -[x^0] H_k).  ``H_{k+1} = (x^-1 + 2 + x) H_k`` is a
+    3-tap step on the m + 1 coefficients, with the wrap x^-1 = -x^m.
     """
-    g = [_g_coefficient(2 * k - 1, m) for k in range(1, (N + 1) // 2 + 1)]
-    h = [_h_coefficient(2 * k, m) for k in range(N // 2 + 1)]
-    v = [g[(s - 1) // 2] * h[s // 2] for s in range(1, N + 1)]
-    inner = []
-    while v:
-        inner.append(v[0])
-        v = [b - 4 * a for a, b in zip(v, v[1:])]
-    return inner
+    weight = [m + 1 - 2 * l for l in range(m + 1)]
+    coeffs = [1] + [0] * m  # H_0
+    g, h = [], []
+    for k in range(K + 1):
+        h.append(coeffs[0])
+        g.append(sum(w * c for w, c in zip(weight, coeffs)) - coeffs[0])
+        if k < K:
+            padded = [-coeffs[m]] + coeffs + [-coeffs[0]]
+            coeffs = [left + 2 * mid + right
+                      for left, mid, right in zip(padded, coeffs, padded[2:])]
+    return g, h
 
 
-def _check_eriksen_args(m: int, n: int) -> None:
-    check_walk_args(m, n)
-    check_budget(n * n * (n // max(m, 1) + m + 1), f"eriksen m={m}, n={n}")
+def _eriksen_weights(m: int, N: int) -> list:
+    """``[v_1, ..., v_N]``, v_s = g_s h_s: g_s depends only on ceil(s/2) and
+    h_s only on floor(s/2) (see ``_g_h_coefficients``)."""
+    g, h = _g_h_coefficients(m, N // 2)
+    return [g[(s - 1) // 2] * h[s // 2] for s in range(1, N + 1)]
+
+
+def eriksen_work(m: int, n: int) -> int:
+    """Work units ``eriksen(m, n)`` is charged: the recurrence's n/2 steps
+    on m + 1 entries of up to n bits, and the outer sum's n products of
+    numbers of about n log2(m) bits (Karatsuba, about bits^1.5)."""
+    bits = n * (max(m, 4).bit_length() + 3) // 64
+    return n * (m + 1) * (n // 64 + 8) + n * bits * math.isqrt(bits)
+
+
+def eriksen_series_work(m: int, N: int) -> int:
+    """Work units ``eriksen_series(m, N)`` is charged: ``eriksen_work`` for
+    the coefficients, and N^2/2 pass operations on entries that grow by
+    about log2(|m - 4| + 1) bits a pass."""
+    return N * N * (N * (abs(m - 4) + 1).bit_length() // 256 + 16) + eriksen_work(m, N)
 
 
 def eriksen(m: int, n: int) -> Fraction:
     """Exact binomial expression for I_{m,n}.
 
-    The unbounded inner sums are finitely supported: binomials with upper
-    index outside [0, top] vanish, which fixes the truncation ranges.
+    Eriksen's formula is ``m^n I_{m,n} = sum_r C(n, r) m^(n-r) A_r`` with
+    ``A_r = sum_s C(r-1, s-1) (-4)^(r-s) v_s`` (``_eriksen_weights``).
+    Exchanging the sums gives ``m^n I_{m,n} = sum_s v_s B_s``, where
+
+        sum_s B_s z^s = sum_r C(n, r) m^(n-r) z (z - 4)^(r-1)
+                      = z ((z + m - 4)^n - m^n) / (z - 4).
+
+    The numerator vanishes at z = 4, so the division by z - 4 is exact:
+    one binomial row and one synthetic division from the top give the B_s
+    in O(n) big-integer operations.
     """
-    _check_eriksen_args(m, n)
-    inner = _eriksen_inner_sums(m, n)
-    return Fraction(sum(math.comb(n, r) * inner[r - 1] * m ** (n - r)
-                        for r in range(1, n + 1)), m**n)
+    check_walk_args(m, n)
+    check_budget(eriksen_work(m, n), f"eriksen m={m}, n={n}")
+    v = _eriksen_weights(m, n)
+    total = quotient = 0
+    binom, power = 1, 1  # C(n, j) and (m - 4)^(n-j), j from n down
+    for j in range(n, 0, -1):
+        quotient = binom * power + 4 * quotient  # B_j, [z^(j-1)] of the quotient
+        total += v[j - 1] * quotient
+        binom = binom * j // (n - j + 1)
+        power *= m - 4
+    return Fraction(total, m**n)
 
 
 def eriksen_series(m: int, N: int) -> list:
-    """``[I_{m,0}, ..., I_{m,N}]`` by Eriksen's formula, in O(N^2).
+    """``[I_{m,0}, ..., I_{m,N}]`` by Eriksen's formula, in O(N^2 + N m)
+    big-integer operations.
 
-    The inner sums do not depend on n, so they are computed once; the
-    outer sum ``m^n I_{m,n} = sum_r C(n, r) m^(n-r) A_r`` is ``(E + m)^n``
-    applied to ``(0, A_1, A_2, ...)`` at index 0, so N passes of
-    ``w <- shift(w) + m w`` give every n.
+    Since (z + m - 4) - m = z - 4, the quotient in ``eriksen`` is
+    ``sum_{i<n} m^(n-1-i) (z + m - 4)^i``, so ``M_n = m^n I_{m,n}`` is
+    ``sum_{i<n} m^(n-1-i) y_i`` with ``y_i = sum_j C(i, j) (m-4)^(i-j) v_{j+1}``,
+    that is ``M_n = m M_{n-1} + y_{n-1}``.  ``y_i`` is ``(E + m - 4)^i``
+    applied to ``v`` at index 1, E the shift, so N passes of
+    ``v <- shift(v) + (m - 4) v`` give every n.
     """
-    _check_eriksen_args(m, N)
-    w = [0] + _eriksen_inner_sums(m, N)
-    out = []
-    for n in range(N + 1):
-        out.append(Fraction(w[0], m**n))
-        w = [b + m * a for a, b in zip(w, w[1:])]
+    check_walk_args(m, N)
+    check_budget(eriksen_series_work(m, N), f"eriksen_series m={m}, N={N}")
+    v = _eriksen_weights(m, N)
+    out = [Fraction(0)]
+    scaled = 0  # M_n
+    for n in range(1, N + 1):
+        scaled = m * scaled + v[0]
+        out.append(Fraction(scaled, m**n))
+        v = [b + (m - 4) * a for a, b in zip(v, v[1:])]
     return out
 
 

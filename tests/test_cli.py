@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from invwalk import chain, checks, cli, genfun, simulate
+from invwalk import chain, checks, cli, formulas, genfun, simulate
 
 
 def run(capsys, *argv):
@@ -123,6 +123,21 @@ def test_gf_meta(capsys):
     code, out, _ = run(capsys, *args, "--no-meta")
     assert code == 0
     assert "meta" not in json.loads(out)
+
+
+def test_eriksen_meta(capsys):
+    args = ("eriksen", "--m", "2", "--n", "3", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "3/2"
+    meta = payload["meta"]
+    assert meta["method"] == "negacyclic-pascal"
+    assert meta["work_estimated"] == formulas.eriksen_work(2, 3) > 0
+    assert meta["elapsed_s"] >= 0
+    code, out, _ = run(capsys, *args, "--no-meta")
+    assert code == 0
+    assert out.strip() == '{"method": "eriksen", "m": 2, "n": 3, "value": "3/2"}'
 
 
 def test_simulate_meta(capsys):

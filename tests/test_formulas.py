@@ -51,6 +51,77 @@ def test_eriksen_budget():
         formulas.eriksen_series(2, 10**6)
 
 
+def _g_coefficient(s, m):
+    """Eriksen's g_s as the literal sum of binomials: the recurrence's oracle."""
+    half = (s + 1) // 2  # ceil(s/2)
+    top = 2 * half - 1
+    total = 0
+    for l in range(m + 1):
+        k = 0
+        while True:
+            idx = half + l + k * (m + 1)
+            if idx > top:
+                break
+            total += (-1) ** k * (m - 2 * l) * math.comb(top, idx)
+            k += 1
+    return total
+
+
+def _h_coefficient(s, m):
+    """Eriksen's h_s as the literal sum of binomials: the recurrence's oracle."""
+    half = s // 2  # floor(s/2)
+    top = 2 * half
+    total = 0
+    j = -(half // (m + 1)) - 1
+    while True:
+        idx = half + j * (m + 1)
+        if idx > top:
+            break
+        if idx >= 0:
+            total += (1 - 2 * (j & 1)) * math.comb(top, idx)
+        j += 1
+    return total
+
+
+def test_g_h_recurrence_equals_oracle():
+    for m in range(1, 41):
+        top = 3 * (m + 1) + 40  # the rows wrap x^(m+1) = -1 several times
+        g, h = formulas._g_h_coefficients(m, top // 2)
+        for s in range(1, top + 1):
+            assert g[(s + 1) // 2 - 1] == _g_coefficient(s, m), (m, s)
+            assert h[s // 2] == _h_coefficient(s, m), (m, s)
+
+
+@pytest.mark.parametrize("m,n", [
+    (10, 400), (30, 400),  # the exact-routes workload's largest sizes
+    (4, 150), (1, 151), (2, 150), (3, 149),  # m - 4 = 0 and m - 4 < 0
+    (1, 0), (1, 1), (4, 0), (4, 1), (30, 0), (30, 1),
+])
+def test_eriksen_equals_dp_at_edges(m, n):
+    assert formulas.eriksen(m, n) == chain.expected_inversions_dp(m, n)
+
+
+@pytest.mark.parametrize("m", [4, 20])
+def test_eriksen_series_ends_at_eriksen(m):
+    assert formulas.eriksen_series(m, 300)[-1] == formulas.eriksen(m, 300)
+
+
+def test_eriksen_refuses_before_work(monkeypatch):
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    assert formulas.eriksen(2, 2000) == chain.expected_inversions_dp(2, 2000)
+
+    def no_work(*args):
+        raise AssertionError("the recurrence ran before the budget refused")
+
+    monkeypatch.setattr(formulas, "_g_h_coefficients", no_work)
+    for call in (formulas.eriksen, formulas.eriksen_series):
+        with pytest.raises(WorkBudgetError, match="eriksen"):
+            call(2, 10**5)
+    monkeypatch.setenv("INVWALK_BUDGET", str(formulas.eriksen_work(30, 400) - 1))
+    with pytest.raises(WorkBudgetError, match="eriksen m=30, n=400"):
+        formulas.eriksen(30, 400)
+
+
 @pytest.mark.parametrize("variant", formulas.VARIANTS)
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 7), (6, 20)])
 def test_closed_form_matches_dp(variant, m, n):
