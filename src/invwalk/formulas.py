@@ -5,10 +5,10 @@ signed series ``ser3``), an exact binomial formula, the two-sided
 sandwich bounds, and the lazified (aperiodic) expectation.  The spectral
 sums run at a configurable binary precision with internal guard bits:
 the summands span a ~m^4 dynamic range and the result suffers heavy
-cancellation for small n.  Eriksen's binomial formula takes O(n m)
-big-integer operations for one n (one negacyclic Pascal recurrence for
-its inner sums, one synthetic division for the outer sum) and O(N^2) for
-every n <= N; it shares no code with the DP that checks it.
+cancellation for small n.  Eriksen's binomial formula takes
+O(n min(n, m)) big-integer operations for one n (one negacyclic Pascal
+recurrence for its inner sums, one synthetic division for the outer sum)
+and O(N^2) for every n <= N; it shares no code with the DP that checks it.
 """
 
 from __future__ import annotations
@@ -306,11 +306,35 @@ def _g_h_coefficients(m: int, K: int):
     the second line by shifting the index of the x^-1 part (its l = m + 1
     term wraps to -[x^0] H_k).  ``H_{k+1} = (x^-1 + 2 + x) H_k`` is a
     3-tap step on the m + 1 coefficients, with the wrap x^-1 = -x^m.
+
+    While 2k <= m the exponents -k..k of H_k are distinct modulo m + 1,
+    so nothing wraps: H_k is the Pascal row C(2k, k + j), and x^j with
+    j < 0 sits at l = m + 1 + j with sign -1, so its weight is m + 1 - 2|j|
+    at every j.  The band is stepped unwrapped and folded into m + 1
+    coefficients only once it would wrap, which keeps time and memory at
+    O(K min(K, m)).  (The band's sums would stay right a little longer,
+    as long as |j| <= m; the switch at 2k > m is where it outgrows m + 1
+    entries.)
     """
-    weight = [m + 1 - 2 * l for l in range(m + 1)]
-    coeffs = [1] + [0] * m  # H_0
+    row = [1]  # H_0, unwrapped: x^j at row[j + k]
     g, h = [], []
-    for k in range(K + 1):
+    k = 0
+    while k <= K and 2 * k <= m:
+        h.append(row[k])
+        g.append(sum((m + 1 - 2 * abs(i - k)) * c for i, c in enumerate(row)) - row[k])
+        if k < K:
+            padded = [0, 0] + row + [0, 0]
+            row = [left + 2 * mid + right
+                   for left, mid, right in zip(padded, padded[1:], padded[2:])]
+        k += 1
+    if k > K:
+        return g, h
+    coeffs = [0] * (m + 1)  # H_k reduced modulo x^(m+1) + 1
+    for i, c in enumerate(row):
+        wraps, l = divmod(i - k, m + 1)
+        coeffs[l] += -c if wraps & 1 else c
+    weight = [m + 1 - 2 * l for l in range(m + 1)]
+    for k in range(k, K + 1):
         h.append(coeffs[0])
         g.append(sum(w * c for w, c in zip(weight, coeffs)) - coeffs[0])
         if k < K:
@@ -329,10 +353,11 @@ def _eriksen_weights(m: int, N: int) -> list:
 
 def eriksen_work(m: int, n: int) -> int:
     """Work units ``eriksen(m, n)`` is charged: the recurrence's n/2 steps
-    on m + 1 entries of up to n bits, and the outer sum's n products of
-    numbers of about n log2(m) bits (Karatsuba, about bits^1.5)."""
+    on at most min(n, m) + 1 entries of up to n bits, and the outer sum's
+    n products of numbers of about n log2(m) bits (Karatsuba, about
+    bits^1.5)."""
     bits = n * (max(m, 4).bit_length() + 3) // 64
-    return n * (m + 1) * (n // 64 + 8) + n * bits * math.isqrt(bits)
+    return n * (min(n, m) + 1) * (n // 64 + 8) + n * bits * math.isqrt(bits)
 
 
 def eriksen_series_work(m: int, N: int) -> int:
@@ -370,7 +395,7 @@ def eriksen(m: int, n: int) -> Fraction:
 
 
 def eriksen_series(m: int, N: int) -> list:
-    """``[I_{m,0}, ..., I_{m,N}]`` by Eriksen's formula, in O(N^2 + N m)
+    """``[I_{m,0}, ..., I_{m,N}]`` by Eriksen's formula, in O(N^2)
     big-integer operations.
 
     Since (z + m - 4) - m = z - 4, the quotient in ``eriksen`` is

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -90,12 +91,33 @@ def test_g_h_recurrence_equals_oracle():
         for s in range(1, top + 1):
             assert g[(s + 1) // 2 - 1] == _g_coefficient(s, m), (m, s)
             assert h[s // 2] == _h_coefficient(s, m), (m, s)
+    for m in (100, 1000):  # the unwrapped band only: 2k <= m throughout
+        g, h = formulas._g_h_coefficients(m, 30)
+        for s in range(1, 62):
+            assert g[(s + 1) // 2 - 1] == _g_coefficient(s, m), (m, s)
+            assert h[s // 2] == _h_coefficient(s, m), (m, s)
+
+
+def test_eriksen_large_m_small_n_needs_no_row_of_m():
+    # The recurrence's band holds at most min(n, m + 2) + 1 entries, so
+    # m >> n costs no memory of order m.
+    cases = ((10**9, 0, 0), (10**8, 1, 1), (10**9, 2, Fraction(2 * 10**9 - 2, 10**9)))
+    for m, n, expected in cases:
+        tracemalloc.start()
+        try:
+            value = formulas.eriksen(m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak < 2**16, (m, n, peak)
 
 
 @pytest.mark.parametrize("m,n", [
     (10, 400), (30, 400),  # the exact-routes workload's largest sizes
     (4, 150), (1, 151), (2, 150), (3, 149),  # m - 4 = 0 and m - 4 < 0
     (1, 0), (1, 1), (4, 0), (4, 1), (30, 0), (30, 1),
+    (200, 30), (101, 101),  # m > n: the band never wraps, or wraps once
 ])
 def test_eriksen_equals_dp_at_edges(m, n):
     assert formulas.eriksen(m, n) == chain.expected_inversions_dp(m, n)
@@ -117,6 +139,8 @@ def test_eriksen_refuses_before_work(monkeypatch):
     for call in (formulas.eriksen, formulas.eriksen_series):
         with pytest.raises(WorkBudgetError, match="eriksen"):
             call(2, 10**5)
+        with pytest.raises(WorkBudgetError, match="eriksen"):
+            call(10**9, 10**4)
     monkeypatch.setenv("INVWALK_BUDGET", str(formulas.eriksen_work(30, 400) - 1))
     with pytest.raises(WorkBudgetError, match="eriksen m=30, n=400"):
         formulas.eriksen(30, 400)
