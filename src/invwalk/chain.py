@@ -1,19 +1,49 @@
-"""Exact triangular DP for the inversion probabilities of the chain.
+"""Exact DP for the inversion probabilities of the chain, on the reversal quotient.
 
 State: the probabilities p_{i,j} (0 <= i <= j < m) that positions i and
 j+1 are inverted after n uniform adjacent transpositions.  One step mixes
 each cell with its grid neighbours inside the triangle and injects mass on
-the diagonal; ``stencil`` writes that rule down once, and the exact DP and
-the float64 fast path both step with it.
-All denominators divide m^n, so the state is stored as a single big-integer
-numerator array over the implied denominator m^n; this keeps the arithmetic
-exact with no gcd work.
+the diagonal, ``m p' = m A p + e`` with e the diagonal's indicator;
+``stencil`` writes the rule down once, on the full triangle.
+
+**The quotient.**  Reversing the positions maps cell (i, j) to
+(m-1-j, m-1-i).  The step commutes with it and e is invariant, so p is
+invariant at every step and one value per orbit of the reversal carries
+it: about d/2 of the d = m(m+1)/2 cells (the cells with i + j = m - 1 are
+fixed, the others pair up).  ``quotient`` folds the stencil onto the
+orbits once per call, and ``_orbit_step`` is the one stepping kernel.
+
+**The jump chain.**  Uniformization (Jensen 1953; Grassmann 1977) splits
+``m A = (m - 4) I + N``.  N's self weight is [i = 0] + [j = m-1], its
+off-diagonal weights are the grid neighbours, so N is nonnegative and
+symmetric with row sums 4 - 2 [i = j], and it injects nothing.  Hence the
+entries of N^r e stay below 4^r: stepping N grows the numerators by 2 bits
+a step, where stepping m A grows them by log2 m.  With a_r = 1^T N^r e,
+
+    m^n I_{m,n} = 1^T sum_{k<n} (m A)^(n-1-k) m^k e
+                = sum_r a_r [z^r] ((z + m - 4)^n - m^n) / (z - 4),
+
+and the row sums give a_{r+1} = 4 a_r - 2 (sum of N^r e over the
+diagonal), so ``expected_inversions_dp`` steps N alone and folds in the
+binomial weights by its own ascending division by z - 4
+(``_jump_weights``).  The callers that need every I_{m,k}, the cells, or
+floats step ``B = m A = (m - 4) I + N`` with the injection, through the
+same kernel.
+
+**Independence from Eriksen's sum.**  ``formulas.eriksen`` has the same
+outer sum (its v_s is a_{s-1}), but gets v_s as a product of two 1-D
+periodic binomial sums, where this module counts walks on the triangle;
+nothing here calls into ``formulas``, so DP = Eriksen still compares two
+separate computations of the a_r, and two separate codes for the outer
+division.  All denominators divide m^n, so the state is stored as big-
+integer numerators over the implied denominator, with no gcd work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +64,11 @@ def stencil(m: int):
 
     Returns ``(self_coeff, nbrs, diag)``: ``nbrs`` is a (d, 4) array holding
     each cell's grid neighbour inside the triangle, one column per direction,
-    padded with ``d`` (an extra cell held at 0); ``self_coeff`` is m minus the
-    neighbour count, minus 2 on the diagonal; ``diag`` lists the diagonal
-    cells.  One step is then ``m p' = self_coeff p + sum_c p[nbrs[:, c]] + e``
-    with e injected on the diagonal, so each row of ``m A`` sums to
-    ``m - 2 [i == j]``.  The exact and the float64 DP both step with it.
+    padded with ``d``; ``self_coeff`` is m minus the neighbour count, minus
+    2 on the diagonal; ``diag`` lists the diagonal cells.  One step is then
+    ``m p' = self_coeff p + sum_c p[nbrs[:, c]] + e`` with e injected on the
+    diagonal, so each row of ``m A`` sums to ``m - 2 [i == j]``.
+    ``quotient`` folds it onto the reversal orbits.
     """
     d = m * (m + 1) // 2
     j = np.repeat(np.arange(m), np.arange(1, m + 1))
@@ -53,60 +83,172 @@ def stencil(m: int):
     return self_coeff, nbrs, np.flatnonzero(on_diag)
 
 
-def _step(p, rule, inject):
-    """m times one chain step of p: self_coeff p + neighbours + inject on the diagonal.
+class Quotient(NamedTuple):
+    """The jump kernel N = m A - (m - 4) I on the orbits of the reversal.
 
-    Works on float64 arrays and on ``object`` arrays of exact integers alike.
+    ``(N u)[o]`` is the sum of ``u`` over the sources of orbit o, a self
+    loop listed once per unit of weight.  ``columns[c]`` holds the c-th
+    source of orbits ``0 .. len(columns[c]) - 1``: orbits are numbered by
+    source count, most first, so every column is a prefix.  ``size`` is
+    each orbit's cell count (1 or 2), ``diag`` the orbits of diagonal cells
+    and ``orbit`` each cell's orbit in the cell_index layout.
     """
-    self_coeff, nbrs, diag = rule
-    padded = np.append(p, 0)
-    out = self_coeff * p
-    for column in nbrs.T:
-        out += padded[column]
-    out[diag] += inject
+
+    m: int
+    columns: tuple
+    size: np.ndarray
+    diag: np.ndarray
+    orbit: np.ndarray
+
+
+def orbit_count(m: int) -> int:
+    """Orbits of the reversal on the triangle: d/2 pairs plus ceil(m/2) fixed cells."""
+    return (m * (m + 1) // 2 + (m + 1) // 2) // 2
+
+
+def quotient(m: int) -> Quotient:
+    """Fold ``stencil(m)`` onto the reversal orbits (see ``Quotient``).
+
+    Orbit o's value stands for each of its cells, so row o of the folded
+    kernel is the row of its representative (the cell with i + j <= m - 1),
+    each neighbour replaced by its orbit.
+    """
+    self_coeff, nbrs, diag = stencil(m)
+    d = len(self_coeff)
+    j = np.repeat(np.arange(m), np.arange(1, m + 1))
+    i = np.arange(d) - cell_index(m, 0, j)
+    mirror = cell_index(m, m - 1 - j, m - 1 - i)
+    loops = self_coeff - (m - 4)  # N's self weight
+    count = (nbrs < d).sum(axis=1) + loops
+    is_rep = i + j <= m - 1
+    reps = np.concatenate([np.flatnonzero(is_rep & (count == c))
+                           for c in range(count.max(), count.min() - 1, -1)])
+    h = len(reps)
+    orbit = np.full(d + 1, h, dtype=np.intp)  # the padding cell d maps to h
+    orbit[mirror[reps]] = np.arange(h)
+    orbit[reps] = np.arange(h)
+    # Each orbit's sources in a row, padded with h: neighbours, then loops.
+    own = np.arange(max(loops.max(), 0)) < loops[reps, None]
+    table = np.concatenate([orbit[nbrs[reps]], np.where(own, np.arange(h)[:, None], h)], axis=1)
+    row, col = np.nonzero(table < h)
+    count = count[reps]
+    # Each source's place in its row; rows with a c-th source are a prefix.
+    rank = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    sources = table[row, col]
+    columns = tuple(sources[rank == c] for c in range(count.max()))
+    size = np.where(mirror[reps] == reps, 1, 2)
+    return Quotient(m, columns, size, orbit[diag[2 * i[diag] <= m - 1]], orbit[:d])
+
+
+def _orbit_step(u, q: Quotient, lazy, inject):
+    """``lazy u + N u + inject e`` on the orbits, N the jump kernel of ``q``.
+
+    ``lazy = m - 4`` with the injection is one step of m A; ``lazy = 0``
+    without it steps the jump chain.  Works on float64 arrays and on
+    ``object`` arrays of exact integers alike.
+    """
+    first, *rest = q.columns
+    out = u[first]
+    for column in rest:
+        out[:len(column)] += u[column]
+    if lazy:
+        out += lazy * u
+    out[q.diag] += inject
     return out
 
 
-def _exact_numerators(m: int, n: int):
-    """Yield the numerators of p^{(k)} over m^k, k = 0..n, as object arrays."""
-    rule = stencil(m)
-    p = np.zeros(m * (m + 1) // 2, dtype=object)
-    yield p
+def _cell_sum(u, q: Quotient, orbits=slice(None)):
+    """Sum of the cells of ``orbits`` (default all) under orbit values u."""
+    return (q.size[orbits] * u[orbits]).sum()
+
+
+def _numerators(q: Quotient, n: int):
+    """Yield the orbit numerators of p^{(k)} over m^k, k = 0..n, as object arrays."""
+    m = q.m
+    u = np.zeros(len(q.size), dtype=object)
+    yield u
     den = 1
     for _ in range(n):
-        p = _step(p, rule, den)
+        u = _orbit_step(u, q, m - 4, den)
         den *= m
-        yield p
+        yield u
 
 
-def _check_dp_args(m: int, n: int, what: str) -> None:
-    check_walk_args(m, n)
-    check_budget(n * m * (m + 1) // 2, f"{what} m={m}, n={n}")
+def _jump_weights(m: int, n: int):
+    """Yield ``[z^r] ((z + m - 4)^n - m^n) / (z - 4)`` for r = 0..n-1.
+
+    Ascending division: with p_r the coefficients of the numerator,
+    Q_0 = -p_0 / 4 and Q_r = (Q_{r-1} - p_r) / 4, all exact because the
+    numerator vanishes at z = 4.  Starting from Q_{-1} = m^n takes the
+    -m^n into p_0.
+    """
+    term = (m - 4) ** n  # C(n, r) (m - 4)^(n - r)
+    quotient_r = m**n
+    for r in range(n):
+        quotient_r = (quotient_r - term) // 4
+        yield quotient_r
+        term = term * (n - r) // ((r + 1) * (m - 4)) if m != 4 else 0
+
+
+# The work units below are calibrated on the kernels above: a unit took
+# 2-5 ns on a 2-core x86_64 VM in every run longer than 0.1 s (m = 1..1000,
+# n up to 10^4, m >> n included), so the default budget of 10^9 refuses
+# runs above about 2-5 s.  Each is charged before any allocation.
+def dp_work(m: int, n: int) -> int:
+    """Work units ``expected_inversions_dp(m, n)`` is charged: the fold,
+    n - 1 jump steps on ``orbit_count(m)`` orbits whose entries grow by
+    2 bits a step, and the outer sum's n products of a 2r-bit a_r with an
+    n log2(m)-bit weight."""
+    bits = n * max(m, 4).bit_length()
+    return (orbit_count(m) * (n * (n // 16 + 24) + 256)
+            + n * (n // 128 + 1) * (bits // 64 + 1))
+
+
+def _totals_work(m: int, n: int) -> int:
+    """Work units ``iterate_totals(m, n)`` is charged: n steps of m A on
+    the orbits, entries growing by log2(m) bits a step, and one reduced
+    fraction (a gcd, quadratic in its n log2(m) bits) per step."""
+    bits = n * max(m, 2).bit_length()
+    return (orbit_count(m) * (n * (bits // 8 + 32) + 256)
+            + n * (bits // 64 + 1) ** 2 // 2)
 
 
 def iterate_totals(m: int, n: int):
     """Yield I_{m,k} as exact Fractions for k = 0..n (single DP sweep)."""
-    _check_dp_args(m, n, "exact DP")
-    for k, p in enumerate(_exact_numerators(m, n)):
-        yield Fraction(p.sum(), m**k)
+    check_walk_args(m, n)
+    check_budget(_totals_work(m, n), f"exact DP m={m}, n={n}")
+    q = quotient(m)
+    for k, u in enumerate(_numerators(q, n)):
+        yield Fraction(_cell_sum(u, q), m**k)
 
 
 def expected_inversions_dp(m: int, n: int) -> Fraction:
-    """I_{m,n} as an exact rational via the triangular DP."""
-    _check_dp_args(m, n, "exact DP")
-    for p in _exact_numerators(m, n):
-        pass
-    return Fraction(p.sum(), m**n)
+    """I_{m,n} as an exact rational: the jump chain N on the quotient gives
+    a_r = 1^T N^r e, and ``_jump_weights`` the outer sum (module docstring)."""
+    check_walk_args(m, n)
+    check_budget(dp_work(m, n), f"exact DP m={m}, n={n}")
+    q = quotient(m)
+    u = np.zeros(len(q.size), dtype=object)
+    u[q.diag] = 1
+    a = m  # a_0 = 1^T e: the m diagonal cells
+    total = 0
+    for r, weight in enumerate(_jump_weights(m, n)):
+        total += a * weight
+        if r + 1 < n:
+            a = 4 * a - 2 * _cell_sum(u, q, q.diag)
+            u = _orbit_step(u, q, 0, 0)
+    return Fraction(total, m**n)
 
 
 def expected_inversions_float(m: int, n: int) -> float:
     """Float64 fast path of the same recursion (approximate, for sweeps)."""
-    _check_dp_args(m, n, "float DP")
-    rule = stencil(m)
-    p = np.zeros(m * (m + 1) // 2)
+    check_walk_args(m, n)
+    check_budget(orbit_count(m) * (4 * n + 256) + 2048 * n, f"float DP m={m}, n={n}")
+    q = quotient(m)
+    p = np.zeros(len(q.size))
     for _ in range(n):
-        p = _step(p, rule, 1.0) / m
-    return float(p.sum())
+        p = _orbit_step(p, q, m - 4, 1.0) / m
+    return float(_cell_sum(p, q))
 
 
 def brute_force_expected(m: int, n: int) -> Fraction:
@@ -147,7 +289,9 @@ def functional_equation_residual(m: int, N: int) -> Fraction:
 
     Each series is an integer object array of shape (N+1, m+2, m+2) whose
     entry [r, i, j] is m^N times the coefficient of t^r u^i v^j; the equation
-    is multiplied through by m as well, so no division remains.
+    is multiplied through by m as well, so no division remains.  The
+    equation is written on the full triangle, so the DP's orbit values are
+    expanded to every cell here.
     """
     if m < 1 or N < 1:
         raise ValueError(f"need m >= 1 and N >= 1, got m={m}, N={N}")
@@ -155,9 +299,10 @@ def functional_equation_residual(m: int, N: int) -> Fraction:
 
     i, j = np.array(_triangle_cells(m)).T
     diag = range(m)
+    q = quotient(m)
     P = np.zeros((N + 1, m + 2, m + 2), dtype=object)
-    for r, p in enumerate(_exact_numerators(m, N)):
-        P[r, i, j] = p * m ** (N - r)
+    for r, u in enumerate(_numerators(q, N)):
+        P[r, i, j] = u[q.orbit] * m ** (N - r)
     Pl, Pt, Pd, geom = (np.zeros_like(P) for _ in range(4))
     Pl[:, 0, :] = P[:, 0, :]               # P_l(v): the left border i = 0
     Pt[:, :, 0] = P[:, :, m - 1]           # P_t(u): the top border j = m-1

@@ -67,8 +67,16 @@ def _output(args, payload: dict, rows, text: str) -> None:
 # --- value subcommands -------------------------------------------------
 
 def _cmd_exact(args) -> int:
+    start = time.perf_counter()
     value = chain.expected_inversions_dp(args.m, args.n)
+    elapsed = time.perf_counter() - start
     payload = {"method": "dp", "m": args.m, "n": args.n, "value": str(value)}
+    if not args.no_meta:
+        payload["meta"] = {"method": "jump-chain-quotient",
+                           "orbits": chain.orbit_count(args.m),
+                           "steps": max(args.n - 1, 0),
+                           "work_estimated": chain.dp_work(args.m, args.n),
+                           "elapsed_s": elapsed}
     rows = [_value_row(args.m, args.n, "dp", float(value))]
     _output(args, payload, rows, f"I({args.m},{args.n}) = {value}")
     return 0

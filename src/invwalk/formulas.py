@@ -253,16 +253,21 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
             powered = _powered_columns(m, n, work)
         cache: dict = {}
         total = mpf(0)
-        summed = powers = 0
+        terms = summed = powers = 0
         for j, (columns, row_powered) in enumerate(zip(rows, powered)):
             for k in columns:
                 orbit = orbit_of(j, k)
-                term = cache.get(orbit)
+                # ser3 reads an off-diagonal orbit twice, last at j > k, and
+                # a diagonal one once, so it keeps a term only while j < k.
+                keep = theorem1 or j < k
+                term = cache.get(orbit) if keep else cache.pop(orbit, None)
                 if term is None:
                     # x^n is symmetric in (j, k), so the row's test holds at
                     # the orbit's representative too.
                     term = summand(*orbit, row_powered[k])
-                    cache[orbit] = term
+                    if keep:
+                        cache[orbit] = term
+                    terms += 1
                     powers += row_powered[k]
                 total += term
                 summed += 1
@@ -272,7 +277,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
         with workprec(precision):
             value = +value
     return ClosedFormResult(value, m, n, opts.variant, precision, False,
-                            terms=len(cache), powers=powers, skipped=pairs - summed)
+                            terms=terms, powers=powers, skipped=pairs - summed)
 
 
 def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,9 +41,44 @@ def test_neighbors_stay_in_triangle():
             assert self_coeff[row] + len(real) == m - 2 * (i == j)
 
 
+# --- the full-triangle oracle ---------------------------------------------
+# The DP steps the jump kernel on the reversal orbits; these two functions
+# step m A on every cell of the triangle, literally from ``stencil``, so the
+# reversal symmetry and the fold are checked rather than assumed.
+
+
+def _full_step(p, rule, inject):
+    """m times one chain step of p: self_coeff p + neighbours + inject on the diagonal."""
+    self_coeff, nbrs, diag = rule
+    padded = np.append(p, 0)
+    out = self_coeff * p
+    for column in nbrs.T:
+        out += padded[column]
+    out[diag] += inject
+    return out
+
+
+def _oracle_numerators(m, n):
+    """Yield the numerators of p^{(k)} over m^k on every cell, k = 0..n."""
+    rule = chain.stencil(m)
+    p = np.zeros(m * (m + 1) // 2, dtype=object)
+    yield p
+    den = 1
+    for _ in range(n):
+        p = _full_step(p, rule, den)
+        den *= m
+        yield p
+
+
+def _expanded_numerators(m, n):
+    q = chain.quotient(m)
+    for u in chain._numerators(q, n):
+        yield u[q.orbit]
+
+
 def _probabilities(m, n):
-    """{(i, j): p_ij} after n exact DP steps."""
-    for p in chain._exact_numerators(m, n):
+    """{(i, j): p_ij} after n exact DP steps, expanded from the orbits."""
+    for p in _expanded_numerators(m, n):
         pass
     return {cell: Fraction(p[chain.cell_index(m, *cell)], m**n)
             for cell in chain._triangle_cells(m)}
@@ -73,18 +110,82 @@ def test_dp_equals_brute_force(m, n):
             chain.brute_force_expected(m, steps)
 
 
+@pytest.mark.parametrize("m", range(1, 15))
+def test_jump_kernel_shape(m):
+    # N = m A - (m - 4) I: self weight [i = 0] + [j = m-1], row sums
+    # 4 - 2 [i = j], nonnegative, and symmetric as the neighbour relation is.
+    self_coeff, nbrs, diag = chain.stencil(m)
+    d = len(self_coeff)
+    for i, j in chain._triangle_cells(m):
+        row = chain.cell_index(m, i, j)
+        self_weight = self_coeff[row] - (m - 4)
+        assert self_weight == (i == 0) + (j == m - 1)
+        assert self_weight + (nbrs[row] < d).sum() == 4 - 2 * (i == j)
+        assert all(row in nbrs[c] for c in nbrs[row] if c < d)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_orbit_step_is_the_folded_full_step(m):
+    # On reversal-invariant states the orbit kernel, expanded, is the full
+    # triangle's m A - (m - 4) I, with and without the injection.
+    q = chain.quotient(m)
+    rule = chain.stencil(m)
+    h = chain.orbit_count(m)
+    assert len(q.size) == h and q.size.sum() == m * (m + 1) // 2
+    assert sorted(q.orbit[rule[2]]) == sorted(np.repeat(q.diag, q.size[q.diag]))
+    u = np.array([(7 * o * o + 3 * o + 1) % 11 for o in range(h)], dtype=object)
+    full = u[q.orbit]
+    assert list(chain._orbit_step(u, q, 0, 0)[q.orbit]) == \
+        list(_full_step(full, rule, 0) - (m - 4) * full)
+    assert list(chain._orbit_step(u, q, m - 4, 5)[q.orbit]) == list(_full_step(full, rule, 5))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_dp_equals_full_triangle_oracle(m):
+    oracle = list(_oracle_numerators(m, 60))
+    totals = [Fraction(p.sum(), m**k) for k, p in enumerate(oracle)]
+    assert list(chain.iterate_totals(m, 60)) == totals
+    assert [chain.expected_inversions_dp(m, n) for n in range(61)] == totals
+    for expanded, p in zip(_expanded_numerators(m, 60), oracle):
+        assert list(expanded) == list(p)
+
+
+@pytest.mark.parametrize("m,n", [(10, 50), (20, 200), (30, 400)])
+def test_dp_equals_full_triangle_oracle_at_benchmark_sizes(m, n):
+    totals = list(chain.iterate_totals(m, n))
+    for k, (expanded, p) in enumerate(zip(_expanded_numerators(m, n), _oracle_numerators(m, n))):
+        assert totals[k] == Fraction(p.sum(), m**k)
+        assert list(expanded) == list(p)
+    assert chain.expected_inversions_dp(m, n) == totals[n]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9])
+def test_jump_weights_divide_exactly(m):
+    # Descending synthetic division of (z + m - 4)^n - m^n by z - 4.
+    for n in range(12):
+        numerator = [math.comb(n, r) * (m - 4) ** (n - r) for r in range(n + 1)]
+        numerator[0] -= m**n
+        quotient, carry = [], 0
+        for coefficient in reversed(numerator[1:]):
+            carry = coefficient + 4 * carry
+            quotient.append(carry)
+        assert numerator[0] + 4 * carry == 0
+        assert list(chain._jump_weights(m, n)) == quotient[::-1]
+
+
 def test_symmetry_holds_along_trajectory():
-    # p_{i,j} == p_{m-j-1, m-i-1} exactly (conjugation by the reversal).
+    # p_{i,j} == p_{m-j-1, m-i-1} exactly (conjugation by the reversal), on
+    # the full-triangle oracle: the DP stores one value per orbit.
     m = 4
     cells = chain._triangle_cells(m)
-    for p in chain._exact_numerators(m, 12):
+    for p in _oracle_numerators(m, 12):
         assert all(p[chain.cell_index(m, i, j)] == p[chain.cell_index(m, m - j - 1, m - i - 1)]
                    for i, j in cells)
 
 
 def test_probabilities_bounded():
     m = 3
-    for n, p in enumerate(chain._exact_numerators(m, 20)):
+    for n, p in enumerate(_oracle_numerators(m, 20)):
         assert all(0 <= v <= m**n for v in p)
 
 
@@ -126,9 +227,25 @@ def test_functional_equation_residual_is_zero(m, N):
 
 
 def test_functional_equation_detects_missing_diagonal_injection(monkeypatch):
-    step = chain._step
-    monkeypatch.setattr(chain, "_step", lambda p, rule, inject: step(p, rule, 0))
+    step = chain._orbit_step
+    monkeypatch.setattr(chain, "_orbit_step",
+                        lambda u, q, lazy, inject: step(u, q, lazy, 0))
     assert chain.functional_equation_residual(3, 5) == Fraction(1, 3)
+
+
+def test_functional_equation_detects_wrong_self_weight(monkeypatch):
+    monkeypatch.setattr(chain, "stencil", wrong_corner_self_weight(chain.stencil))
+    assert chain.functional_equation_residual(3, 5) != 0
+
+
+def wrong_corner_self_weight(stencil):
+    """The stencil with one unit too much self weight at the corner cell (0, 0)."""
+    def wrong(m):
+        self_coeff, nbrs, diag = stencil(m)
+        self_coeff = self_coeff.copy()
+        self_coeff[chain.cell_index(m, 0, 0)] += 1
+        return self_coeff, nbrs, diag
+    return wrong
 
 
 def test_budget_refusal():

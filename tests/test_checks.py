@@ -64,8 +64,28 @@ def test_identities_check_fails_on_wrong_sum(monkeypatch):
 
 
 def test_functional_equation_check_fails_without_diagonal_injection(monkeypatch):
-    step = chain._step
-    monkeypatch.setattr(chain, "_step", lambda p, rule, inject: step(p, rule, 0))
+    step = chain._orbit_step
+    monkeypatch.setattr(chain, "_orbit_step",
+                        lambda u, q, lazy, inject: step(u, q, lazy, 0))
     record = checks.functional_equation("quick")
     assert not record.passed
     assert record.measured["residual"] > 0
+
+
+def test_checks_fail_on_wrong_self_weight(monkeypatch):
+    # One unit too much self weight at the corner cell (0, 0) of the rule.
+    stencil = chain.stencil
+
+    def wrong(m):
+        self_coeff, nbrs, diag = stencil(m)
+        self_coeff = self_coeff.copy()
+        self_coeff[chain.cell_index(m, 0, 0)] += 1
+        return self_coeff, nbrs, diag
+
+    monkeypatch.setattr(chain, "stencil", wrong)
+    record = checks.functional_equation("quick")
+    assert not record.passed
+    assert record.measured["residual"] > 0
+    record = checks.cross_method("quick")
+    assert not record.passed
+    assert record.measured["exact mismatches"] > 0

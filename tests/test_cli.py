@@ -15,9 +15,38 @@ def run(capsys, *argv):
 
 
 def test_exact_json(capsys):
-    code, out, _ = run(capsys, "exact", "--m", "2", "--n", "3", "--format", "json")
+    code, out, _ = run(capsys, "exact", "--m", "2", "--n", "3", "--format", "json",
+                       "--no-meta")
     assert code == 0
     assert out.strip() == '{"method": "dp", "m": 2, "n": 3, "value": "3/2"}'
+
+
+def test_exact_json_meta(capsys):
+    code, out, _ = run(capsys, "exact", "--m", "10", "--n", "50", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == str(chain.expected_inversions_dp(10, 50))
+    meta = payload["meta"]
+    assert meta["method"] == "jump-chain-quotient"
+    assert meta["orbits"] == 30 and meta["steps"] == 49
+    assert meta["work_estimated"] == chain.dp_work(10, 50)
+    assert 0 <= meta["elapsed_s"] < 10
+
+
+def test_exact_budget_refuses_before_work(capsys, monkeypatch):
+    # Charged per orbit-step and bit, (10, 10^6) would run for hours.
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+
+    def no_work(*args):
+        raise AssertionError("the DP started before the budget check")
+
+    monkeypatch.setattr(chain, "quotient", no_work)
+    monkeypatch.setattr(chain, "_orbit_step", no_work)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "exact", "--m", "10", "--n", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert err.startswith("error: budget:")
 
 
 def test_exact_text(capsys):
