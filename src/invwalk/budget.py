@@ -1,4 +1,5 @@
-"""Work-budget guard shared by the exact routes and Monte Carlo.
+"""Work-budget guard and argument range rules shared by the exact routes
+and Monte Carlo.
 
 Exact DP, the binomial sum, the generating-function build and Monte Carlo
 can be asked for absurdly large inputs; every such entry point estimates its
@@ -6,6 +7,7 @@ work up front and refuses jobs above the budget instead of hanging.
 """
 
 import os
+from fractions import Fraction
 
 DEFAULT_BUDGET = 10**9
 ENV_VAR = "INVWALK_BUDGET"
@@ -42,6 +44,15 @@ def check_walk_args(m: int, n: int) -> None:
     """The one range rule for a walk of n steps on S_{m+1}."""
     if m < 1 or n < 0:
         raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+
+
+def check_probability(p, name: str = "p") -> Fraction:
+    """p as a Fraction, checked to lie in (0, 1]; ``name`` labels the error.
+    The one range rule for the lazy chain's move probability."""
+    p = Fraction(p)
+    if not (0 < p <= 1):
+        raise ValueError(f"{name} must lie in (0, 1], got {p}")
+    return p
 
 
 def check_budget(estimated: int, what: str) -> None:

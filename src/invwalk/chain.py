@@ -18,10 +18,13 @@ orbits once per call, and ``_orbit_step`` is the one stepping kernel.
 off-diagonal weights are the grid neighbours, so N is nonnegative and
 symmetric with row sums 4 - 2 [i = j], and it injects nothing.  Hence the
 entries of N^r e stay below 4^r: stepping N grows the numerators by 2 bits
-a step, where stepping m A grows them by log2 m.  With a_r = 1^T N^r e,
+a step, where stepping m A grows them by log2 m.  The chain that moves
+with probability p = a/b (p = 1: the plain chain) steps
+``q I + p A = (1 - 4p/m) I + (p/m) N`` and injects (p/m) e, so with
+a_r = 1^T N^r e,
 
-    m^n I_{m,n} = 1^T sum_{k<n} (m A)^(n-1-k) m^k e
-                = sum_r a_r [z^r] ((z + m - 4)^n - m^n) / (z - 4),
+    (bm)^n I_{m,n} = 1^T sum_{k<n} (bm q I + bm p A)^(n-1-k) (bm)^k a e
+                   = sum_r a_r [z^r] ((a z + bm - 4a)^n - (bm)^n) / (z - 4),
 
 and the row sums give a_{r+1} = 4 a_r - 2 (sum of N^r e over the
 diagonal), so ``expected_inversions_dp`` steps N alone and folds in the
@@ -35,8 +38,9 @@ outer sum (its v_s is a_{s-1}), but gets v_s as a product of two 1-D
 periodic binomial sums, where this module counts walks on the triangle;
 nothing here calls into ``formulas``, so DP = Eriksen still compares two
 separate computations of the a_r, and two separate codes for the outer
-division.  All denominators divide m^n, so the state is stored as big-
-integer numerators over the implied denominator, with no gcd work.
+division.  The lazy mean is checked against the lazy GF (``genfun``) and
+Monte Carlo.  All denominators divide (bm)^n, so the state is stored as
+big-integer numerators over the implied denominator, with no gcd work.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import check_budget, check_walk_args
+from .budget import check_budget, check_probability, check_walk_args
 
 
 def _triangle_cells(m: int):
@@ -174,32 +178,32 @@ def _numerators(q: Quotient, n: int):
         yield u
 
 
-def _jump_weights(m: int, n: int):
-    """Yield ``[z^r] ((z + m - 4)^n - m^n) / (z - 4)`` for r = 0..n-1.
+def _jump_weights(a: int, B: int, A: int, n: int):
+    """Yield ``[z^r] ((a z + A)^n - B^n) / (z - 4)`` for r = 0..n-1, B = A + 4a.
 
     Ascending division: with p_r the coefficients of the numerator,
     Q_0 = -p_0 / 4 and Q_r = (Q_{r-1} - p_r) / 4, all exact because the
-    numerator vanishes at z = 4.  Starting from Q_{-1} = m^n takes the
-    -m^n into p_0.
+    numerator vanishes at z = 4.  Starting from Q_{-1} = B^n takes the
+    -B^n into p_0.
     """
-    term = (m - 4) ** n  # C(n, r) (m - 4)^(n - r)
-    quotient_r = m**n
+    term = A**n  # C(n, r) a^r A^(n - r)
+    quotient_r = B**n
     for r in range(n):
         quotient_r = (quotient_r - term) // 4
         yield quotient_r
-        term = term * (n - r) // ((r + 1) * (m - 4)) if m != 4 else 0
+        term = term * (n - r) * a // ((r + 1) * A) if A else 0
 
 
 # The work units below are calibrated on the kernels above: a unit took
 # 2-5 ns on a 2-core x86_64 VM in every run longer than 0.1 s (m = 1..1000,
 # n up to 10^4, m >> n included), so the default budget of 10^9 refuses
 # runs above about 2-5 s.  Each is charged before any allocation.
-def dp_work(m: int, n: int) -> int:
-    """Work units ``expected_inversions_dp(m, n)`` is charged: the fold,
+def dp_work(m: int, n: int, p: int | Fraction = 1) -> int:
+    """Work units ``expected_inversions_dp(m, n, p)`` is charged: the fold,
     n - 1 jump steps on ``orbit_count(m)`` orbits whose entries grow by
     2 bits a step, and the outer sum's n products of a 2r-bit a_r with an
-    n log2(m)-bit weight."""
-    bits = n * max(m, 4).bit_length()
+    n log2(bm)-bit weight, p = a/b."""
+    bits = n * max(Fraction(p).denominator * m, 4).bit_length()
     return (orbit_count(m) * (n * (n // 16 + 24) + 256)
             + n * (n // 128 + 1) * (bits // 64 + 1))
 
@@ -222,22 +226,25 @@ def iterate_totals(m: int, n: int):
         yield Fraction(_cell_sum(u, q), m**k)
 
 
-def expected_inversions_dp(m: int, n: int) -> Fraction:
-    """I_{m,n} as an exact rational: the jump chain N on the quotient gives
+def expected_inversions_dp(m: int, n: int, p: int | Fraction = 1) -> Fraction:
+    """I_{m,n} as an exact rational for the chain that moves with
+    probability p (default 1): the jump chain N on the quotient gives
     a_r = 1^T N^r e, and ``_jump_weights`` the outer sum (module docstring)."""
     check_walk_args(m, n)
-    check_budget(dp_work(m, n), f"exact DP m={m}, n={n}")
+    p = check_probability(p)
+    check_budget(dp_work(m, n, p), f"exact DP m={m}, n={n}")
+    a, B = p.numerator, p.denominator * m
     q = quotient(m)
     u = np.zeros(len(q.size), dtype=object)
     u[q.diag] = 1
-    a = m  # a_0 = 1^T e: the m diagonal cells
+    moment = m  # a_0 = 1^T e: the m diagonal cells
     total = 0
-    for r, weight in enumerate(_jump_weights(m, n)):
-        total += a * weight
+    for r, weight in enumerate(_jump_weights(a, B, B - 4 * a, n)):
+        total += moment * weight
         if r + 1 < n:
-            a = 4 * a - 2 * _cell_sum(u, q, q.diag)
+            moment = 4 * moment - 2 * _cell_sum(u, q, q.diag)
             u = _orbit_step(u, q, 0, 0)
-    return Fraction(total, m**n)
+    return Fraction(total, B**n)
 
 
 def expected_inversions_float(m: int, n: int) -> float:

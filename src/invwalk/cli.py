@@ -66,17 +66,19 @@ def _output(args, payload: dict, rows, text: str) -> None:
 
 # --- value subcommands -------------------------------------------------
 
+def _dp_meta(args, p, elapsed) -> dict:
+    return {"method": "jump-chain-quotient", "orbits": chain.orbit_count(args.m),
+            "steps": max(args.n - 1, 0), "work_estimated": chain.dp_work(args.m, args.n, p),
+            "elapsed_s": elapsed}
+
+
 def _cmd_exact(args) -> int:
     start = time.perf_counter()
     value = chain.expected_inversions_dp(args.m, args.n)
     elapsed = time.perf_counter() - start
     payload = {"method": "dp", "m": args.m, "n": args.n, "value": str(value)}
     if not args.no_meta:
-        payload["meta"] = {"method": "jump-chain-quotient",
-                           "orbits": chain.orbit_count(args.m),
-                           "steps": max(args.n - 1, 0),
-                           "work_estimated": chain.dp_work(args.m, args.n),
-                           "elapsed_s": elapsed}
+        payload["meta"] = _dp_meta(args, 1, elapsed)
     rows = [_value_row(args.m, args.n, "dp", float(value))]
     _output(args, payload, rows, f"I({args.m},{args.n}) = {value}")
     return 0
@@ -128,10 +130,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_lazy(args) -> int:
+    start = time.perf_counter()
     value = formulas.aperiodic_expected(args.m, args.n, args.p)
+    elapsed = time.perf_counter() - start
     p = formulas.move_probability(args.m, args.p)
     payload = {"method": "lazy", "m": args.m, "n": args.n,
                "p": str(p), "value": str(value)}
+    if not args.no_meta:
+        payload["meta"] = {"p": str(p), **_dp_meta(args, p, elapsed)}
     rows = [_value_row(args.m, args.n, "lazy", float(value), "", f"p={p}")]
     _output(args, payload, rows, f"lazy I({args.m},{args.n}; p={p}) = {value}")
     return 0

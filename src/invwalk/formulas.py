@@ -2,13 +2,15 @@
 
 Two algebraically equal spectral sums (theorem 1's double sum and the
 signed series ``ser3``), an exact binomial formula, the two-sided
-sandwich bounds, and the lazified (aperiodic) expectation.  The spectral
-sums run at a configurable binary precision with internal guard bits:
-the summands span a ~m^4 dynamic range and the result suffers heavy
-cancellation for small n.  Eriksen's binomial formula takes
-O(n min(n, m)) big-integer operations for one n (one negacyclic Pascal
-recurrence for its inner sums, one synthetic division for the outer sum)
-and O(N^2) for every n <= N; it shares no code with the DP that checks it.
+sandwich bounds, and the lazified (aperiodic) expectation, which is the
+exact DP with the lazy chain's outer weights.  The spectral sums run at
+a configurable binary precision with internal guard bits: the summands
+span a ~m^4 dynamic range and the result suffers heavy cancellation for
+small n.  Eriksen's binomial formula takes O(n min(n, m)) big-integer
+operations (one negacyclic Pascal recurrence for its inner sums, one
+synthetic division for the outer sum); it shares no code with the DP
+that checks it.  Its n-independent weights v_s (``_eriksen_weights``)
+are also the terms from which ``genfun.build_gf`` gets I_m(t).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import mpmath
 import numpy as np
 from mpmath import mpf, workprec
 
-from .budget import check_budget, check_walk_args
-from .chain import iterate_totals
+from .budget import check_budget, check_probability, check_walk_args
+from .chain import expected_inversions_dp
 from .spectral import MIN_PRECISION, build_table, check_precision
 
 VARIANTS = ("theorem1", "ser3")
@@ -365,13 +367,6 @@ def eriksen_work(m: int, n: int) -> int:
     return n * (min(n, m) + 1) * (n // 64 + 8) + n * bits * math.isqrt(bits)
 
 
-def eriksen_series_work(m: int, N: int) -> int:
-    """Work units ``eriksen_series(m, N)`` is charged: ``eriksen_work`` for
-    the coefficients, and N^2/2 pass operations on entries that grow by
-    about log2(|m - 4| + 1) bits a pass."""
-    return N * N * (N * (abs(m - 4) + 1).bit_length() // 256 + 16) + eriksen_work(m, N)
-
-
 def eriksen(m: int, n: int) -> Fraction:
     """Exact binomial expression for I_{m,n}.
 
@@ -399,29 +394,6 @@ def eriksen(m: int, n: int) -> Fraction:
     return Fraction(total, m**n)
 
 
-def eriksen_series(m: int, N: int) -> list:
-    """``[I_{m,0}, ..., I_{m,N}]`` by Eriksen's formula, in O(N^2)
-    big-integer operations.
-
-    Since (z + m - 4) - m = z - 4, the quotient in ``eriksen`` is
-    ``sum_{i<n} m^(n-1-i) (z + m - 4)^i``, so ``M_n = m^n I_{m,n}`` is
-    ``sum_{i<n} m^(n-1-i) y_i`` with ``y_i = sum_j C(i, j) (m-4)^(i-j) v_{j+1}``,
-    that is ``M_n = m M_{n-1} + y_{n-1}``.  ``y_i`` is ``(E + m - 4)^i``
-    applied to ``v`` at index 1, E the shift, so N passes of
-    ``v <- shift(v) + (m - 4) v`` give every n.
-    """
-    check_walk_args(m, N)
-    check_budget(eriksen_series_work(m, N), f"eriksen_series m={m}, N={N}")
-    v = _eriksen_weights(m, N)
-    out = [Fraction(0)]
-    scaled = 0  # M_n
-    for n in range(1, N + 1):
-        scaled = m * scaled + v[0]
-        out.append(Fraction(scaled, m**n))
-        v = [b + (m - 4) * a for a, b in zip(v, v[1:])]
-    return out
-
-
 def bounds(m: int, n: int, precision: int = 128) -> BoundsPair:
     """Two-sided sandwich for I_{m,n}; requires m >= 3."""
     if m < 3:
@@ -440,15 +412,6 @@ def bounds(m: int, n: int, precision: int = 128) -> BoundsPair:
             return BoundsPair(lower=+lower, upper=+upper)
 
 
-def check_probability(p, name: str = "p") -> Fraction:
-    """p as a Fraction, checked to lie in (0, 1]; ``name`` labels the error.
-    The one range rule for the lazy chain's move probability."""
-    p = Fraction(p)
-    if not (0 < p <= 1):
-        raise ValueError(f"{name} must lie in (0, 1], got {p}")
-    return p
-
-
 def move_probability(m: int, p: Fraction | None = None) -> Fraction:
     """The lazy chain's move probability p as a Fraction in (0, 1]; default
     m/(m+1), the standard aperiodic variant."""
@@ -456,15 +419,10 @@ def move_probability(m: int, p: Fraction | None = None) -> Fraction:
 
 
 def aperiodic_expected(m: int, n: int, p: Fraction | None = None) -> Fraction:
-    """Expected inversions for the lazy chain: binomial mix of the I_{m,k}.
+    """Expected inversions for the lazy chain, exactly: the jump-chain DP
+    with the lazy outer weights (``chain.expected_inversions_dp``).
 
-    p is the move probability (see ``move_probability``).  Exact when fed
-    the exact DP values (always the case here).
+    p is the move probability (see ``move_probability``).
     """
-    check_walk_args(m, n)
-    p = move_probability(m, p)
-    q = 1 - p
-    total = Fraction(0)
-    for k, value in enumerate(iterate_totals(m, n)):
-        total += math.comb(n, k) * p**k * q ** (n - k) * value
-    return total
+    check_walk_args(m, n)  # before the default p = m/(m+1) is formed
+    return expected_inversions_dp(m, n, move_probability(m, p))

@@ -1,10 +1,17 @@
 """Exact rational generating functions I_m(t) = sum_n I_{m,n} t^n.
 
-The walk's d = m(m+1)/2 pair probabilities evolve by an affine map, so
-I_{m,n} satisfies a linear recurrence of order at most d+1.  Berlekamp-
-Massey on 2(d+1) terms of Eriksen's formula (the DP stays an independent
-check) gives the minimal one, hence I_m(t) as a reduced ratio of integer
-polynomials.  The spectral form is used only as a numeric pole check
+The DP splits each step as ``m A = (m - 4) I + N`` (``chain``), so
+
+    I_m(t) = V(t / (m - (m - 4) t)) / (1 - t),
+    V(u) = sum_{s>=1} v_s u^s = u size^T (I - u N_q)^-1 e_q,
+
+with N_q the jump kernel on the h = ``chain.orbit_count(m)`` reversal
+orbits and v_s = 1^T N^(s-1) e Eriksen's weights.  V has order at most
+h + 1, so Berlekamp-Massey (Massey 1969) on 2(h + 1) terms of
+``formulas._eriksen_weights`` gives it in lowest terms, and one
+substitution helper (``homogenized``) gives I_m(t) and the lazy GF, with
+no gcd.  The DP's ``iterate_totals`` checks the GF, and the lazy GF the
+DP's lazy mean.  The spectral form is used only as a numeric pole check
 (the x_{jk} are irrational; all GF arithmetic stays over the rationals).
 """
 
@@ -16,7 +23,7 @@ from fractions import Fraction
 
 from mpmath import mpf, workprec
 
-from . import formulas
+from . import chain, formulas
 from .budget import check_budget
 from .spectral import SpectralTable, eigenvalue, is_certified_eigenvalue
 
@@ -166,8 +173,28 @@ def series(rf: RationalFunction, N: int) -> list:
 
 
 def gf_terms(m: int) -> int:
-    """2(d+1), twice the largest possible order: the terms ``build_gf`` uses."""
-    return m * (m + 1) + 2
+    """2(h+1), twice the largest possible order of V (module docstring),
+    h = ``chain.orbit_count(m)``: the terms ``build_gf`` uses."""
+    return 2 * (chain.orbit_count(m) + 1)
+
+
+def homogenized(coeffs, k: int, a: int, B: int, A: int) -> Polynomial:
+    """``sum_i c_i a^i t^i (B - A t)^(k-i)``, that is ``(B - A t)^k P(s)``
+    at ``s = a t / (B - A t)`` for P with integer coefficients ``coeffs``,
+    k >= deg P, by the Horner step ``out <- out (B - A t) + c_i (a t)^i``.
+
+    Images of a coprime pair stay coprime if one of them has k = deg: a
+    common root with B - A t != 0 would make s a common root, and at
+    B - A t = 0 only the top term c_k (a t)^k survives.
+    """
+    out = []
+    power = 1  # a^i
+    for i in range(k + 1):
+        out = [B * x - A * y for x, y in zip(out + [0], [0] + out)]
+        if i < len(coeffs):
+            out[i] += coeffs[i] * power
+        power *= a
+    return Polynomial(out)
 
 
 def berlekamp_massey(terms: list):
@@ -206,26 +233,32 @@ def berlekamp_massey(terms: list):
 def build_gf(m: int) -> RationalFunction:
     """Exact I_m(t), reduced and normalized.
 
-    Berlekamp-Massey on the integers ``m^n I_{m,n}``, n < ``gf_terms(m)``,
-    gives the minimal denominator C(m t) and order L; the numerator is
-    ``(C S) mod t^L`` for the truncated series S.  BM's pair is already
-    coprime, so no gcd is taken.
+    Berlekamp-Massey on ``[0, v_1, ..., v_{2h+1}]`` (``gf_terms(m)``
+    terms) gives V = P/Q in lowest terms, P = (Q V) mod u^L for BM's
+    order L.  ``homogenized`` at e = max(deg P, deg Q) substitutes
+    u = t / (m - (m - 4) t), and the denominator's factor 1 - t cancels
+    nothing: t = 1 is u = 1/4, where V(1/4) = m(m+1)/4 != 0 and V has no
+    pole (N's eigenvalues 4 c_j c_k have modulus below 4).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     terms = gf_terms(m)
     # BM makes about N L big-integer operations, L <= N/2, on entries that
-    # grow to O(N L) bits before the recurrence is found.  Measured on a
-    # 2-core x86_64 VM, build_gf takes 6-14 ns per unit of N^5 / 10^5 for
-    # m = 16..25 (odd m at the slow end), while N^4 drifts by 4x over them.
-    check_budget(terms**5 // 10**5, f"build_gf m={m}: Berlekamp-Massey on {terms} terms")
-    values = formulas.eriksen_series(m, terms - 1)
-    scaled, order = berlekamp_massey([v.numerator * (m**n // v.denominator)
-                                      for n, v in enumerate(values)])
-    den = Polynomial([c / Fraction(m) ** i for i, c in enumerate(scaled.coeffs)])
-    num = [sum(den.coeffs[i] * values[k - i] for i in range(min(k, den.degree) + 1))
+    # grow to O(N L) bits, so about N^5.5 with Karatsuba products.  Measured
+    # on a 2-core x86_64 VM, build_gf takes 3-13 ns per unit of
+    # N^5.5 / 60000 for m = 12..26 (odd m at the slow end), with no drift
+    # in m; the default budget admits m <= 24 (about 4-5 s).
+    check_budget(math.isqrt(terms**11) // 60000,
+                 f"build_gf m={m}: Berlekamp-Massey on {terms} terms")
+    v = [0] + formulas._eriksen_weights(m, terms - 1)
+    den, order = berlekamp_massey(v)
+    den = [int(c) for c in den.coeffs]
+    num = [sum(den[i] * v[k - i] for i in range(min(k, len(den) - 1) + 1))
            for k in range(order)]
-    return RationalFunction(Polynomial(num), den)
+    e = max(Polynomial(num).degree, len(den) - 1)
+    num = homogenized(num, e, 1, m, m - 4)
+    den = homogenized(den, e, 1, m, m - 4).coeffs
+    return RationalFunction(num, Polynomial([x - y for x, y in zip(den + (0,), (0,) + den)]))
 
 
 def aperiodic_gf(rf: RationalFunction, m: int, p: Fraction | None = None) -> RationalFunction:
@@ -233,35 +266,19 @@ def aperiodic_gf(rf: RationalFunction, m: int, p: Fraction | None = None) -> Rat
     built in lowest terms.  p is the move probability (default m/(m+1)).
 
     With rf = N/D and e = max(deg N, deg D - 1) the result is
-    ``(1-qt)^e N(s) / ((1-qt)^(e+1) D(s))``, s = tp/(1-qt), and the pair is
-    coprime.  A common root with 1 - qt != 0 would make s a common root of
-    N and D.  At t = 1/q only the top terms survive: the numerator is
-    nonzero iff e = deg N, the denominator iff e + 1 = deg D, and the
-    choice of e makes one of them hold.
+    ``(1-qt)^e N(s) / ((1-qt)^(e+1) D(s))``, s = tp/(1-qt): ``homogenized``
+    images at e and e + 1, coprime since e = deg N or e + 1 = deg D.
     """
     p = formulas.move_probability(m, p)
     if p == 1:
         return rf
     e = max(rf.num.degree, rf.den.degree - 1)
-    # With p = a/b, b^k (1-qt)^k s^i = (a t)^i (b + (a-b) t)^(k-i); the
-    # sums run over integers (the denominator is integral in normal form).
+    # With p = a/b, b^k (1-qt)^k s^i = (a t)^i (b - (b-a) t)^(k-i).
     a, b = p.numerator, p.denominator
-    binomial_rows = [[math.comb(k, j) * b ** (k - j) * (a - b) ** j for j in range(k + 1)]
-                     for k in range(e + 2)]
-
-    def homogenized(coeffs, k: int) -> Polynomial:
-        """b^k (1-qt)^k P(s) for P with integer coefficients ``coeffs``, k >= deg P."""
-        out = [0] * (k + 1)
-        for i, c in enumerate(coeffs):
-            if c:
-                c *= a**i
-                for j, w in enumerate(binomial_rows[k - i]):
-                    out[i + j] += c * w
-        return Polynomial(out)
-
     scale = math.lcm(*(c.denominator for c in rf.num.coeffs))
-    num = homogenized([int(c * scale) for c in rf.num.coeffs], e) * Fraction(b, scale)
-    return RationalFunction(num, homogenized([int(c) for c in rf.den.coeffs], e + 1))
+    num = homogenized([int(c * scale) for c in rf.num.coeffs], e, a, b, b - a)
+    den = homogenized([int(c) for c in rf.den.coeffs], e + 1, a, b, b - a)
+    return RationalFunction(num * Fraction(b, scale), den)
 
 
 POLE_TOL = 1e-8

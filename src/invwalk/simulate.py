@@ -32,8 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import check_budget, check_walk_args
-from .formulas import check_probability
+from .budget import check_budget, check_probability, check_walk_args
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

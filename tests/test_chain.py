@@ -161,16 +161,21 @@ def test_dp_equals_full_triangle_oracle_at_benchmark_sizes(m, n):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9])
 def test_jump_weights_divide_exactly(m):
-    # Descending synthetic division of (z + m - 4)^n - m^n by z - 4.
-    for n in range(12):
-        numerator = [math.comb(n, r) * (m - 4) ** (n - r) for r in range(n + 1)]
-        numerator[0] -= m**n
-        quotient, carry = [], 0
-        for coefficient in reversed(numerator[1:]):
-            carry = coefficient + 4 * carry
-            quotient.append(carry)
-        assert numerator[0] + 4 * carry == 0
-        assert list(chain._jump_weights(m, n)) == quotient[::-1]
+    # Descending synthetic division of (a z + bm - 4a)^n - (bm)^n by z - 4,
+    # for the plain chain (p = 1) and lazy ones (p = a/b); m = 4 at p = 1
+    # and m = 2 at p = 1/2 have bm - 4a = 0.
+    for a, b in ((1, 1), (1, 2), (m, m + 1), (1, 1000), (2, 3)):
+        B = b * m
+        A = B - 4 * a
+        for n in range(12):
+            numerator = [math.comb(n, r) * a**r * A ** (n - r) for r in range(n + 1)]
+            numerator[0] -= B**n
+            quotient, carry = [], 0
+            for coefficient in reversed(numerator[1:]):
+                carry = coefficient + 4 * carry
+                quotient.append(carry)
+            assert numerator[0] + 4 * carry == 0
+            assert list(chain._jump_weights(a, B, A, n)) == quotient[::-1], (a, b, n)
 
 
 def test_symmetry_holds_along_trajectory():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -146,7 +147,7 @@ def test_gf_meta(capsys):
     assert code == 0
     meta = json.loads(out)["meta"]
     assert meta["method"] == "berlekamp-massey"
-    assert meta["terms"] == 2 * 6 + 2
+    assert meta["terms"] == 2 * chain.orbit_count(3) + 2 == 10
     assert meta["order"] == 5  # 3 (27t + 9t^2 - 7t^3 - t^4) over a quintic
     assert meta["elapsed_s"] >= 0
     code, out, _ = run(capsys, *args, "--no-meta")
@@ -249,6 +250,38 @@ def test_lazy_json(capsys):
                        "--p", "1/2", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == "1/2"
+
+
+def test_lazy_json_meta(capsys):
+    args = ("lazy", "--m", "10", "--n", "50", "--p", "2/3", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == str(formulas.aperiodic_expected(10, 50, Fraction(2, 3)))
+    meta = payload["meta"]
+    assert meta["method"] == "jump-chain-quotient"
+    assert meta["p"] == "2/3"
+    assert meta["orbits"] == chain.orbit_count(10)
+    assert meta["steps"] == 49
+    assert meta["work_estimated"] == chain.dp_work(10, 50, Fraction(2, 3)) > 0
+    assert meta["elapsed_s"] >= 0
+    code, out, _ = run(capsys, *args, "--no-meta")
+    assert code == 0
+    assert "meta" not in json.loads(out)
+
+
+def test_lazy_budget_refuses_before_work(capsys, monkeypatch):
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+
+    def no_work(*args):
+        raise AssertionError("the DP ran before the budget refused")
+
+    monkeypatch.setattr(chain, "quotient", no_work)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "lazy", "--m", "10", "--n", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert err.startswith("error: budget:") and "exact DP" in err
 
 
 def test_simulate_idempotent(capsys):

@@ -4,11 +4,12 @@ import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import workprec
 
-from invwalk import asymptotics, chain, formulas, spectral
+from invwalk import asymptotics, chain, formulas, genfun, spectral
 from invwalk.budget import WorkBudgetError
 
 
@@ -37,19 +38,29 @@ def test_eriksen_dp_property(m, n):
     assert formulas.eriksen(m, n) == chain.expected_inversions_dp(m, n)
 
 
+def _jump_moments(m, N):
+    """[a_0, ..., a_{N-1}], a_r = 1^T N^r e, by the DP's jump kernel."""
+    q = chain.quotient(m)
+    u = np.zeros(len(q.size), dtype=object)
+    u[q.diag] = 1
+    moments = []
+    for _ in range(N):
+        moments.append(chain._cell_sum(u, q))
+        u = chain._orbit_step(u, q, 0, 0)
+    return moments
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12, 20])
 @pytest.mark.parametrize("N", [0, 1, 2, 45])
 def test_eriksen_series_equals_dp(m, N):
-    values = formulas.eriksen_series(m, N)
-    assert values == list(chain.iterate_totals(m, N))
-    assert values[-1] == formulas.eriksen(m, N)
+    # Eriksen's weight series v_1..v_N equals the DP's jump moments,
+    # v_s = a_{s-1}: binomial sums against walks on the triangle.
+    assert formulas._eriksen_weights(m, N) == _jump_moments(m, N)
 
 
 def test_eriksen_budget():
     with pytest.raises(WorkBudgetError):
         formulas.eriksen(2, 10**6)
-    with pytest.raises(WorkBudgetError):
-        formulas.eriksen_series(2, 10**6)
 
 
 def _g_coefficient(s, m):
@@ -125,7 +136,8 @@ def test_eriksen_equals_dp_at_edges(m, n):
 
 @pytest.mark.parametrize("m", [4, 20])
 def test_eriksen_series_ends_at_eriksen(m):
-    assert formulas.eriksen_series(m, 300)[-1] == formulas.eriksen(m, 300)
+    # The GF built from Eriksen's weights, expanded to n = 300.
+    assert genfun.series(genfun.build_gf(m), 300)[-1] == formulas.eriksen(m, 300)
 
 
 def test_eriksen_refuses_before_work(monkeypatch):
@@ -136,11 +148,10 @@ def test_eriksen_refuses_before_work(monkeypatch):
         raise AssertionError("the recurrence ran before the budget refused")
 
     monkeypatch.setattr(formulas, "_g_h_coefficients", no_work)
-    for call in (formulas.eriksen, formulas.eriksen_series):
-        with pytest.raises(WorkBudgetError, match="eriksen"):
-            call(2, 10**5)
-        with pytest.raises(WorkBudgetError, match="eriksen"):
-            call(10**9, 10**4)
+    with pytest.raises(WorkBudgetError, match="eriksen"):
+        formulas.eriksen(2, 10**5)
+    with pytest.raises(WorkBudgetError, match="eriksen"):
+        formulas.eriksen(10**9, 10**4)
     monkeypatch.setenv("INVWALK_BUDGET", str(formulas.eriksen_work(30, 400) - 1))
     with pytest.raises(WorkBudgetError, match="eriksen m=30, n=400"):
         formulas.eriksen(30, 400)
@@ -410,9 +421,14 @@ def test_aperiodic_expected():
 
 
 def test_lazy_mean_is_binomial_mix():
-    m, p = 4, Fraction(1, 3)
-    dp = list(chain.iterate_totals(m, 6))
-    for n in range(7):
-        mixed = sum(math.comb(n, k) * p**k * (1 - p) ** (n - k) * dp[k]
-                    for k in range(n + 1))
-        assert formulas.aperiodic_expected(m, n, p) == mixed
+    # The lazy chain takes k plain steps out of n with probability
+    # C(n, k) p^k q^(n-k).  The grid holds the cases where the lazy weight
+    # bm - 4a vanishes: m = 4 at p = 1 and m = 2 at p = 1/2.
+    for m in range(1, 11):
+        dp = list(chain.iterate_totals(m, 40))
+        for p in (Fraction(1), Fraction(1, 2), Fraction(m, m + 1), Fraction(1, 1000),
+                  Fraction(999, 1000)):
+            for n in range(41):
+                mixed = sum(math.comb(n, k) * p**k * (1 - p) ** (n - k) * dp[k]
+                            for k in range(n + 1))
+                assert formulas.aperiodic_expected(m, n, p) == mixed, (m, p, n)

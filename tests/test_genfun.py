@@ -134,23 +134,54 @@ def test_series_examples():
         [0, 1, 1, Fraction(3, 2), Fraction(5, 4)]
 
 
+def _dp_bm_gf(m: int) -> RationalFunction:
+    """I_m(t) straight from the DP, the oracle of ``build_gf``: the state is
+    affine of dimension d = m(m+1)/2, so Berlekamp-Massey on m^n I_{m,n},
+    n < 2(d+1), gives the minimal denominator C(m t), and the numerator is
+    (C S) mod t^L."""
+    values = list(chain.iterate_totals(m, m * (m + 1) + 1))
+    scaled, order = genfun.berlekamp_massey([v.numerator * (m**n // v.denominator)
+                                             for n, v in enumerate(values)])
+    den = Polynomial([c / Fraction(m) ** i for i, c in enumerate(scaled.coeffs)])
+    num = [sum(den.coeffs[i] * values[k - i] for i in range(min(k, den.degree) + 1))
+           for k in range(order)]
+    return RationalFunction(Polynomial(num), den)
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_build_gf_equals_dp_oracle(m):
+    rf = genfun.build_gf(m)
+    oracle = _dp_bm_gf(m)
+    assert rf.num.coeffs == oracle.num.coeffs
+    assert rf.den.coeffs == oracle.den.coeffs
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_order_within_orbit_count(m):
+    # V(u) = u size^T (I - u N_q)^-1 e_q on the h orbits has order <= h + 1.
+    v = [0] + formulas._eriksen_weights(m, genfun.gf_terms(m) - 1)
+    assert genfun.berlekamp_massey(v)[1] <= chain.orbit_count(m) + 1
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_series_equals_dp(m):
-    # Ten terms past the 2(d+1) that Berlekamp-Massey saw, and at least 30.
-    n_max = max(30, genfun.gf_terms(m) + 10)
+    # Ten terms past the 2(d+1) of the DP oracle's construction, and at least 30.
+    n_max = max(30, m * (m + 1) + 12)
     rf = genfun.build_gf(m)
-    assert genfun.series(rf, n_max) == list(chain.iterate_totals(m, n_max))
+    dp = list(chain.iterate_totals(m, n_max))
+    assert genfun.series(rf, n_max) == dp
     assert _euclid_gcd(rf.num, rf.den).degree == 0
-    scaled = [int(v * m**n) for n, v in enumerate(formulas.eriksen_series(m, rf.order * 2))]
-    assert genfun.berlekamp_massey(scaled)[1] == rf.order
+    # The DP's shortest recurrence has the GF's order: V's, plus 1 - t.
+    scaled = [v.numerator * (m**n // v.denominator) for n, v in enumerate(dp[:2 * rf.order + 1])]
+    assert genfun.berlekamp_massey(scaled)[1] == rf.order <= chain.orbit_count(m) + 2
 
 
 def test_dimension_limit(monkeypatch):
     def no_terms(*args):
         raise AssertionError("build_gf computed a term before refusing")
 
-    monkeypatch.setattr(formulas, "eriksen_series", no_terms)
-    for m in (25, 50):  # 652 and 2552 terms; the default budget admits m <= 24
+    monkeypatch.setattr(formulas, "_eriksen_weights", no_terms)
+    for m in (25, 50):  # 340 and 1302 terms; the default budget admits m <= 24
         with pytest.raises(WorkBudgetError, match="Berlekamp-Massey"):
             genfun.build_gf(m)
 
