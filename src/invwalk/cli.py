@@ -23,7 +23,7 @@ from fractions import Fraction
 import mpmath
 
 from . import asymptotics, chain, checks, formulas, genfun, simulate, spectral
-from .budget import WorkBudgetError
+from .budget import WorkBudgetError, work_budget
 
 CSV_HEADER = ("m", "n", "method", "value", "precision_bits", "flags")
 
@@ -86,7 +86,9 @@ def _cmd_exact(args) -> int:
 
 def _cmd_closed(args) -> int:
     opts = formulas.ClosedFormOptions(variant=args.variant, precision=args.precision)
+    start = time.perf_counter()
     info = formulas.closed_form_info(args.m, args.n, opts)
+    elapsed = time.perf_counter() - start
     text_value = _mpf_str(info.value, info.precision)
     flags = "saturated" if info.saturated else ""
     payload = {
@@ -95,8 +97,13 @@ def _cmd_closed(args) -> int:
         "saturated": info.saturated,
     }
     if not args.no_meta:
+        # A saturated result is the limit, answered before the budget.
+        estimated = 0 if info.saturated else formulas.closed_form_work(
+            args.m, args.n, info.precision, info.variant)
         payload["meta"] = {"saturated": info.saturated, "terms": info.terms,
-                           "powers": info.powers, "skipped": info.skipped}
+                           "powers": info.powers, "skipped": info.skipped,
+                           "work_bits": formulas.work_bits(args.m, info.precision),
+                           "work_estimated": estimated, "elapsed_s": elapsed}
     rows = [_value_row(args.m, args.n, f"closed:{info.variant}", text_value,
                        info.precision, flags)]
     _output(args, payload, rows, f"I({args.m},{args.n}) = {text_value}")
@@ -253,8 +260,8 @@ def _cmd_asym(args) -> int:
     lines = [f"regime {estimate.regime}: predicted I({args.m},{args.n}) "
              f"= {estimate.predicted:.6g} (normalizer {estimate.normalizer},"
              f" clamped={estimate.clamped})"]
-    # Compare against the closed form when the table fits comfortably.
-    if (args.m + 1) ** 2 <= 4 * 10**6:
+    # Compare against the closed form when the work budget admits it.
+    if formulas.closed_form_work(args.m, args.n) <= work_budget():
         reference = float(formulas.closed_form(args.m, args.n))
         payload["closed_form"] = reference
         payload["abs_error"] = abs(reference - estimate.predicted)

@@ -6,11 +6,13 @@ sandwich bounds, and the lazified (aperiodic) expectation, which is the
 exact DP with the lazy chain's outer weights.  The spectral sums run at
 a configurable binary precision with internal guard bits: the summands
 span a ~m^4 dynamic range and the result suffers heavy cancellation for
-small n.  Eriksen's binomial formula takes O(n min(n, m)) big-integer
-operations (one negacyclic Pascal recurrence for its inner sums, one
-synthetic division for the outer sum); it shares no code with the DP
-that checks it.  Its n-independent weights v_s (``_eriksen_weights``)
-are also the terms from which ``genfun.build_gf`` gets I_m(t).
+small n.  Both run one orbit loop on raw mpf tuples (``_orbit_sum``),
+bit-identical to the same loop on mpf operators.  Eriksen's binomial
+formula takes O(n min(n, m)) big-integer operations (one negacyclic
+Pascal recurrence for its inner sums, one synthetic division for the
+outer sum); it shares no code with the DP that checks it.  Its
+n-independent weights v_s (``_eriksen_weights``) are also the terms from
+which ``genfun.build_gf`` gets I_m(t).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from mpmath import mpf, workprec
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int,
+                          mpf_pow_int, mpf_rdiv_int, mpf_sub, round_nearest)
 
 from .budget import check_budget, check_probability, check_walk_args
 from .chain import expected_inversions_dp
@@ -161,6 +165,134 @@ def _powered_columns(m: int, n: int, work: int):
         yield from (block >= cut).tolist()
 
 
+def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
+    """``(total, terms, powers, summed)`` of the orbit loop, every mpf
+    operator replaced by the libmp call it makes (``…`` = work, nearest):
+
+    - ``c_k`` -> ``table.c[k]._mpf_``, and the running ``mpf(0)`` -> ``fzero``;
+    - ``1 / s_k**2`` -> ``mpf_rdiv_int(1, mpf_pow_int(s_k, 2, …), …)`` (theorem 1);
+    - ``1 / (1 - c_k)`` -> ``mpf_rdiv_int(1, mpf_sub(fone, c_k, …), …)`` (ser3);
+    - ``mpf(4) / m`` -> ``mpf_div(from_int(4), from_int(m), …)``;
+    - ``1 - c_j * c_k`` -> ``mpf_sub(fone, mpf_mul(c_j, c_k, …), …)``;
+    - ``x = 1 - four_over_m * y`` -> ``mpf_sub(fone, mpf_mul(four_over_m, y, …), …)``;
+    - ``x ** n`` -> ``mpf_pow_int(x, n, …)``;
+    - ``(c_j + c_k) ** 2`` -> ``mpf_pow_int(mpf_add(c_j, c_k, …), 2, …)`` (theorem 1);
+    - ``(c_j + c_k)`` -> ``mpf_add(c_j, c_k, …)`` (ser3);
+    - ``v * f_j * f_k`` -> ``mpf_mul(mpf_mul(v, f_j, …), f_k, …)``;
+    - ``w * xn`` -> ``mpf_mul(w, xn, …)`` (theorem 1);
+    - ``w * (1 - xn)`` -> ``mpf_mul(w, mpf_sub(fone, xn, …), …)`` (ser3);
+    - ``w * (1 - 0)``, x^n unraised -> ``mpf_mul_int(w, 1, …)`` (ser3);
+    - ``total += term`` -> ``total = mpf_add(total, term, …)``.
+    """
+    rnd = round_nearest
+    c = [ck._mpf_ for ck in table.c]
+    if theorem1:
+        factor = [mpf_rdiv_int(1, mpf_pow_int(sk._mpf_, 2, work, rnd), work, rnd)
+                  for sk in table.s]
+    else:
+        factor = [mpf_rdiv_int(1, mpf_sub(fone, ck, work, rnd), work, rnd) for ck in c]
+    four_over_m = mpf_div(from_int(4), from_int(m), work, rnd)
+
+    def summand(j, k, powered):
+        cj, ck = c[j], c[k]
+        weight = mpf_add(cj, ck, work, rnd)
+        if theorem1:
+            weight = mpf_pow_int(weight, 2, work, rnd)
+        weight = mpf_mul(mpf_mul(weight, factor[j], work, rnd), factor[k], work, rnd)
+        if not powered:  # ser3 only: x^n is too small to change 1 - x^n
+            return mpf_mul_int(weight, 1, work, rnd)
+        x = mpf_sub(fone, mpf_mul(cj, ck, work, rnd), work, rnd)
+        x = mpf_sub(fone, mpf_mul(four_over_m, x, work, rnd), work, rnd)
+        xn = mpf_pow_int(x, n, work, rnd)
+        return mpf_mul(weight, xn if theorem1 else mpf_sub(fone, xn, work, rnd), work, rnd)
+
+    total = fzero
+    if theorem1:
+        # One term per orbit of (j, k) -> (k, j), (m-k, m-j), read at every
+        # live pair of the orbit.
+        rows = _live_columns(m, n, work) if m >= 8 else [range(m + 1)] * (m + 1)
+        cache: dict = {}
+        summed = 0
+        for j, columns in enumerate(rows):
+            for k in columns:
+                a, b = (j, k) if j <= k else (k, j)
+                orbit = min((a, b), (m - b, m - a))
+                term = cache.get(orbit)
+                if term is None:
+                    term = cache[orbit] = summand(*orbit, True)
+                total = mpf_add(total, term, work, rnd)
+            summed += len(columns)
+        return total, len(cache), len(cache), summed
+    # ser3 reads the term of j < k at (j, k) and again at (k, j).  Row j
+    # keeps its terms (j, k > j) in a list, last column first, so row k
+    # pops (j, k) at its second read and the kept terms peak near
+    # (m+1)^2/4.
+    powered = _powered_columns(m, n, work) if m >= 8 else [[True] * (m + 1)] * (m + 1)
+    kept: list = []
+    powers = 0
+    for j, row_powered in enumerate(powered):
+        for earlier in kept:
+            total = mpf_add(total, earlier.pop(), work, rnd)
+        row = [summand(j, k, row_powered[k]) for k in range(j, m + 1)]
+        for term in row:
+            total = mpf_add(total, term, work, rnd)
+        kept.append(row[:0:-1])
+        powers += sum(row_powered[j:])
+    terms = (m + 1) * (m + 2) // 2
+    return total, terms, powers, (m + 1) ** 2
+
+
+def work_bits(m: int, precision: int) -> int:
+    """The closed form's working precision: ``precision`` plus guard bits
+    for the ~m^4 dynamic range of its summands."""
+    return precision + 32 + (2 * (m + 1) ** 2).bit_length()
+
+
+def _orbit_counts(m: int, n: int, work: int, variant: str) -> tuple:
+    """``(terms, powers, additions)``: the orbit terms ``_orbit_sum``
+    computes, the powers x^n it raises among them and the pairs it adds;
+    exact for ser3's terms and additions, upper bounds otherwise.
+
+    A theorem-1 pair is live only if x_jk^n > 2^-(work+9) x_00^n, since
+    w_jk <= w_00, and ser3 raises x_jk^n only if x_jk^n > 2^-(work+9).
+    Near the corners (0, 0) and (m, m),
+    -log x_jk ~ (4/m) theta^2 ((j-k)^2 + (j+k+1)^2), theta = pi/(2m+2), so
+    either set fills two quarter discs j^2 + k^2 <= (work+9) ln 2 m^3
+    / (2 pi^2 n): ln 2 / (16 pi) work m^3/n = 0.014 work m^3/n theorem-1
+    orbits and twice that many ser3 orbits.  The weights thin the discs,
+    and the sines widen them where they reach the middle.  From n = 1 to
+    saturation, over m = 8..2000 and precisions 53..1024, the live orbits
+    never exceeded 2 + 0.025 work m^3/n and the raised powers (m <= 1000)
+    2 + 0.06 work m^3/n.  An orbit has at most 4 pairs.
+    """
+    corner = 2 + math.ceil((0.025 if variant == "theorem1" else 0.06) * work * m**3 / n)
+    if variant == "ser3":
+        terms = (m + 1) * (m + 2) // 2
+        return terms, min(terms, corner), (m + 1) ** 2
+    terms = min((m + 2) ** 2 // 4, corner)
+    return terms, terms, min(4 * terms, (m + 1) ** 2)
+
+
+def closed_form_work(m: int, n: int, precision: int = MIN_PRECISION,
+                     variant: str = "theorem1") -> int:
+    """Work units ``closed_form_info`` is charged unless its value is
+    saturated: 0 at n = 0 or m = 1, where it is exact; else the counts of
+    ``_orbit_counts``, a power x^n costing bit_length(n) squarings of
+    ``work`` bits, plus the (m+1)^2 entries of the float bound.
+
+    A unit took 1.9-5.2 ns on a 2-core x86_64 VM in every run longer
+    than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to 4 m^3),
+    so the default budget of 10^9 refuses runs above about 2-5 s:
+    theorem 1 at m = n = 1000 (8.7 s, 2.8e9 units) is refused.
+    """
+    if n == 0 or m == 1:
+        return 0
+    work = work_bits(m, precision)
+    terms, powers, additions = _orbit_counts(m, n, work, variant)
+    return (500 * terms + powers * (2000 + 2 * work * n.bit_length())
+            + additions * (1500 + work) + 10 * (m + 1) ** 2)
+
+
 def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> ClosedFormResult:
     """I_{m,n} by the spectral double sum, with saturation metadata.
 
@@ -176,6 +308,10 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     j <-> k and, for theorem 1, (j, k) -> (m-j, m-k)
     symmetries make the summands of one orbit bit-equal (the table mirrors
     c exactly), so each orbit's term, and its power x^n, is computed once.
+    ``_orbit_sum`` runs this loop on raw ``_mpf_`` tuples with the libmp
+    functions the mpf operators call, at ``work`` bits and rounding to
+    nearest, so every term and partial sum has the operators' bits; only
+    the final scale and the rounding to ``precision`` use mpf objects.
 
     Theorem 1 at m >= 8 adds only the pairs whose summand can change the
     sum, and the result stays bit-identical to adding all of them:
@@ -210,13 +346,16 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     computed, ``powers`` the x^n among them that were raised, and
     ``skipped`` the pairs left out (all of them when the value is exact
     or saturated).
+
+    The exact and saturated answers take O(1) work.  Any other call is
+    charged ``closed_form_work`` before a table, a bound or a term is
+    computed.
     """
     if opts is None:
         opts = ClosedFormOptions()
     check_walk_args(m, n)
     precision = opts.precision
-    guard = 32 + (2 * (m + 1) ** 2).bit_length()
-    work = precision + guard
+    work = work_bits(m, precision)
     pairs = (m + 1) ** 2
     exact = n == 0 or m == 1
     if exact or _saturated(m, n, precision, work):
@@ -225,56 +364,13 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
         with workprec(precision):
             return ClosedFormResult(+value, m, n, opts.variant, precision, not exact,
                                     terms=0, powers=0, skipped=pairs)
-    check_budget(pairs, f"closed_form m={m}, n={n}")
+    check_budget(closed_form_work(m, n, precision, opts.variant),
+                 f"closed_form {opts.variant} m={m}, n={n}")
     theorem1 = opts.variant == "theorem1"
-    table = build_table(m, work)
+    total, terms, powers, summed = _orbit_sum(m, n, work, build_table(m, work), theorem1)
     with workprec(work):
-        c = table.c
-        if theorem1:
-            factor = [1 / sk**2 for sk in table.s]
-        else:
-            factor = [1 / (1 - cj) for cj in c]
-        four_over_m = mpf(4) / m
-
-        def summand(j, k, powered):
-            # Unpowered (ser3 only), x^n is too small to change 1 - x^n.
-            xn = (1 - four_over_m * (1 - c[j] * c[k])) ** n if powered else 0
-            if theorem1:
-                return (c[j] + c[k]) ** 2 * factor[j] * factor[k] * xn
-            return (c[j] + c[k]) * factor[j] * factor[k] * (1 - xn)
-
-        def orbit_of(j, k):
-            rep = (j, k) if j <= k else (k, j)
-            return min(rep, (m - rep[1], m - rep[0])) if theorem1 else rep
-
-        rows = [range(m + 1)] * (m + 1)
-        powered = [[True] * (m + 1)] * (m + 1)
-        if theorem1 and m >= 8:
-            rows = _live_columns(m, n, work)
-        elif m >= 8:
-            powered = _powered_columns(m, n, work)
-        cache: dict = {}
-        total = mpf(0)
-        terms = summed = powers = 0
-        for j, (columns, row_powered) in enumerate(zip(rows, powered)):
-            for k in columns:
-                orbit = orbit_of(j, k)
-                # ser3 reads an off-diagonal orbit twice, last at j > k, and
-                # a diagonal one once, so it keeps a term only while j < k.
-                keep = theorem1 or j < k
-                term = cache.get(orbit) if keep else cache.pop(orbit, None)
-                if term is None:
-                    # x^n is symmetric in (j, k), so the row's test holds at
-                    # the orbit's representative too.
-                    term = summand(*orbit, row_powered[k])
-                    if keep:
-                        cache[orbit] = term
-                    terms += 1
-                    powers += row_powered[k]
-                total += term
-                summed += 1
-
         scale = 1 / (8 * mpf(m + 1) ** 2)
+        total = mpmath.mp.make_mpf(total)
         value = _limit_value(m) - scale * total if theorem1 else scale * total
         with workprec(precision):
             value = +value

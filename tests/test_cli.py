@@ -118,7 +118,10 @@ def test_closed_json_fields(capsys):
     assert payload["saturated"] is True
     assert payload["precision_bits"] == 53
     assert float(payload["value"]) == 3.0
-    assert payload["meta"] == {"saturated": True, "terms": 0, "powers": 0, "skipped": 16}
+    meta = payload["meta"]
+    assert meta.pop("elapsed_s") >= 0
+    assert meta == {"saturated": True, "terms": 0, "powers": 0, "skipped": 16,
+                    "work_bits": 53 + 32 + 6, "work_estimated": 0}
 
 
 def test_closed_meta(capsys):
@@ -130,12 +133,17 @@ def test_closed_meta(capsys):
     assert 0 < meta["terms"] < 41 * 42 // 2
     assert meta["powers"] == meta["terms"]  # theorem 1 raises x^n per term
     assert 0 < meta["skipped"] < 41**2
-    code, out, _ = run(capsys, *args, "--variant", "ser3")
+    assert meta["work_bits"] == formulas.work_bits(40, 53) == 53 + 32 + 12
+    assert meta["work_estimated"] == formulas.closed_form_work(40, 64000) > 0
+    assert 0 <= meta["elapsed_s"] < 10
+    code, out, _ = run(capsys, *args, "--variant", "ser3", "--precision", "128")
     assert code == 0
     meta = json.loads(out)["meta"]
     assert meta["terms"] == 41 * 42 // 2
     assert 0 < meta["powers"] < meta["terms"]
     assert meta["skipped"] == 0
+    assert meta["work_bits"] == 128 + 32 + 12
+    assert meta["work_estimated"] == formulas.closed_form_work(40, 64000, 128, "ser3")
     code, out, _ = run(capsys, *args, "--no-meta")
     assert code == 0
     assert "meta" not in json.loads(out)
@@ -311,6 +319,17 @@ def test_asym_predict(capsys):
     assert payload["regime"] == "intermediate"
     assert payload["predicted"] == pytest.approx(797.8845608, rel=1e-6)
     assert "closed_form" in payload
+
+
+def test_asym_compares_only_what_the_budget_admits(capsys, monkeypatch):
+    # Theorem 1 at m = 1500, n = 1 would sum about 5.6e5 orbits (over the
+    # default budget), so the prediction is reported without the closed form.
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "asym", "--m", "1500", "--n", "1", "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert "closed_form" not in json.loads(out)
 
 
 def test_asym_f_and_g(capsys):

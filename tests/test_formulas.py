@@ -242,16 +242,18 @@ def _full_loop(m, n, precision, reuse=True):
 
 def test_closed_form_equals_full_loop():
     # m = 7 and 8 lie on either side of the m >= 8 edge above which
-    # theorem 1 skips summands; ser3 always adds every pair.
-    for m in (7, 8, 40, 100):
-        for n in (1, m, m**2, m**3, asymptotics.critical_step_count(m, 0)):
-            for precision in (53, 256):
-                expected = _full_loop(m, n, precision)
-                for variant in formulas.VARIANTS:
-                    info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
-                        variant=variant, precision=precision))
-                    assert not info.saturated
-                    assert info.value == expected[variant], (m, n, precision, variant)
+    # theorem 1 skips summands; ser3 always adds every pair.  (30, 400) at
+    # 128 bits is the exact-routes workload's largest closed-form check.
+    points = [(m, n, precision) for m in (7, 8, 40, 100)
+              for n in (1, m, m**2, m**3, asymptotics.critical_step_count(m, 0))
+              for precision in (53, 256)]
+    for m, n, precision in points + [(40, 1600, 128), (30, 400, 128)]:
+        expected = _full_loop(m, n, precision)
+        for variant in formulas.VARIANTS:
+            info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
+                variant=variant, precision=precision))
+            assert not info.saturated
+            assert info.value == expected[variant], (m, n, precision, variant)
 
 
 def test_ser3_power_skip_is_bit_identical():
@@ -280,6 +282,22 @@ def test_ser3_power_skip_is_bit_identical():
     for m in (8, 40, 140):
         info = formulas.closed_form_info(m, m, formulas.ClosedFormOptions(variant="ser3"))
         assert info.powers == info.terms, m
+
+
+def test_ser3_keeps_each_term_until_its_second_read():
+    # ser3 drops the term of (j, k), j < k, once (k, j) has read it, so at
+    # most about (m+1)^2/4 terms are held at once.  The bound is the peak
+    # traced when ser3 kept its terms in an orbit dict, which already held
+    # them only until their second read (1751708 bytes, Python 3.11).
+    opts = formulas.ClosedFormOptions(variant="ser3")
+    formulas.closed_form_info(120, 120, opts)  # caches outside the call
+    tracemalloc.start()
+    try:
+        formulas.closed_form_info(120, 120, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_752_000, peak
 
 
 def test_theorem1_skip_is_certified():
@@ -339,6 +357,47 @@ def test_closed_form_counts_terms():
     full = formulas.closed_form_info(120, 120**3, formulas.ClosedFormOptions(variant="ser3"))
     assert full.skipped == 0
     assert full.terms == 121 * 122 // 2
+
+
+def test_closed_form_refuses_before_work(monkeypatch):
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+
+    def no_work(*args):
+        raise AssertionError("the closed form did work before the budget refused")
+
+    for name in ("build_table", "_log_bound_blocks", "_orbit_sum"):
+        monkeypatch.setattr(formulas, name, no_work)
+    for variant in formulas.VARIANTS:
+        with pytest.raises(WorkBudgetError, match=f"closed_form {variant} m=31600, n=1"):
+            formulas.closed_form_info(31600, 1, formulas.ClosedFormOptions(variant=variant))
+    monkeypatch.undo()
+    monkeypatch.setenv("INVWALK_BUDGET", str(formulas.closed_form_work(40, 1600)))
+    formulas.closed_form_info(40, 1600)
+    monkeypatch.setenv("INVWALK_BUDGET", str(formulas.closed_form_work(40, 1600) - 1))
+    with pytest.raises(WorkBudgetError, match="closed_form theorem1 m=40, n=1600"):
+        formulas.closed_form_info(40, 1600)
+
+
+def test_closed_form_work_counts_bound_the_sum():
+    # ser3 computes every orbit term and adds every pair; the analytic
+    # bounds cover theorem 1's live orbits and pairs and ser3's raised
+    # powers, from n = 1 to saturation.
+    for m in (8, 9, 20, 40, 90):
+        for precision in (53, 256):
+            work = formulas.work_bits(m, precision)
+            for n in (1, m, m**2, asymptotics.critical_step_count(m, 0), m**3,
+                      asymptotics.critical_step_count(m, 3), 5 * m**3):
+                for variant in formulas.VARIANTS:
+                    info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
+                        variant=variant, precision=precision))
+                    if info.saturated:
+                        continue
+                    terms, powers, additions = formulas._orbit_counts(m, n, work, variant)
+                    added = (m + 1) ** 2 - info.skipped
+                    if variant == "ser3":
+                        assert (info.terms, added) == (terms, additions)
+                    assert info.terms <= terms and added <= additions, (m, n, precision)
+                    assert info.powers <= powers, (m, n, precision, variant)
 
 
 def test_closed_form_large_m():
