@@ -13,14 +13,26 @@ bounded whatever the trial count (hence m < 2^22).  A block keeps all its
 permutations in one flat array of the narrowest dtype holding 0..m (int8
 up to m = 127, then int16, then int32); a step gathers the two entries at
 ``t (m+1) + i`` and ``+ 1`` with ``take`` and scatters them back swapped.
-Blocks change neither the stream nor the exact sums.
+
+Since the stream is counter-based, a block draws a tile of T steps at a
+time, ``T = max(1, _TILE_CELLS // trials)``, in one (T, trials) pass: the
+index draws, their rejection redraws, the lazy hold decisions and the
+flat positions ``t (m+1) + i``.  ``_TILE_CELLS = 2^15`` keeps the tile's
+arrays in cache and no larger than one step of a block of more trials.
+A held trial's position is a dummy pair of equal entries after the last
+permutation, so its swap changes nothing and the step loop only gathers,
+compares and scatters.  It counts each trial's ascents ``ups`` (a swap
+of ``left < right``), and the count is ``2 ups - moves``, where ``moves``
+is n, or the trial's moving steps in the lazy chain.  Neither blocks nor
+tiles change the stream or the exact sums.
 
 Budget: ``monte_carlo`` refuses, before allocating anything, a request
 whose ``estimated_work`` exceeds the work budget.  One unit is one
-trial-step; each step of a block adds about 1000 units of fixed numpy
-overhead, and filling the permutations one unit per 16 entries.  Measured
-on a 2-core x86_64 VM, a unit takes 13-34 ns for m <= 5000, so the
-default budget of 10^9 admits roughly 15-30 s of work.
+trial-step; each step of a block adds about 100 units (2-3 us) of fixed
+numpy overhead, and filling the permutations one unit per 16 entries.
+Measured on a 2-core x86_64 VM over runs longer than 0.03 s, a unit takes
+16-31 ns for m <= 5000, so the default budget of 10^9 admits roughly
+15-30 s of work.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_MIX1_U, _MIX2_U = np.uint64(_MIX1), np.uint64(_MIX2)
 # Counter layout: per step, slot 0 = lazy hold decision, slot 1 = generator
 # index; each slot reserves _ATTEMPTS counters for rejection redraws.
 _SLOTS = 2
@@ -45,8 +58,9 @@ _ATTEMPTS = 8
 # Block limits, the worker cap and the budget calibration (module docstring).
 _BLOCK_TRIALS = 1 << 16
 _BLOCK_CELLS = 1 << 22
+_TILE_CELLS = 1 << 15
 MAX_WORKERS = 32
-_STEP_OVERHEAD = 1000
+_STEP_OVERHEAD = 100
 _CELLS_PER_UNIT = 16
 METHOD = "numpy-flat"
 
@@ -58,10 +72,16 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z):
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z, tmp=None):
+    """The SplitMix64 finalizer of the uint64 array z, in place; tmp is scratch
+    of z's shape."""
+    if tmp is None:
+        tmp = np.empty_like(z)
+    for shift, mix in ((30, _MIX1_U), (27, _MIX2_U)):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= mix
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
 
 
 def trial_key(seed: int, trial: int) -> int:
@@ -76,9 +96,14 @@ def _counter(step: int, slot: int, attempt: int) -> int:
     return (step * _SLOTS + slot) * _ATTEMPTS + attempt
 
 
+def _rejection_limit(m: int) -> int:
+    """Draws at or above this are redrawn, so ``v % m`` has no modulo bias."""
+    return (1 << 64) - ((1 << 64) % m)
+
+
 def _uniform_index(key: int, step: int, m: int) -> int:
     """Uniform i in [0, m) by rejection (no modulo bias)."""
-    limit = (1 << 64) - ((1 << 64) % m)
+    limit = _rejection_limit(m)
     for attempt in range(_ATTEMPTS):
         v = _draw(key, _counter(step, 1, attempt))
         if v < limit:
@@ -171,56 +196,83 @@ def _run_chunk(m, n, seed, lo, hi, hold_threshold):
     return total, total_sq, blocks, redraws
 
 
+def _step_offsets(steps: range, slot: int, attempt: int):
+    """``GAMMA * counter`` mod 2^64 for each step of a tile, as a uint64 column."""
+    return np.array([(_GAMMA * _counter(step, slot, attempt)) & _MASK for step in steps],
+                    dtype=np.uint64)[:, None]
+
+
+def _redraw(v, keys, steps: range, limit) -> int:
+    """Redraw the entries of the (steps, trials) tile v at or above limit, up to
+    _ATTEMPTS - 1 times each; returns the number of redraws."""
+    redraws = 0
+    rows, cols = np.nonzero(v >= limit)
+    for attempt in range(1, _ATTEMPTS):
+        if not rows.size:
+            break
+        redraws += rows.size
+        fresh = _mix64_np(keys[cols] + _step_offsets(steps, 1, attempt)[rows, 0])
+        v[rows, cols] = fresh
+        again = fresh >= limit
+        rows, cols = rows[again], cols[again]
+    return redraws
+
+
 def _run_block(m, n, seed, lo, hi, hold_threshold):
     """Vectorized simulation of trials [lo, hi); returns exact (sum, sumsq, redraws).
 
     All permutations live in one flat array of perm_dtype(m), trial t's at
-    offsets t (m+1) .. t (m+1) + m, so a step is one flat gather and one flat
-    scatter per swapped entry.
+    offsets t (m+1) .. t (m+1) + m, followed by a dummy pair of equal entries.
+    Each tile of steps draws its flat positions in one (steps, trials) pass;
+    a held trial points at the dummy pair, whose swap changes nothing.  The
+    step loop then only gathers, compares and scatters, and each count is
+    ``2 ups - moves``.
     """
     size = hi - lo
     trials = np.arange(lo, hi, dtype=np.uint64)
     seed_mixed = np.uint64(_mix64(seed))
     keys = _mix64_np(seed_mixed ^ (np.uint64(_GAMMA) * (trials + np.uint64(1))))
-    perm = np.tile(np.arange(m + 1, dtype=perm_dtype(m)), size)
+    dummy = size * (m + 1)
+    perm = np.zeros(dummy + 2, dtype=perm_dtype(m))
+    perm[:dummy] = np.tile(np.arange(m + 1, dtype=perm.dtype), size)
     base = np.arange(size, dtype=np.int64) * (m + 1)
-    counts = np.zeros(size, dtype=np.int64)
     m_u = np.uint64(m)
+    limit_int = _rejection_limit(m)
+    limit = np.uint64(limit_int) if limit_int < (1 << 64) else None
+    lazy = hold_threshold is not None and hold_threshold <= _MASK
+    ups = np.zeros(size, dtype=np.int64)
+    moves = np.zeros(size, dtype=np.int64) if lazy else n
     redraws = 0
-    limit_int = (1 << 64) - ((1 << 64) % m)
-    needs_rejection = limit_int < (1 << 64)
-    limit = np.uint64(limit_int) if needs_rejection else None
-    always_move = hold_threshold is None or hold_threshold > _MASK
-    for step in range(n):
-        if always_move:
-            move = None
-        else:
-            hv = _mix64_np(keys + np.uint64((_GAMMA * _counter(step, 0, 0)) & _MASK))
-            move = hv < np.uint64(hold_threshold)
-        v = _mix64_np(keys + np.uint64((_GAMMA * _counter(step, 1, 0)) & _MASK))
-        if needs_rejection:
-            for attempt in range(1, _ATTEMPTS):
-                bad = v >= limit
-                if not bad.any():
-                    break
-                redraws += int(np.count_nonzero(bad))
-                redraw = _mix64_np(
-                    keys[bad] + np.uint64((_GAMMA * _counter(step, 1, attempt)) & _MASK)
-                )
-                v[bad] = redraw
-        pos = base + (v % m_u).astype(np.int64)
-        if move is not None:
-            pos = pos[move]
-        right_pos = pos + 1
-        left = perm.take(pos)
-        right = perm.take(right_pos)
-        delta = np.where(left < right, 1, -1)
-        if move is None:
-            counts += delta
-        else:
-            counts[move] += delta
-        perm[pos] = right
-        perm[right_pos] = left
+    tile = max(1, _TILE_CELLS // size)
+    shape = (min(tile, n), size)
+    v_tile, scratch = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    up_tile = np.empty(shape, bool)
+    for first in range(0, n, tile):
+        steps = range(first, min(n, first + tile))
+        v, tmp, up = v_tile[:len(steps)], scratch[:len(steps)], up_tile[:len(steps)]
+        if lazy:
+            np.add(keys, _step_offsets(steps, 0, 0), out=v)
+            move = _mix64_np(v, tmp) < np.uint64(hold_threshold)
+            moves += move.sum(axis=0)
+        _mix64_np(np.add(keys, _step_offsets(steps, 1, 0), out=v), tmp)
+        if limit is not None and (v >= limit).any():
+            redraws += _redraw(v, keys, steps, limit)
+        pos = np.remainder(v, m_u, out=v).view(np.int64)  # entries < m: the view is exact
+        pos += base
+        if lazy:  # held trials point at the dummy pair
+            pos -= dummy
+            pos *= move
+            pos += dummy
+        right_pos = np.add(pos, 1, out=tmp.view(np.int64))
+        for row in range(len(steps)):
+            p, rp = pos[row], right_pos[row]
+            left = perm.take(p)
+            right = perm.take(rp)
+            np.less(left, right, out=up[row])
+            perm[p] = right
+            perm[rp] = left
+        ups += up.sum(axis=0)
+    counts = 2 * ups - moves
     total = int(counts.sum())
     max_count = m * (m + 1) // 2
     if size * max_count * max_count < (1 << 62):

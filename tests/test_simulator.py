@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +50,99 @@ def test_scalar_and_vectorized_lazy_paths_agree():
     total, total_sq, _, _ = simulate._run_chunk(4, 30, 7, 0, 200, threshold)
     assert total == sum(values)
     assert total_sq == sum(v * v for v in values)
+
+
+def _per_step_block(m, n, seed, lo, hi, hold_threshold):
+    """Trials [lo, hi) one step at a time: exact (sum, sumsq, redraws).
+
+    The block kernel that preceded the step tile, kept as an oracle for it.
+    Each step draws its hold decisions and indices, redraws the rejected
+    ones, compacts to the trials that move and swaps them.  It reads the
+    limit through ``_rejection_limit`` so that tests can force redraws.
+    """
+    mix, gamma = simulate._mix64_np, simulate._GAMMA
+    size = hi - lo
+    trials = np.arange(lo, hi, dtype=np.uint64)
+    keys = mix(np.uint64(simulate._mix64(seed)) ^ (np.uint64(gamma) * (trials + np.uint64(1))))
+    perm = np.tile(np.arange(m + 1, dtype=simulate.perm_dtype(m)), size)
+    base = np.arange(size, dtype=np.int64) * (m + 1)
+    counts = np.zeros(size, dtype=np.int64)
+    redraws = 0
+    limit_int = simulate._rejection_limit(m)
+    needs_rejection = limit_int < (1 << 64)
+    limit = np.uint64(limit_int) if needs_rejection else None
+    always_move = hold_threshold is None or hold_threshold > simulate._MASK
+
+    def offset(step, slot, attempt):
+        return np.uint64((gamma * simulate._counter(step, slot, attempt)) & simulate._MASK)
+
+    for step in range(n):
+        move = None if always_move else mix(keys + offset(step, 0, 0)) < np.uint64(hold_threshold)
+        v = mix(keys + offset(step, 1, 0))
+        if needs_rejection:
+            for attempt in range(1, simulate._ATTEMPTS):
+                bad = v >= limit
+                if not bad.any():
+                    break
+                redraws += int(np.count_nonzero(bad))
+                v[bad] = mix(keys[bad] + offset(step, 1, attempt))
+        pos = base + (v % np.uint64(m)).astype(np.int64)
+        if move is not None:
+            pos = pos[move]
+        right_pos = pos + 1
+        left = perm.take(pos)
+        right = perm.take(right_pos)
+        delta = np.where(left < right, 1, -1)
+        if move is None:
+            counts += delta
+        else:
+            counts[move] += delta
+        perm[pos] = right
+        perm[right_pos] = left
+    return int(counts.sum()), int((counts * counts).sum()), redraws
+
+
+def _force_rejection(monkeypatch):
+    """Make about half of all index draws redraw, in both kernels and simulate_once."""
+    monkeypatch.setattr(simulate, "_rejection_limit", lambda m: 1 << 63)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("lazy_p", [None, Fraction(1, 1000), Fraction(1, 2), "m/(m+1)",
+                                    Fraction(1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 127, 128])
+def test_tiled_block_equals_per_step_oracle(monkeypatch, m, lazy_p, forced):
+    # m = 1, 2 and 128 draw no redraws unless forced (a power of two
+    # divides 2^64); 127 and 128 straddle the int8/int16 switch.
+    if forced:
+        _force_rejection(monkeypatch)
+    monkeypatch.setattr(simulate, "_TILE_CELLS", 64)
+    p = Fraction(m, m + 1) if lazy_p == "m/(m+1)" else lazy_p
+    threshold = simulate._lazy_move(p)[1]
+    # 16 trials give tiles of T = 4 steps; 80 trials, wider than
+    # _TILE_CELLS, give one step per tile.
+    for lo, hi, tile in ((5, 21, 4), (3, 83, 1)):
+        for n in sorted({0, 1, tile - 1, tile, tile + 1, 2 * tile + 1}):
+            expected = _per_step_block(m, n, 2024 + n, lo, hi, threshold)
+            got = simulate._run_block(m, n, 2024 + n, lo, hi, threshold)
+            assert got == expected, (lo, hi, n)
+            assert (got[2] > 0) == (forced and n > 0), (lo, hi, n)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("lazy_p", [None, Fraction(2, 3)])
+def test_rejection_redraws_match_simulate_once(monkeypatch, lazy_p, workers):
+    _force_rejection(monkeypatch)
+    # 60 trials split into chunks of 20 or 60 give tiles of 3 or 1 steps,
+    # so tiles end inside the 10-step run.
+    monkeypatch.setattr(simulate, "_TILE_CELLS", 64)
+    m, n, trials = 5, 10, 60
+    values = [simulate.simulate_once(m, n, seed=31, trial=t, lazy_p=lazy_p)
+              for t in range(trials)]
+    s = simulate.monte_carlo(m, n, trials, seed=31, lazy_p=lazy_p, workers=workers)
+    assert s.sum_counts == sum(values)
+    assert s.sum_squares == sum(v * v for v in values)
+    assert s.rejection_redraws > 0
 
 
 def test_deterministic_chain_m1():
