@@ -24,8 +24,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from mpmath import mpf, workprec
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int,
-                          mpf_pow_int, mpf_rdiv_int, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int,
+                          mpf_rdiv_int, mpf_sub, round_nearest)
 
 from .budget import check_budget, check_probability, check_walk_args
 from .chain import expected_inversions_dp
@@ -61,7 +61,7 @@ class ClosedFormResult:
     precision: int
     saturated: bool
     terms: int    # orbit summands computed
-    powers: int   # of those, the ones whose x^n was raised
+    powers: int   # terms whose 1 - x^n entered, raised at the pair or at its mirror
     skipped: int  # of the (m+1)^2 pairs, those left out of the sum
 
 
@@ -137,6 +137,7 @@ def _log_bound_blocks(m: int, n: int, weighted: bool):
         bound = float(n) * np.log1p(-(4 / m) * (sin2[d] + sin2[s]))
         if weighted:
             bound = log_cos2[s] + log_cos2[d] - log_s2[j] - log_s2[k] + bound
+        del d, s  # freed before the consumer builds its lists from the block
         yield bound
 
 
@@ -162,7 +163,8 @@ def _powered_columns(m: int, n: int, work: int):
     where ser3's 1 - x_jk^n can differ from 1 (see ``closed_form_info``)."""
     cut = -_skip_margin(work)
     for block in _log_bound_blocks(m, n, weighted=False):
-        yield from (block >= cut).tolist()
+        for powered in block >= cut:
+            yield powered.tolist()
 
 
 def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
@@ -181,7 +183,8 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
     - ``v * f_j * f_k`` -> ``mpf_mul(mpf_mul(v, f_j, …), f_k, …)``;
     - ``w * xn`` -> ``mpf_mul(w, xn, …)`` (theorem 1);
     - ``w * (1 - xn)`` -> ``mpf_mul(w, mpf_sub(fone, xn, …), …)`` (ser3);
-    - ``w * (1 - 0)``, x^n unraised -> ``mpf_mul_int(w, 1, …)`` (ser3);
+    - ``w * (1 - 0)``, x^n unraised -> ``w`` (ser3): ``mpf_mul_int(w, 1, …)``
+      returns a ``work``-bit w unchanged;
     - ``total += term`` -> ``total = mpf_add(total, term, …)``.
     """
     rnd = round_nearest
@@ -193,18 +196,16 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
         factor = [mpf_rdiv_int(1, mpf_sub(fone, ck, work, rnd), work, rnd) for ck in c]
     four_over_m = mpf_div(from_int(4), from_int(m), work, rnd)
 
-    def summand(j, k, powered):
-        cj, ck = c[j], c[k]
-        weight = mpf_add(cj, ck, work, rnd)
+    def weight(j, k):
+        w = mpf_add(c[j], c[k], work, rnd)
         if theorem1:
-            weight = mpf_pow_int(weight, 2, work, rnd)
-        weight = mpf_mul(mpf_mul(weight, factor[j], work, rnd), factor[k], work, rnd)
-        if not powered:  # ser3 only: x^n is too small to change 1 - x^n
-            return mpf_mul_int(weight, 1, work, rnd)
-        x = mpf_sub(fone, mpf_mul(cj, ck, work, rnd), work, rnd)
+            w = mpf_pow_int(w, 2, work, rnd)
+        return mpf_mul(mpf_mul(w, factor[j], work, rnd), factor[k], work, rnd)
+
+    def power(j, k):
+        x = mpf_sub(fone, mpf_mul(c[j], c[k], work, rnd), work, rnd)
         x = mpf_sub(fone, mpf_mul(four_over_m, x, work, rnd), work, rnd)
-        xn = mpf_pow_int(x, n, work, rnd)
-        return mpf_mul(weight, xn if theorem1 else mpf_sub(fone, xn, work, rnd), work, rnd)
+        return mpf_pow_int(x, n, work, rnd)
 
     total = fzero
     if theorem1:
@@ -219,25 +220,39 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
                 orbit = min((a, b), (m - b, m - a))
                 term = cache.get(orbit)
                 if term is None:
-                    term = cache[orbit] = summand(*orbit, True)
+                    term = cache[orbit] = mpf_mul(weight(*orbit), power(*orbit), work, rnd)
                 total = mpf_add(total, term, work, rnd)
             summed += len(columns)
         return total, len(cache), len(cache), summed
     # ser3 reads the term of j < k at (j, k) and again at (k, j).  Row j
     # keeps its terms (j, k > j) in a list, last column first, so row k
     # pops (j, k) at its second read and the kept terms peak near
-    # (m+1)^2/4.
+    # (m+1)^2/4.  A pair (j, k) with j + k < m hands its 1 - x^n (None if
+    # unraised) to its mirror (m-k, m-j), a later row: row r's list gets
+    # them from rows j = 0, 1, ... for columns m - j, so it pops them in
+    # column order.  Only the pairs j + k <= m raise x^n.
     powered = _powered_columns(m, n, work) if m >= 8 else [[True] * (m + 1)] * (m + 1)
     kept: list = []
+    mirrored: list = [[] for _ in range(m + 1)]
     powers = 0
     for j, row_powered in enumerate(powered):
         for earlier in kept:
             total = mpf_add(total, earlier.pop(), work, rnd)
-        row = [summand(j, k, row_powered[k]) for k in range(j, m + 1)]
-        for term in row:
+        handed = mirrored[j]
+        row = []
+        for k in range(j, m + 1):
+            one_minus_xn = handed.pop() if j + k > m else None
+            term = weight(j, k)
+            if row_powered[k]:  # else x^n is too small to change 1 - x^n
+                if one_minus_xn is None:
+                    one_minus_xn = mpf_sub(fone, power(j, k), work, rnd)
+                term = mpf_mul(term, one_minus_xn, work, rnd)
+                powers += 1
+            if j + k < m:
+                mirrored[m - k].append(one_minus_xn)
             total = mpf_add(total, term, work, rnd)
+            row.append(term)
         kept.append(row[:0:-1])
-        powers += sum(row_powered[j:])
     terms = (m + 1) * (m + 2) // 2
     return total, terms, powers, (m + 1) ** 2
 
@@ -251,7 +266,11 @@ def work_bits(m: int, precision: int) -> int:
 def _orbit_counts(m: int, n: int, work: int, variant: str) -> tuple:
     """``(terms, powers, additions)``: the orbit terms ``_orbit_sum``
     computes, the powers x^n it raises among them and the pairs it adds;
-    exact for ser3's terms and additions, upper bounds otherwise.
+    exact for ser3's terms and additions, upper bounds otherwise.  ser3's
+    ``powers`` counts the terms whose 1 - x^n enters; it raises only the
+    ones at pairs j + k <= m, about half of them near n = m, and takes the
+    rest from their mirrors, so the charge for its powers is about twice
+    what it raises there.
 
     A theorem-1 pair is live only if x_jk^n > 2^-(work+9) x_00^n, since
     w_jk <= w_00, and ser3 raises x_jk^n only if x_jk^n > 2^-(work+9).
@@ -282,8 +301,10 @@ def closed_form_work(m: int, n: int, precision: int = MIN_PRECISION,
 
     A unit took 1.9-5.2 ns on a 2-core x86_64 VM in every run longer
     than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to 4 m^3),
-    so the default budget of 10^9 refuses runs above about 2-5 s:
-    theorem 1 at m = n = 1000 (8.7 s, 2.8e9 units) is refused.
+    and 1.3-3.9 ns for ser3, which raises about half the powers it is
+    charged for (m = 90..300, same precisions and n), so the default
+    budget of 10^9 refuses runs above about 2-5 s: theorem 1 at
+    m = n = 1000 (8.7 s, 2.8e9 units) is refused.
     """
     if n == 0 or m == 1:
         return 0
@@ -341,11 +362,25 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
 
     The float bound of log(x_jk^n) from the same rows
     (``_powered_columns``) certifies x_jk^n < 2^-(work+1) with the same
-    margin, and such an orbit's term is computed with x^n taken as 0,
-    which gives the same bits.  ``terms`` counts the orbit summands
-    computed, ``powers`` the x^n among them that were raised, and
-    ``skipped`` the pairs left out (all of them when the value is exact
-    or saturated).
+    margin, and such an orbit's term is its weight: x^n is taken as 0,
+    which gives the same bits, and the product by 1 is left out, since
+    it returns a ``work``-bit weight unchanged.
+
+    ``ser3`` raises each x^n once per mirror pair, again bit-identically.
+    The table mirrors c exactly (c_{m-k} = -c_k), so c_{m-k} c_{m-j} is
+    bit-equal to c_j c_k, and so are x, x^n and 1 - x^n at (m-k, m-j).
+    A pair j <= k with j + k < m hands its 1 - x^n to that mirror, whose
+    row m - k > j comes later; only the weights differ.  Each term still
+    follows its own ``_powered_columns`` flag: a term whose flag is unset
+    is its weight, whatever its mirror raised, and one whose flag is set
+    raises x^n itself if its mirror's flag was unset.  No term and no
+    addition changes, so the sum keeps its bits, and at n = m, where
+    every flag is set, (m+2)^2/4 powers are raised for (m+1)(m+2)/2 terms.
+
+    ``terms`` counts the orbit summands computed, ``powers`` the terms
+    whose 1 - x^n (theorem 1: x^n) entered, raised at the pair or at its
+    mirror, and ``skipped`` the pairs left out (all of them when the
+    value is exact or saturated).
 
     The exact and saturated answers take O(1) work.  Any other call is
     charged ``closed_form_work`` before a table, a bound or a term is

@@ -16,9 +16,10 @@ up to m = 127, then int16, then int32); a step gathers the two entries at
 
 Since the stream is counter-based, a block draws a tile of T steps at a
 time, ``T = max(1, _TILE_CELLS // trials)``, in one (T, trials) pass: the
-index draws, their rejection redraws, the lazy hold decisions and the
-flat positions ``t (m+1) + i``.  ``_TILE_CELLS = 2^15`` keeps the tile's
-arrays in cache and no larger than one step of a block of more trials.
+index draws, the rejection redraws of the moving trials' draws, the lazy
+hold decisions and the flat positions ``t (m+1) + i``.
+``_TILE_CELLS = 2^15`` keeps the tile's arrays in cache and no larger
+than one step of a block of more trials.
 A held trial's position is a dummy pair of equal entries after the last
 permutation, so its swap changes nothing and the step loop only gathers,
 compares and scatters.  It counts each trial's ascents ``ups`` (a swap
@@ -202,11 +203,15 @@ def _step_offsets(steps: range, slot: int, attempt: int):
                     dtype=np.uint64)[:, None]
 
 
-def _redraw(v, keys, steps: range, limit) -> int:
+def _redraw(v, keys, steps: range, limit, move=None) -> int:
     """Redraw the entries of the (steps, trials) tile v at or above limit, up to
-    _ATTEMPTS - 1 times each; returns the number of redraws."""
+    _ATTEMPTS - 1 times each, only where ``move`` is set if it is given;
+    returns the number of redraws."""
     redraws = 0
-    rows, cols = np.nonzero(v >= limit)
+    bad = v >= limit
+    if move is not None:
+        bad &= move
+    rows, cols = np.nonzero(bad)
     for attempt in range(1, _ATTEMPTS):
         if not rows.size:
             break
@@ -256,7 +261,8 @@ def _run_block(m, n, seed, lo, hi, hold_threshold):
             moves += move.sum(axis=0)
         _mix64_np(np.add(keys, _step_offsets(steps, 1, 0), out=v), tmp)
         if limit is not None and (v >= limit).any():
-            redraws += _redraw(v, keys, steps, limit)
+            # a held trial's index is never read: it points at the dummy pair
+            redraws += _redraw(v, keys, steps, limit, move if lazy else None)
         pos = np.remainder(v, m_u, out=v).view(np.int64)  # entries < m: the view is exact
         pos += base
         if lazy:  # held trials point at the dummy pair

@@ -197,7 +197,7 @@ def _work(m, precision):
     return precision + 32 + (2 * (m + 1) ** 2).bit_length()
 
 
-def _full_loop(m, n, precision, reuse=True):
+def _full_loop(m, n, precision, reuse=True, powered=None):
     """Both variants by the plain double loop over all (m+1)^2 pairs.
 
     The guard bits, operations and addition order of ``closed_form``,
@@ -206,7 +206,8 @@ def _full_loop(m, n, precision, reuse=True):
     weight's product order depends on it; x^n is the same at every member
     of an orbit.  With ``reuse`` every x^n and summand for j <= k is
     computed up front and reused for (k, j) only; without it each of the
-    (m+1)^2 pairs is computed afresh.
+    (m+1)^2 pairs is computed afresh.  ``powered[j][k]``, if given, says
+    whether ser3's term at j <= k takes its 1 - x^n or is its weight.
     """
     work = _work(m, precision)
     table = spectral.build_table(m, work)
@@ -220,7 +221,8 @@ def _full_loop(m, n, precision, reuse=True):
             xn = (1 - four_over_m * (1 - c[a] * c[b])) ** n
             t, u = min((a, b), (m - b, m - a))
             return {"theorem1": (c[t] + c[u]) ** 2 * inv_s2[t] * inv_s2[u] * xn,
-                    "ser3": (c[a] + c[b]) * inv_omc[a] * inv_omc[b] * (1 - xn)}
+                    "ser3": (c[a] + c[b]) * inv_omc[a] * inv_omc[b]
+                    * (1 - xn if powered is None or powered[a][b] else 1)}
 
         if reuse:
             upper = {(a, b): summands(a, b) for a in range(m + 1) for b in range(a, m + 1)}
@@ -298,6 +300,73 @@ def test_ser3_keeps_each_term_until_its_second_read():
     finally:
         tracemalloc.stop()
     assert peak <= 1_752_000, peak
+
+
+def _count_raised_powers(monkeypatch, n):
+    """A list that collects each x^n the closed form raises from now on."""
+    raised = []
+    pow_int = formulas.mpf_pow_int
+
+    def counting_pow(x, e, *args):
+        if e == n:
+            raised.append(x)
+        return pow_int(x, e, *args)
+
+    monkeypatch.setattr(formulas, "mpf_pow_int", counting_pow)
+    return raised
+
+
+@pytest.mark.parametrize("m", [8, 9, 40, 41])
+def test_ser3_raises_each_power_once_per_mirror_pair(monkeypatch, m):
+    # (j, k) and its mirror (m-k, m-j) share x^n bit for bit, so at n = m,
+    # where every power is raised, only the (m+2)^2/4 pairs j <= k with
+    # j + k <= m raise one; powers still counts all (m+1)(m+2)/2 terms.
+    raised = _count_raised_powers(monkeypatch, m)
+    info = formulas.closed_form_info(m, m, formulas.ClosedFormOptions(variant="ser3"))
+    assert len(raised) == (m + 2) ** 2 // 4
+    assert info.powers == info.terms == (m + 1) * (m + 2) // 2
+
+
+@pytest.mark.parametrize("m", [8, 9, 40, 41])
+def test_ser3_mirror_reuse_is_bit_identical(m):
+    for n in (m, asymptotics.critical_step_count(m, 1)):
+        for precision in (53, 256):
+            expected = _full_loop(m, n, precision)["ser3"]
+            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(
+                variant="ser3", precision=precision))
+            assert value == expected, (m, n, precision)
+
+
+def test_ser3_mirror_follows_each_term_own_flag(monkeypatch):
+    # Flags that differ between mirror pairs: a term whose flag is unset is
+    # its weight even if its mirror raised x^n, and one whose flag is set
+    # raises x^n itself if its mirror did not.
+    m, n = 9, 9
+    flags = [[(j * j + 2 * k) % 3 != 0 for k in range(m + 1)] for j in range(m + 1)]
+    upper = [(j, k) for j in range(m + 1) for k in range(j, m + 1)]
+    mismatched = {(flags[j][k], flags[m - k][m - j]) for j, k in upper if j + k < m}
+    assert {(True, False), (False, True)} <= mismatched
+    raised = _count_raised_powers(monkeypatch, n)
+    monkeypatch.setattr(formulas, "_powered_columns", lambda m, n, work: iter(flags))
+    info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(variant="ser3"))
+    assert info.value == _full_loop(m, n, 53, powered=flags)["ser3"]
+    assert info.powers == sum(flags[j][k] for j, k in upper)
+    assert len(raised) == sum(flags[j][k] and (j + k <= m or not flags[m - k][m - j])
+                              for j, k in upper)
+
+
+def test_theorem1_peak_memory():
+    # The float bound frees its index arrays before it yields a block.
+    # The bound is the peak traced while they were still held at the
+    # yield (1067585 bytes, Python 3.11).
+    formulas.closed_form_info(120, 120)  # caches outside the call
+    tracemalloc.start()
+    try:
+        formulas.closed_form_info(120, 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_067_585, peak
 
 
 def test_theorem1_skip_is_certified():

@@ -82,6 +82,8 @@ def _per_step_block(m, n, seed, lo, hi, hold_threshold):
         if needs_rejection:
             for attempt in range(1, simulate._ATTEMPTS):
                 bad = v >= limit
+                if move is not None:
+                    bad &= move
                 if not bad.any():
                     break
                 redraws += int(np.count_nonzero(bad))
@@ -100,6 +102,15 @@ def _per_step_block(m, n, seed, lo, hi, hold_threshold):
         perm[pos] = right
         perm[right_pos] = left
     return int(counts.sum()), int((counts * counts).sum()), redraws
+
+
+def _any_step_moves(seed, lo, hi, n, hold_threshold):
+    """Whether any of trials [lo, hi) moves in its first n steps: only a
+    moving step draws an index, so only then can a forced limit redraw."""
+    if hold_threshold is None:
+        return n > 0
+    return any(simulate._draw(simulate.trial_key(seed, t), simulate._counter(step, 0, 0))
+               < hold_threshold for t in range(lo, hi) for step in range(n))
 
 
 def _force_rejection(monkeypatch):
@@ -126,7 +137,8 @@ def test_tiled_block_equals_per_step_oracle(monkeypatch, m, lazy_p, forced):
             expected = _per_step_block(m, n, 2024 + n, lo, hi, threshold)
             got = simulate._run_block(m, n, 2024 + n, lo, hi, threshold)
             assert got == expected, (lo, hi, n)
-            assert (got[2] > 0) == (forced and n > 0), (lo, hi, n)
+            moved = _any_step_moves(2024 + n, lo, hi, n, threshold)
+            assert (got[2] > 0) == (forced and moved), (lo, hi, n)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -143,6 +155,28 @@ def test_rejection_redraws_match_simulate_once(monkeypatch, lazy_p, workers):
     assert s.sum_counts == sum(values)
     assert s.sum_squares == sum(v * v for v in values)
     assert s.rejection_redraws > 0
+
+
+@pytest.mark.parametrize("lazy_p", [Fraction(1, 2), Fraction(1, 10)])
+def test_lazy_redraws_count_only_moving_steps(monkeypatch, lazy_p):
+    # A held step never reads its index, so its draw is not redrawn.  The
+    # count below redraws, trial by trial, only the steps that move.
+    _force_rejection(monkeypatch)
+    m, n, trials, seed = 5, 40, 50, 77
+    threshold = simulate._lazy_move(lazy_p)[1]
+    limit = simulate._rejection_limit(m)
+    expected = 0
+    for t in range(trials):
+        key = simulate.trial_key(seed, t)
+        for step in range(n):
+            if simulate._draw(key, simulate._counter(step, 0, 0)) >= threshold:
+                continue
+            for attempt in range(simulate._ATTEMPTS - 1):
+                if simulate._draw(key, simulate._counter(step, 1, attempt)) < limit:
+                    break
+                expected += 1
+    s = simulate.monte_carlo(m, n, trials, seed=seed, lazy_p=lazy_p)
+    assert s.rejection_redraws == expected > 0
 
 
 def test_deterministic_chain_m1():
