@@ -8,11 +8,11 @@ a configurable binary precision with internal guard bits: the summands
 span a ~m^4 dynamic range and the result suffers heavy cancellation for
 small n.  Both run one orbit loop on raw mpf tuples (``_orbit_sum``),
 bit-identical to the same loop on mpf operators.  Eriksen's binomial
-formula takes O(n min(n, m)) big-integer operations (one negacyclic
-Pascal recurrence for its inner sums, one synthetic division for the
-outer sum); it shares no code with the DP that checks it.  Its
-n-independent weights v_s (``_eriksen_weights``) are also the terms from
-which ``genfun.build_gf`` gets I_m(t).
+formula takes O(n + max(0, n - m) m) big-integer operations (closed
+forms, then one negacyclic Pascal recurrence, for its inner sums, one
+synthetic division for the outer sum); it shares no code with the DP
+that checks it.  Its n-independent weights v_s (``_eriksen_weights``)
+are also the terms from which ``genfun.build_gf`` gets I_m(t).
 """
 
 from __future__ import annotations
@@ -420,8 +420,8 @@ def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):
 
 def _g_h_coefficients(m: int, K: int):
     """``([g_1, g_3, ..., g_{2K+1}], [h_0, h_2, ..., h_{2K}])``, the two
-    inner sums of Eriksen's formula, by one negacyclic Pascal recurrence
-    in O(K m) operations.
+    inner sums of Eriksen's formula: closed forms while 2k <= m, then one
+    negacyclic Pascal recurrence in O(max(0, K - m/2) m) operations.
 
     Eriksen's inner sums are periodic-signed sums over one Pascal row:
     with a = ceil(s/2), b = floor(s/2),
@@ -448,29 +448,27 @@ def _g_h_coefficients(m: int, K: int):
     While 2k <= m the exponents -k..k of H_k are distinct modulo m + 1,
     so nothing wraps: H_k is the Pascal row C(2k, k + j), and x^j with
     j < 0 sits at l = m + 1 + j with sign -1, so its weight is m + 1 - 2|j|
-    at every j.  The band is stepped unwrapped and folded into m + 1
-    coefficients only once it would wrap, which keeps time and memory at
-    O(K min(K, m)).  (The band's sums would stay right a little longer,
-    as long as |j| <= m; the switch at 2k > m is where it outgrows m + 1
-    entries.)
+    at every j.  The row sums to 4^k and sum_j |j| C(2k, k + j) = k C(2k, k),
+    so h_{2k} = C(2k, k) and g_{2k+1} = (m + 1) 4^k - (2k + 1) C(2k, k):
+    O(1) big-integer operations a step, C(2k, k) carried multiplicatively.
+    At the first k with 2k > m the row C(2k, .) is built multiplicatively
+    and folded into the m + 1 coefficients, and the 3-tap step runs on.
     """
-    row = [1]  # H_0, unwrapped: x^j at row[j + k]
     g, h = [], []
-    k = 0
+    central, k = 1, 0  # C(2k, k)
     while k <= K and 2 * k <= m:
-        h.append(row[k])
-        g.append(sum((m + 1 - 2 * abs(i - k)) * c for i, c in enumerate(row)) - row[k])
-        if k < K:
-            padded = [0, 0] + row + [0, 0]
-            row = [left + 2 * mid + right
-                   for left, mid, right in zip(padded, padded[1:], padded[2:])]
+        h.append(central)
+        g.append(((m + 1) << 2 * k) - (2 * k + 1) * central)
+        central = central * (4 * k + 2) // (k + 1)
         k += 1
     if k > K:
         return g, h
     coeffs = [0] * (m + 1)  # H_k reduced modulo x^(m+1) + 1
-    for i, c in enumerate(row):
+    c = 1  # C(2k, i)
+    for i in range(2 * k + 1):
         wraps, l = divmod(i - k, m + 1)
         coeffs[l] += -c if wraps & 1 else c
+        c = c * (2 * k - i) // (i + 1)
     weight = [m + 1 - 2 * l for l in range(m + 1)]
     for k in range(k, K + 1):
         h.append(coeffs[0])
@@ -490,12 +488,14 @@ def _eriksen_weights(m: int, N: int) -> list:
 
 
 def eriksen_work(m: int, n: int) -> int:
-    """Work units ``eriksen(m, n)`` is charged: the recurrence's n/2 steps
-    on at most min(n, m) + 1 entries of up to n bits, and the outer sum's
-    n products of numbers of about n log2(m) bits (Karatsuba, about
-    bits^1.5)."""
+    """Work units ``eriksen(m, n)`` is charged: about max(0, n - m)/2
+    wrapped steps of two passes (3-tap step, weighted sum) over m + 1
+    entries of up to n bits, n closed-form terms of up to n bits, and the
+    outer sum's n products of about n log2(m) bits (Karatsuba, bits^1.5).
+    A unit took 2.9-9.9 ns on a 2-core x86_64 VM in every run over 0.1 s
+    (m = 2..10^9, n = 1500..12000, m >= n included)."""
     bits = n * (max(m, 4).bit_length() + 3) // 64
-    return n * (min(n, m) + 1) * (n // 64 + 8) + n * bits * math.isqrt(bits)
+    return (max(0, n - m) * (m + 1) + n) * (n // 64 + 8) + n * bits * math.isqrt(bits)
 
 
 def eriksen(m: int, n: int) -> Fraction:

@@ -332,6 +332,19 @@ def test_asym_compares_only_what_the_budget_admits(capsys, monkeypatch):
     assert "closed_form" not in json.loads(out)
 
 
+def test_asym_compares_a_saturated_closed_form(capsys, monkeypatch):
+    # closed_form_work(20000, 10**15) is about 4e9, over the default budget,
+    # but the closed form is saturated there and returns the limit at once.
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "asym", "--m", "20000", "--n", str(10**15), "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["closed_form"] == 20000 * 20001 / 4
+    assert payload["abs_error"] == abs(payload["closed_form"] - payload["predicted"])
+
+
 def test_asym_f_and_g(capsys):
     code, out, _ = run(capsys, "asym", "--f", "0", "--format", "json")
     assert code == 0

@@ -102,16 +102,20 @@ def test_g_h_recurrence_equals_oracle():
         for s in range(1, top + 1):
             assert g[(s + 1) // 2 - 1] == _g_coefficient(s, m), (m, s)
             assert h[s // 2] == _h_coefficient(s, m), (m, s)
-    for m in (100, 1000):  # the unwrapped band only: 2k <= m throughout
-        g, h = formulas._g_h_coefficients(m, 30)
-        for s in range(1, 62):
+    # The closed forms alone (K = 30 < m/2), and across the switch at
+    # 2k > m, where the row C(2k, .) is folded into m + 1 coefficients.
+    cases = [(100, 30), (1000, 30)] + [(m, K) for m in (100, 101) for K in (49, 50, 51, 52, 60)]
+    for m, K in cases:
+        g, h = formulas._g_h_coefficients(m, K)
+        assert len(g) == len(h) == K + 1, (m, K)
+        for s in range(1, 2 * K + 2):
             assert g[(s + 1) // 2 - 1] == _g_coefficient(s, m), (m, s)
             assert h[s // 2] == _h_coefficient(s, m), (m, s)
 
 
 def test_eriksen_large_m_small_n_needs_no_row_of_m():
-    # The recurrence's band holds at most min(n, m + 2) + 1 entries, so
-    # m >> n costs no memory of order m.
+    # While 2k <= m the inner sums are closed forms and no row is built,
+    # so m >> n costs no memory of order m.
     cases = ((10**9, 0, 0), (10**8, 1, 1), (10**9, 2, Fraction(2 * 10**9 - 2, 10**9)))
     for m, n, expected in cases:
         tracemalloc.start()
