@@ -46,7 +46,6 @@ big-integer numerators over the implied denominator, with no gcd work.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -256,26 +255,6 @@ def expected_inversions_float(m: int, n: int) -> float:
     for _ in range(n):
         p = _orbit_step(p, q, m - 4, 1.0) / m
     return float(_cell_sum(p, q))
-
-
-def brute_force_expected(m: int, n: int) -> Fraction:
-    """Average inversion count over all m^n generator sequences (oracle)."""
-    check_walk_args(m, n)
-    check_budget(m**n * max(n, 1), f"brute force m={m}, n={n}")
-    total = 0
-    count = 0
-    for seq in product(range(m), repeat=n):
-        perm = list(range(m + 1))
-        inv = 0
-        for g in seq:
-            if perm[g] < perm[g + 1]:
-                inv += 1
-            else:
-                inv -= 1
-            perm[g], perm[g + 1] = perm[g + 1], perm[g]
-        total += inv
-        count += 1
-    return Fraction(total, count)
 
 
 # --- functional-equation verification on truncated series -----------------

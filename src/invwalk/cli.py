@@ -1,8 +1,15 @@
 """Command-line front end.
 
-Subcommands route to the library modules; ``sweep`` emits CSV/JSON tables
-over an (m, n) grid for plotting the regime curves.  Exit codes: 0 success,
-1 verification failure, 2 argument error, 3 work-budget refusal.
+Each value method has one route function in ``ROUTES``, ``(m, n, args) ->
+Result``: ``dp``, ``eriksen``, ``closed``, ``lazy``, ``simulate`` and
+``predict``.  The ``exact``, ``eriksen``, ``closed``, ``lazy`` and
+``simulate`` subcommands print one route's result; ``sweep`` tabulates the
+CSV cells of the same routes over an (m, n) grid for plotting the regime
+curves; ``asym --m/--n`` adds a closed-form comparison to ``predict``.
+``_timed`` times each computation, and ``_emit`` prints every result but
+the sweep's, with a JSON ``meta`` block (method, work, elapsed time)
+unless ``--no-meta``.  Exit codes: 0 success, 1 verification failure, 2
+argument error, 3 work-budget refusal.
 
 ``verify`` prints one ``ok``/``FAIL`` line per check of ``invwalk.checks``
 (a check that raises fails), each with the grid it ran; README lists the
@@ -18,7 +25,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -40,120 +49,152 @@ def _mpf_str(value, precision: int) -> str:
     return mpmath.nstr(value, digits, strip_zeros=True)
 
 
-def _emit_json(payload: dict, out) -> None:
-    json.dump(payload, out, ensure_ascii=False)
-    out.write("\n")
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the seconds it took."""
+    start = time.perf_counter()
+    value = fn(*args, **kwargs)
+    return value, time.perf_counter() - start
 
 
-def _emit_csv(rows, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-
-
-def _value_row(m, n, method, value, precision_bits="", flags=""):
-    return (m, n, method, value, precision_bits, flags)
-
-
-def _output(args, payload: dict, rows, text: str) -> None:
+def _emit(args, payload: dict, meta: dict, rows, text: str, tail: dict | None = None) -> None:
+    """Print one result in ``args.format``.  JSON is ``payload``, then
+    ``meta`` unless ``--no-meta``, then ``tail``."""
     if args.format == "json":
-        _emit_json(payload, sys.stdout)
+        if not args.no_meta:
+            payload = {**payload, "meta": meta}
+        print(json.dumps({**payload, **(tail or {})}, ensure_ascii=False))
     elif args.format == "csv":
-        _emit_csv(rows, sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
     else:
         print(text)
 
 
-# --- value subcommands -------------------------------------------------
+# --- value routes ------------------------------------------------------
 
-def _dp_meta(args, p, elapsed) -> dict:
-    return {"method": "jump-chain-quotient", "orbits": chain.orbit_count(args.m),
-            "steps": max(args.n - 1, 0), "work_estimated": chain.dp_work(args.m, args.n, p),
+class Result(NamedTuple):
+    """One route's answer at (m, n)."""
+
+    method: str   # the JSON and CSV method label
+    fields: dict  # JSON fields after method, m and n
+    cell: tuple   # CSV (value, precision_bits, flags)
+    text: str
+    meta: dict
+
+
+def _dp_meta(m, n, p, elapsed) -> dict:
+    return {"method": "jump-chain-quotient", "orbits": chain.orbit_count(m),
+            "steps": max(n - 1, 0), "work_estimated": chain.dp_work(m, n, p),
             "elapsed_s": elapsed}
 
 
-def _cmd_exact(args) -> int:
-    start = time.perf_counter()
-    value = chain.expected_inversions_dp(args.m, args.n)
-    elapsed = time.perf_counter() - start
-    payload = {"method": "dp", "m": args.m, "n": args.n, "value": str(value)}
-    if not args.no_meta:
-        payload["meta"] = _dp_meta(args, 1, elapsed)
-    rows = [_value_row(args.m, args.n, "dp", float(value))]
-    _output(args, payload, rows, f"I({args.m},{args.n}) = {value}")
-    return 0
+def _route_dp(m, n, args) -> Result:
+    value, elapsed = _timed(chain.expected_inversions_dp, m, n)
+    return Result("dp", {"value": str(value)}, (float(value), "", ""),
+                  f"I({m},{n}) = {value}", _dp_meta(m, n, 1, elapsed))
 
 
-def _cmd_closed(args) -> int:
+def _route_eriksen(m, n, args) -> Result:
+    value, elapsed = _timed(formulas.eriksen, m, n)
+    return Result("eriksen", {"value": str(value)}, (float(value), "", ""),
+                  f"I({m},{n}) = {value}",
+                  {"method": "negacyclic-pascal",
+                   "work_estimated": formulas.eriksen_work(m, n), "elapsed_s": elapsed})
+
+
+def _route_closed(m, n, args) -> Result:
     opts = formulas.ClosedFormOptions(variant=args.variant, precision=args.precision)
-    start = time.perf_counter()
-    info = formulas.closed_form_info(args.m, args.n, opts)
-    elapsed = time.perf_counter() - start
-    text_value = _mpf_str(info.value, info.precision)
-    flags = "saturated" if info.saturated else ""
-    payload = {
-        "method": f"closed:{info.variant}", "m": args.m, "n": args.n,
-        "value": text_value, "precision_bits": info.precision,
-        "saturated": info.saturated,
+    info, elapsed = _timed(formulas.closed_form_info, m, n, opts)
+    value = _mpf_str(info.value, info.precision)
+    # A saturated result is the limit, answered before the budget.
+    estimated = 0 if info.saturated else formulas.closed_form_work(
+        m, n, info.precision, info.variant)
+    return Result(f"closed:{info.variant}",
+                  {"value": value, "precision_bits": info.precision,
+                   "saturated": info.saturated},
+                  (value, info.precision, "saturated" if info.saturated else ""),
+                  f"I({m},{n}) = {value}",
+                  {"saturated": info.saturated, "terms": info.terms,
+                   "powers": info.powers, "skipped": info.skipped,
+                   "work_bits": formulas.work_bits(m, info.precision),
+                   "work_estimated": estimated, "elapsed_s": elapsed})
+
+
+def _route_lazy(m, n, args) -> Result:
+    value, elapsed = _timed(formulas.aperiodic_expected, m, n, args.p)
+    p = formulas.move_probability(m, args.p)
+    return Result("lazy", {"p": str(p), "value": str(value)}, (float(value), "", f"p={p}"),
+                  f"lazy I({m},{n}; p={p}) = {value}",
+                  {"p": str(p), **_dp_meta(m, n, p, elapsed)})
+
+
+def _route_simulate(m, n, args) -> Result:
+    summary = simulate.monte_carlo(m, n, args.trials, seed=args.seed,
+                                   lazy_p=args.lazy_p, workers=args.workers)
+    trial_steps = summary.trials * summary.n
+    fields = {
+        "trials": summary.trials, "seed": summary.seed,
+        "lazy_p": str(summary.lazy_p) if summary.lazy_p is not None else None,
+        "mean": summary.mean, "variance": summary.variance,
+        "stderr": summary.stderr,
+        "sum_counts": summary.sum_counts, "sum_squares": summary.sum_squares,
     }
-    if not args.no_meta:
-        # A saturated result is the limit, answered before the budget.
-        estimated = 0 if info.saturated else formulas.closed_form_work(
-            args.m, args.n, info.precision, info.variant)
-        payload["meta"] = {"saturated": info.saturated, "terms": info.terms,
-                           "powers": info.powers, "skipped": info.skipped,
-                           "work_bits": formulas.work_bits(args.m, info.precision),
-                           "work_estimated": estimated, "elapsed_s": elapsed}
-    rows = [_value_row(args.m, args.n, f"closed:{info.variant}", text_value,
-                       info.precision, flags)]
-    _output(args, payload, rows, f"I({args.m},{args.n}) = {text_value}")
+    flags = f"trials={summary.trials};seed={summary.seed};stderr={summary.stderr:.6g}"
+    return Result("simulate", fields, (summary.mean, "", flags),
+                  f"mean = {summary.mean:.6f} +- {summary.stderr:.6f} "
+                  f"({summary.trials} trials)",
+                  {"method": simulate.METHOD, "dtype": simulate.perm_dtype(m).name,
+                   "blocks": summary.blocks, "trial_steps": trial_steps,
+                   "rejection_redraws": summary.rejection_redraws,
+                   "elapsed_s": summary.elapsed,
+                   "trial_steps_per_s": (trial_steps / summary.elapsed
+                                         if summary.elapsed > 0 else None)})
+
+
+def _route_predict(m, n, args) -> Result:
+    estimate, elapsed = _timed(asymptotics.predict, m, n)
+    return Result("predict", asdict(estimate),
+                  (estimate.predicted, "",
+                   f"regime={estimate.regime};clamped={estimate.clamped}"),
+                  f"regime {estimate.regime}: predicted I({m},{n}) "
+                  f"= {estimate.predicted:.6g} (normalizer {estimate.normalizer},"
+                  f" clamped={estimate.clamped})",
+                  {"method": "predict", "elapsed_s": elapsed})
+
+
+ROUTES = {"dp": _route_dp, "eriksen": _route_eriksen, "closed": _route_closed,
+          "lazy": _route_lazy, "simulate": _route_simulate, "predict": _route_predict}
+
+
+def _emit_result(args, result: Result) -> int:
+    m, n = args.m, args.n
+    _emit(args, {"method": result.method, "m": m, "n": n, **result.fields}, result.meta,
+          [(m, n, result.method, *result.cell)], result.text)
     return 0
 
 
-def _cmd_eriksen(args) -> int:
-    start = time.perf_counter()
-    value = formulas.eriksen(args.m, args.n)
-    elapsed = time.perf_counter() - start
-    payload = {"method": "eriksen", "m": args.m, "n": args.n, "value": str(value)}
-    if not args.no_meta:
-        payload["meta"] = {"method": "negacyclic-pascal",
-                           "work_estimated": formulas.eriksen_work(args.m, args.n),
-                           "elapsed_s": elapsed}
-    rows = [_value_row(args.m, args.n, "eriksen", float(value))]
-    _output(args, payload, rows, f"I({args.m},{args.n}) = {value}")
-    return 0
+def _cmd_value(args) -> int:
+    return _emit_result(args, args.route(args.m, args.n, args))
 
+
+# --- other subcommands -------------------------------------------------
 
 def _cmd_bounds(args) -> int:
-    pair = formulas.bounds(args.m, args.n, precision=args.precision)
+    pair, elapsed = _timed(formulas.bounds, args.m, args.n, precision=args.precision)
     lo = _mpf_str(pair.lower, args.precision)
     hi = _mpf_str(pair.upper, args.precision)
     payload = {"method": "bounds", "m": args.m, "n": args.n,
                "lower": lo, "upper": hi, "precision_bits": args.precision}
-    rows = [_value_row(args.m, args.n, "bounds:lower", lo, args.precision),
-            _value_row(args.m, args.n, "bounds:upper", hi, args.precision)]
-    _output(args, payload, rows, f"{lo} <= I({args.m},{args.n}) <= {hi}")
-    return 0
-
-
-def _cmd_lazy(args) -> int:
-    start = time.perf_counter()
-    value = formulas.aperiodic_expected(args.m, args.n, args.p)
-    elapsed = time.perf_counter() - start
-    p = formulas.move_probability(args.m, args.p)
-    payload = {"method": "lazy", "m": args.m, "n": args.n,
-               "p": str(p), "value": str(value)}
-    if not args.no_meta:
-        payload["meta"] = {"p": str(p), **_dp_meta(args, p, elapsed)}
-    rows = [_value_row(args.m, args.n, "lazy", float(value), "", f"p={p}")]
-    _output(args, payload, rows, f"lazy I({args.m},{args.n}; p={p}) = {value}")
+    rows = [(args.m, args.n, "bounds:lower", lo, args.precision, ""),
+            (args.m, args.n, "bounds:upper", hi, args.precision, "")]
+    _emit(args, payload, {"method": "sandwich", "elapsed_s": elapsed}, rows,
+          f"{lo} <= I({args.m},{args.n}) <= {hi}")
     return 0
 
 
 def _cmd_gf(args) -> int:
-    start = time.perf_counter()
-    base = genfun.build_gf(args.m)
-    elapsed = time.perf_counter() - start
+    base, elapsed = _timed(genfun.build_gf, args.m)
     rf = base if args.p is None else genfun.aperiodic_gf(base, args.m, args.p)
     lines = [str(rf)]
     payload = {
@@ -163,21 +204,21 @@ def _cmd_gf(args) -> int:
         "num_coeffs": [str(c) for c in rf.num.coeffs],
         "den_coeffs": [str(c) for c in rf.den.coeffs],
     }
-    if not args.no_meta:
-        payload["meta"] = {"method": "berlekamp-massey", "terms": genfun.gf_terms(args.m),
-                           "order": base.order, "elapsed_s": elapsed}
-    rows = [_value_row(args.m, "", "gf", str(rf))]
+    meta = {"method": "berlekamp-massey", "terms": genfun.gf_terms(args.m),
+            "order": base.order, "elapsed_s": elapsed}
+    rows = [(args.m, "", "gf", str(rf), "", "")]
+    tail = {}
     if args.series is not None:
         coeffs = genfun.series(rf, args.series)
-        payload["series"] = [str(c) for c in coeffs]
+        tail["series"] = [str(c) for c in coeffs]
         lines.append("series: " + ", ".join(str(c) for c in coeffs))
-        rows.extend(_value_row(args.m, k, "gf:series", float(c))
+        rows.extend((args.m, k, "gf:series", float(c), "", "")
                     for k, c in enumerate(coeffs))
     exit_code = 0
     if args.check_poles:
         table = spectral.build_table(args.m, 128)
         report = genfun.pole_check(base, table)
-        payload["pole_check"] = {
+        tail["pole_check"] = {
             "passed": report.passed,
             "unmatched_degree": report.unmatched_degree,
             "matched": [{"root": r, "candidate": lab, "multiplicity": mult}
@@ -187,90 +228,56 @@ def _cmd_gf(args) -> int:
                      f"(unmatched degree {report.unmatched_degree})")
         if not report.passed:
             exit_code = 1
-    _output(args, payload, rows, "\n".join(lines))
+    _emit(args, payload, meta, rows, "\n".join(lines), tail)
     return exit_code
 
 
-def _cmd_simulate(args) -> int:
-    summary = simulate.monte_carlo(args.m, args.n, args.trials, seed=args.seed,
-                                   lazy_p=args.lazy_p, workers=args.workers)
-    payload = {
-        "method": "simulate", "m": summary.m, "n": summary.n,
-        "trials": summary.trials, "seed": summary.seed,
-        "lazy_p": str(summary.lazy_p) if summary.lazy_p is not None else None,
-        "mean": summary.mean, "variance": summary.variance,
-        "stderr": summary.stderr,
-        "sum_counts": summary.sum_counts, "sum_squares": summary.sum_squares,
-    }
-    if not args.no_meta:
-        trial_steps = summary.trials * summary.n
-        payload["meta"] = {
-            "method": simulate.METHOD, "dtype": simulate.perm_dtype(summary.m).name,
-            "blocks": summary.blocks, "trial_steps": trial_steps,
-            "rejection_redraws": summary.rejection_redraws,
-            "elapsed_s": summary.elapsed,
-            "trial_steps_per_s": trial_steps / summary.elapsed if summary.elapsed > 0 else None,
-        }
-    flags = f"trials={summary.trials};seed={summary.seed};stderr={summary.stderr:.6g}"
-    rows = [_value_row(args.m, args.n, "simulate", summary.mean, "", flags)]
-    _output(args, payload, rows,
-            f"mean = {summary.mean:.6f} +- {summary.stderr:.6f} "
-            f"({summary.trials} trials)")
-    return 0
-
-
 def _cmd_asym(args) -> int:
+    if (args.m is None) != (args.n is None):
+        raise ValueError("asym --m and --n go together")
     chosen = sum(x is not None for x in (args.m, args.f, args.g)) + args.consistency
     if chosen != 1:
         raise ValueError("asym needs exactly one of --m/--n, --f, --g, --consistency")
-    if args.f is not None:
-        value = asymptotics.f_kappa(args.f, method=args.method)
-        payload = {"method": f"f:{args.method}", "kappa": args.f, "value": value}
-        rows = [_value_row("", "", f"f:{args.method}", value, "", f"kappa={args.f}")]
-        _output(args, payload, rows, f"f({args.f}) = {value!r}")
-        return 0
-    if args.g is not None:
-        value = asymptotics.g_kappa(args.g)
-        payload = {"method": "g", "kappa": args.g, "value": value}
-        rows = [_value_row("", "", "g", value, "", f"kappa={args.g}")]
-        _output(args, payload, rows, f"g({args.g}) = {value!r}")
-        return 0
+    if args.m is not None:
+        return _asym_predict(args)
     if args.consistency:
-        report = asymptotics.consistency_limits()
-        rows = [_value_row("", "", "consistency:f", v, "", f"kappa={k}")
+        report, elapsed = _timed(asymptotics.consistency_limits)
+        rows = [("", "", "consistency:f", v, "", f"kappa={k}")
                 for k, v in zip(report["f_kappas"], report["f_values"])]
-        rows += [_value_row("", "", "consistency:g", v, "", f"kappa={k}")
+        rows += [("", "", "consistency:g", v, "", f"kappa={k}")
                  for k, v in zip(report["g_kappas"], report["g_values"])]
         text = (f"target sqrt(2/pi) = {report['target']!r}\n"
                 f"sqrt(k)f(k) at {report['f_kappas']}: {report['f_values']}\n"
                 f"g(k)/sqrt(k) at {report['g_kappas']}: {report['g_values']}\n"
                 f"monotone approach: f={report['f_monotone']} g={report['g_monotone']}")
-        _output(args, report, rows, text)
+        _emit(args, report, {"method": "consistency", "elapsed_s": elapsed}, rows, text)
         return 0
-    if args.n is None:
-        raise ValueError("asym --m requires --n")
-    estimate = asymptotics.predict(args.m, args.n)
-    payload = {
-        "method": "predict", "m": args.m, "n": args.n,
-        "regime": estimate.regime, "predicted": estimate.predicted,
-        "normalizer": estimate.normalizer, "kappa": estimate.kappa,
-        "clamped": estimate.clamped,
-        "lower": estimate.lower, "upper": estimate.upper,
-    }
-    lines = [f"regime {estimate.regime}: predicted I({args.m},{args.n}) "
-             f"= {estimate.predicted:.6g} (normalizer {estimate.normalizer},"
-             f" clamped={estimate.clamped})"]
+    if args.f is not None:
+        name, method, kappa = "f", f"f:{args.method}", args.f
+        value, elapsed = _timed(asymptotics.f_kappa, kappa, method=args.method)
+    else:
+        name, method, kappa = "g", "g", args.g
+        value, elapsed = _timed(asymptotics.g_kappa, kappa)
+    _emit(args, {"method": method, "kappa": kappa, "value": value},
+          {"method": method, "elapsed_s": elapsed},
+          [("", "", method, value, "", f"kappa={kappa}")],
+          f"{name}({kappa}) = {value!r}")
+    return 0
+
+
+def _asym_predict(args) -> int:
+    result = ROUTES["predict"](args.m, args.n, args)
+    fields, text = dict(result.fields), result.text
     try:  # compare against the closed form unless its work budget refuses it
         reference = float(formulas.closed_form(args.m, args.n))
-        payload.update(closed_form=reference, abs_error=abs(reference - estimate.predicted))
-        lines.append(f"closed form = {reference:.6g} "
-                     f"(abs error {payload['abs_error']:.3g})")
     except WorkBudgetError:
-        pass
-    flags = f"regime={estimate.regime};clamped={estimate.clamped}"
-    rows = [_value_row(args.m, args.n, "predict", estimate.predicted, "", flags)]
-    _output(args, payload, rows, "\n".join(lines))
-    return 0
+        compared = False
+    else:
+        compared = True
+        fields.update(closed_form=reference, abs_error=abs(reference - fields["predicted"]))
+        text += f"\nclosed form = {reference:.6g} (abs error {fields['abs_error']:.3g})"
+    return _emit_result(args, result._replace(
+        fields=fields, text=text, meta={**result.meta, "closed_form_compared": compared}))
 
 
 # --- sweep -------------------------------------------------------------
@@ -336,42 +343,17 @@ def _sweep_methods(text: str):
     return methods
 
 
-def _sweep_cell(method: str, m: int, n: int, args):
-    """One (value, precision_bits, flags) measurement for the sweep table."""
-    if method == "dp":
-        return float(chain.expected_inversions_dp(m, n)), "", ""
-    if method == "eriksen":
-        return float(formulas.eriksen(m, n)), "", ""
-    if method == "closed":
-        info = formulas.closed_form_info(
-            m, n, formulas.ClosedFormOptions(precision=args.precision))
-        return (_mpf_str(info.value, info.precision), info.precision,
-                "saturated" if info.saturated else "")
-    if method == "predict":
-        est = asymptotics.predict(m, n)
-        return est.predicted, "", f"regime={est.regime};clamped={est.clamped}"
-    # "simulate", the last of SWEEP_METHODS (the parser admits no other name)
-    summary = simulate.monte_carlo(m, n, args.trials, seed=args.seed,
-                                   workers=args.workers)
-    return summary.mean, "", f"trials={args.trials};stderr={summary.stderr:.6g}"
-
-
 def _cmd_sweep(args) -> int:
     n_of_m = parse_n_expression(args.n_expr)
     rows = []
-    records = []
     for m in args.m_values:
         n = n_of_m(m)
-        for method in args.methods:
-            value, bits, flags = _sweep_cell(method, m, n, args)
-            rows.append(_value_row(m, n, method, value, bits, flags))
-            records.append({"m": m, "n": n, "method": method, "value": value,
-                            "precision_bits": bits or None, "flags": flags or None})
-    if args.format == "json":
-        _emit_json({"method": "sweep", "n_expr": args.n_expr, "rows": records},
-                   sys.stdout)
-    else:
-        _emit_csv(rows, sys.stdout)
+        rows.extend((m, n, method, *ROUTES[method](m, n, args).cell)
+                    for method in args.methods)
+    records = [{"m": m, "n": n, "method": method, "value": value,
+                "precision_bits": bits or None, "flags": flags or None}
+               for m, n, method, value, bits, flags in rows]
+    _emit(args, {"method": "sweep", "n_expr": args.n_expr, "rows": records}, {}, rows, "")
     return 0
 
 
@@ -417,17 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("exact", help="exact rational value by dynamic programming")
     _add_common(sub)
-    sub.set_defaults(run=_cmd_exact)
+    sub.set_defaults(run=_cmd_value, route=_route_dp)
 
     sub = subs.add_parser("closed", help="spectral closed form at binary precision")
     _add_common(sub)
     sub.add_argument("--variant", choices=formulas.VARIANTS, default="theorem1")
     sub.add_argument("--precision", type=int, default=53)
-    sub.set_defaults(run=_cmd_closed)
+    sub.set_defaults(run=_cmd_value, route=_route_closed)
 
     sub = subs.add_parser("eriksen", help="exact rational value by the binomial formula")
     _add_common(sub)
-    sub.set_defaults(run=_cmd_eriksen)
+    sub.set_defaults(run=_cmd_value, route=_route_eriksen)
 
     sub = subs.add_parser("gf", help="exact generating function in t")
     _add_common(sub, n_required=False)
@@ -448,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--p", type=_fraction_arg, default=None,
                      help="lazy-chain move probability (rational; default m/(m+1))")
-    sub.set_defaults(run=_cmd_lazy)
+    sub.set_defaults(run=_cmd_value, route=_route_lazy)
 
     sub = subs.add_parser("simulate", help="Monte Carlo estimate")
     _add_common(sub)
@@ -456,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--lazy-p", type=_fraction_arg, default=None)
     sub.add_argument("--workers", type=int, default=1)
-    sub.set_defaults(run=_cmd_simulate)
+    sub.set_defaults(run=_cmd_value, route=_route_simulate)
 
     sub = subs.add_parser("asym", help="regime classification and limit laws")
     sub.add_argument("--m", type=int, default=None)
@@ -485,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.set_defaults(run=_cmd_sweep)
+    # The closed and simulate routes read variant and lazy_p; the sweep runs
+    # their defaults.  Its rows carry no meta yet.
+    sub.set_defaults(run=_cmd_sweep, variant="theorem1", lazy_p=None, no_meta=True)
 
     return parser
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from invwalk import chain
 from invwalk.budget import WorkBudgetError
 
+from brute_force import brute_force_expected
+
 
 def test_cell_index_is_dense():
     for m in (1, 2, 5):
@@ -107,7 +109,7 @@ def test_dp_examples(m, n, expected):
 def test_dp_equals_brute_force(m, n):
     for steps in range(n + 1):
         assert chain.expected_inversions_dp(m, steps) == \
-            chain.brute_force_expected(m, steps)
+            brute_force_expected(m, steps)
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -255,7 +257,7 @@ def wrong_corner_self_weight(stencil):
 
 def test_budget_refusal():
     with pytest.raises(WorkBudgetError):
-        chain.brute_force_expected(3, 50)
+        brute_force_expected(3, 50)
 
 
 def test_domain_errors():

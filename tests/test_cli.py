@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -378,6 +379,42 @@ def test_asym_requires_one_mode(capsys):
     assert "argument" in err
 
 
+def test_asym_n_without_m_is_argument_error(capsys):
+    code, out, err = run(capsys, "asym", "--f", "1", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument:")
+
+
+@pytest.mark.parametrize("argv,method", [
+    (("bounds", "--m", "5", "--n", "5"), "sandwich"),
+    (("asym", "--f", "1"), "f:series"),
+    (("asym", "--f", "1", "--method", "quadrature"), "f:quadrature"),
+    (("asym", "--g", "0.5"), "g"),
+    (("asym", "--consistency"), "consistency"),
+    (("asym", "--m", "100", "--n", "10000"), "predict"),
+])
+def test_bounds_and_asym_meta(capsys, argv, method):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    meta = payload.pop("meta")
+    assert meta["method"] == method
+    assert 0 <= meta["elapsed_s"] < 10
+    code, out, _ = run(capsys, *argv, "--format", "json", "--no-meta")
+    assert code == 0
+    assert json.loads(out) == payload
+
+
+def test_asym_meta_says_whether_closed_form_compared(capsys, monkeypatch):
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    for m, n, compared in ((100, 10000, True), (1500, 1, False)):
+        code, out, _ = run(capsys, "asym", "--m", str(m), "--n", str(n), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"]["closed_form_compared"] is compared
+        assert ("closed_form" in payload) is compared
+
+
 def test_verify_quick(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
@@ -499,3 +536,16 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main(["exact", "--m", "2"])
     assert info.value.code == 2
+
+
+# Exact stdout and exit code of small invocations of every subcommand but
+# verify, in each format (JSON without meta, whose times vary).  Recorded
+# from the CLI before its value methods shared one route function each;
+# since then the sweep's simulate flags carry the seed, as `simulate` does.
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
+def test_golden_output(capsys, case):
+    code, out, _ = run(capsys, *case["argv"].split())
+    assert (code, out) == (case["exit"], case["stdout"])
