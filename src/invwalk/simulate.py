@@ -11,13 +11,17 @@ Layout: each worker takes one contiguous span of trials and walks it in
 blocks of at most 2^16 trials and 2^22 permutation entries, so memory is
 bounded whatever the trial count (hence m < 2^22).  A block keeps all its
 permutations in one flat array of the narrowest dtype holding 0..m (int8
-up to m = 127, then int16, then int32); a step gathers the two entries at
-``t (m+1) + i`` and ``+ 1`` with ``take`` and scatters them back swapped.
+up to m = 127, then int16, then int32); a step gathers the entry at
+``p = t (m+1) + i`` and its right neighbour, read at p in the view
+``perm[1:]``, with ``take`` and scatters them back swapped.
 
 Since the stream is counter-based, a block draws a tile of T steps at a
 time, ``T = max(1, _TILE_CELLS // trials)``, in one (T, trials) pass: the
 index draws, the rejection redraws of the moving trials' draws, the lazy
-hold decisions and the flat positions ``t (m+1) + i``.
+hold decisions and the flat positions ``t (m+1) + i``.  Each index is
+``v - (v // m) m``, exactly ``v % m``: numpy's ``floor_divide`` by the
+fixed scalar m multiplies by a precomputed reciprocal (Granlund and
+Montgomery, PLDI 1994), about twice as fast as ``remainder``'s divides.
 ``_TILE_CELLS = 2^15`` keeps the tile's arrays in cache and no larger
 than one step of a block of more trials.
 A held trial's position is a dummy pair of equal entries after the last
@@ -31,9 +35,10 @@ Budget: ``monte_carlo`` refuses, before allocating anything, a request
 whose ``estimated_work`` exceeds the work budget.  One unit is one
 trial-step; each step of a block adds about 100 units (2-3 us) of fixed
 numpy overhead, and filling the permutations one unit per 16 entries.
-Measured on a 2-core x86_64 VM over runs longer than 0.03 s, a unit takes
-16-31 ns for m <= 5000, so the default budget of 10^9 admits roughly
-15-30 s of work.
+Measured on a 2-core x86_64 VM, best of 3 over 24 runs of 0.036-1.2 s
+with m <= 5000 (few trials and many steps, and the reverse), a unit
+takes 10-29 ns, so the default budget of 10^9 admits roughly 10-29 s
+of work; a refused request may take as little as about 10 s.
 """
 
 from __future__ import annotations
@@ -223,6 +228,15 @@ def _redraw(v, keys, steps: range, limit, move=None) -> int:
     return redraws
 
 
+def _index(v, m_u, tmp):
+    """``v % m`` of the uint64 array v, in place, as ``v - (v // m) m``; tmp is
+    scratch of v's shape.  ``floor_divide`` by a scalar multiplies by a
+    precomputed reciprocal, where ``remainder`` divides each entry."""
+    np.floor_divide(v, m_u, out=tmp)
+    tmp *= m_u
+    return np.subtract(v, tmp, out=v)
+
+
 def _run_block(m, n, seed, lo, hi, hold_threshold):
     """Vectorized simulation of trials [lo, hi); returns exact (sum, sumsq, redraws).
 
@@ -230,8 +244,9 @@ def _run_block(m, n, seed, lo, hi, hold_threshold):
     offsets t (m+1) .. t (m+1) + m, followed by a dummy pair of equal entries.
     Each tile of steps draws its flat positions in one (steps, trials) pass;
     a held trial points at the dummy pair, whose swap changes nothing.  The
-    step loop then only gathers, compares and scatters, and each count is
-    ``2 ups - moves``.
+    step loop then only gathers, compares and scatters, reading each right
+    neighbour through the view ``perm[1:]`` at the same positions, and each
+    count is ``2 ups - moves``.
     """
     size = hi - lo
     trials = np.arange(lo, hi, dtype=np.uint64)
@@ -240,6 +255,7 @@ def _run_block(m, n, seed, lo, hi, hold_threshold):
     dummy = size * (m + 1)
     perm = np.zeros(dummy + 2, dtype=perm_dtype(m))
     perm[:dummy] = np.tile(np.arange(m + 1, dtype=perm.dtype), size)
+    nxt = perm[1:]  # nxt[p] is perm[p + 1]
     base = np.arange(size, dtype=np.int64) * (m + 1)
     m_u = np.uint64(m)
     limit_int = _rejection_limit(m)
@@ -258,26 +274,26 @@ def _run_block(m, n, seed, lo, hi, hold_threshold):
         if lazy:
             np.add(keys, _step_offsets(steps, 0, 0), out=v)
             move = _mix64_np(v, tmp) < np.uint64(hold_threshold)
-            moves += move.sum(axis=0)
+            # a tile has at most _TILE_CELLS steps, so int32 sums are exact
+            moves += move.view(np.uint8).sum(axis=0, dtype=np.int32)
         _mix64_np(np.add(keys, _step_offsets(steps, 1, 0), out=v), tmp)
-        if limit is not None and (v >= limit).any():
+        if limit is not None and v.max() >= limit:
             # a held trial's index is never read: it points at the dummy pair
             redraws += _redraw(v, keys, steps, limit, move if lazy else None)
-        pos = np.remainder(v, m_u, out=v).view(np.int64)  # entries < m: the view is exact
+        pos = _index(v, m_u, tmp).view(np.int64)  # entries < m: the view is exact
         pos += base
         if lazy:  # held trials point at the dummy pair
             pos -= dummy
             pos *= move
             pos += dummy
-        right_pos = np.add(pos, 1, out=tmp.view(np.int64))
         for row in range(len(steps)):
-            p, rp = pos[row], right_pos[row]
+            p = pos[row]
             left = perm.take(p)
-            right = perm.take(rp)
+            right = nxt.take(p)
             np.less(left, right, out=up[row])
             perm[p] = right
-            perm[rp] = left
-        ups += up.sum(axis=0)
+            nxt[p] = left
+        ups += up.view(np.uint8).sum(axis=0, dtype=np.int32)
     counts = 2 * ups - moves
     total = int(counts.sum())
     max_count = m * (m + 1) // 2

@@ -190,11 +190,22 @@ def test_simulate_meta(capsys):
     assert meta["blocks"] == 1
     assert meta["trial_steps"] == 500 * 20
     assert meta["rejection_redraws"] == 0
+    assert meta["work_estimated"] == simulate.estimated_work(130, 20, 500) > 500 * 20
+    assert meta["workers"] == 1
     assert meta["elapsed_s"] > 0
     assert meta["trial_steps_per_s"] == pytest.approx(500 * 20 / meta["elapsed_s"])
     code, out, _ = run(capsys, *args, "--no-meta")
     assert code == 0
     assert "meta" not in json.loads(out)
+
+
+def test_simulate_meta_reports_workers(capsys):
+    code, out, _ = run(capsys, "simulate", "--m", "5", "--n", "30", "--trials", "1000",
+                       "--workers", "3", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["workers"] == 3
+    assert meta["work_estimated"] == simulate.estimated_work(5, 30, 1000)
 
 
 def test_simulate_budget_env_refuses(capsys, monkeypatch):

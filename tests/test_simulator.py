@@ -121,10 +121,11 @@ def _force_rejection(monkeypatch):
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("lazy_p", [None, Fraction(1, 1000), Fraction(1, 2), "m/(m+1)",
                                     Fraction(1)])
-@pytest.mark.parametrize("m", [1, 2, 3, 127, 128])
+@pytest.mark.parametrize("m", [1, 2, 3, 127, 128, 40001])
 def test_tiled_block_equals_per_step_oracle(monkeypatch, m, lazy_p, forced):
     # m = 1, 2 and 128 draw no redraws unless forced (a power of two
-    # divides 2^64); 127 and 128 straddle the int8/int16 switch.
+    # divides 2^64); 127 and 128 straddle the int8/int16 switch, and
+    # m = 40001 takes the int32 layout with an odd divisor.
     if forced:
         _force_rejection(monkeypatch)
     monkeypatch.setattr(simulate, "_TILE_CELLS", 64)
@@ -139,6 +140,15 @@ def test_tiled_block_equals_per_step_oracle(monkeypatch, m, lazy_p, forced):
             assert got == expected, (lo, hi, n)
             moved = _any_step_moves(2024 + n, lo, hi, n, threshold)
             assert (got[2] > 0) == (forced and moved), (lo, hi, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 127, 128, 129, 2**22 - 1])
+def test_index_is_exact_at_the_ends_of_uint64(m):
+    limit = simulate._rejection_limit(m)
+    draws = [0, m - 1, m, limit - 1, 2**64 - 1] + ([limit] if limit < 2**64 else [])
+    v = np.array(draws, dtype=np.uint64)
+    got = simulate._index(v, np.uint64(m), np.empty_like(v))
+    assert got.tolist() == [d % m for d in draws]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
