@@ -117,6 +117,8 @@ def _route_closed(m, n, args) -> Result:
                   f"I({m},{n}) = {value}",
                   {"saturated": info.saturated, "terms": info.terms,
                    "powers": info.powers, "skipped": info.skipped,
+                   # An exact or saturated answer runs no sum to round.
+                   **({"rounding": info.rounding} if info.rounding else {}),
                    "work_bits": formulas.work_bits(m, info.precision),
                    "work_estimated": estimated, "elapsed_s": elapsed})
 

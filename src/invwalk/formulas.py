@@ -6,8 +6,13 @@ sandwich bounds, and the lazified (aperiodic) expectation, which is the
 exact DP with the lazy chain's outer weights.  The spectral sums run at
 a configurable binary precision with internal guard bits: the summands
 span a ~m^4 dynamic range and the result suffers heavy cancellation for
-small n.  Both run one orbit loop on raw mpf tuples (``_orbit_sum``),
-bit-identical to the same loop on mpf operators.  Eriksen's binomial
+small n.  Both run one orbit loop on raw mpf tuples (``_orbit_sum``)
+whose terms are bit-identical to the same loop on mpf operators.  The
+loop adds them exactly, in a fixed-point accumulator (``_ExactSum``),
+and rounds once: when both ends of an interval sure to hold the
+operators' sequentially rounded total finish to one value, that value
+is theirs bit for bit; otherwise, rarely, the loop runs again adding
+with ``mpf_add`` (see ``closed_form_info``).  Eriksen's binomial
 formula takes O(n + max(0, n - m) m) big-integer operations (closed
 forms, then one negacyclic Pascal recurrence, for its inner sums, one
 synthetic division for the outer sum); it shares no code with the DP
@@ -24,8 +29,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from mpmath import mpf, workprec
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int,
-                          mpf_rdiv_int, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_pow_int, mpf_rdiv_int, mpf_sub, round_nearest)
 
 from .budget import check_budget, check_probability, check_walk_args
 from .chain import expected_inversions_dp
@@ -63,6 +68,7 @@ class ClosedFormResult:
     terms: int    # orbit summands computed
     powers: int   # terms whose 1 - x^n entered, raised at the pair or at its mirror
     skipped: int  # of the (m+1)^2 pairs, those left out of the sum
+    rounding: str | None  # "exact" or "sequential" (see closed_form_info); None: no sum
 
 
 @dataclass(frozen=True)
@@ -167,11 +173,66 @@ def _powered_columns(m: int, n: int, work: int):
             yield powered.tolist()
 
 
-def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
-    """``(total, terms, powers, summed)`` of the orbit loop, every mpf
-    operator replaced by the libmp call it makes (``…`` = work, nearest):
+class _SequentialSum:
+    """The running total of the mpf operators: each term is added to it
+    with one ``mpf_add`` at ``work`` bits, rounding to nearest."""
 
-    - ``c_k`` -> ``table.c[k]._mpf_``, and the running ``mpf(0)`` -> ``fzero``;
+    __slots__ = ("total", "work")
+
+    def __init__(self, work: int):
+        self.total, self.work = fzero, work
+
+    def add(self, term) -> None:
+        self.total = mpf_add(self.total, term, self.work, round_nearest)
+
+
+class _ExactSum:
+    """An exact sum of mpf tuples in fixed point (Kulisch's long
+    accumulator): ``total`` is the sum S of the terms and ``size`` the sum
+    A of their absolute values, both in units of 2^``exp``, the smallest
+    exponent of a nonzero term seen so far; ``reads`` counts the terms, r,
+    zeros included.  ``add`` rounds nothing, so S and A are exact."""
+
+    __slots__ = ("total", "size", "exp", "reads")
+
+    def __init__(self):
+        self.total = self.size = self.reads = 0
+        self.exp = None
+
+    def add(self, term) -> None:
+        self.reads += 1
+        sign, man, exp, _ = term
+        if not man:
+            return
+        if self.exp is None:
+            self.exp = exp
+        shift = exp - self.exp
+        if shift < 0:
+            self.total <<= -shift
+            self.size <<= -shift
+            self.exp = exp
+        else:
+            man <<= shift
+        self.size += man
+        self.total += -man if sign else man
+
+    def interval(self, work: int) -> tuple:
+        """S - delta and S + delta, delta = r A 2^(1-work), as exact mpf
+        tuples: the interval that holds the sequential total of the same
+        terms at ``work`` bits (see ``closed_form_info``)."""
+        if self.exp is None:
+            return fzero, fzero
+        total, delta = self.total << (work - 1), self.reads * self.size
+        exp = self.exp + 1 - work
+        return from_man_exp(total - delta, exp), from_man_exp(total + delta, exp)
+
+
+def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool, add):
+    """``(terms, powers, summed)`` of the orbit loop, which passes each term
+    it reads to ``add``, in order.  Every mpf operator of the loop is
+    replaced by the libmp call it makes (``…`` = work, nearest):
+
+    - ``c_k`` -> ``table.c[k]._mpf_``;
     - ``1 / s_k**2`` -> ``mpf_rdiv_int(1, mpf_pow_int(s_k, 2, …), …)`` (theorem 1);
     - ``1 / (1 - c_k)`` -> ``mpf_rdiv_int(1, mpf_sub(fone, c_k, …), …)`` (ser3);
     - ``mpf(4) / m`` -> ``mpf_div(from_int(4), from_int(m), …)``;
@@ -185,7 +246,9 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
     - ``w * (1 - xn)`` -> ``mpf_mul(w, mpf_sub(fone, xn, …), …)`` (ser3);
     - ``w * (1 - 0)``, x^n unraised -> ``w`` (ser3): ``mpf_mul_int(w, 1, …)``
       returns a ``work``-bit w unchanged;
-    - ``total += term`` -> ``total = mpf_add(total, term, …)``.
+    - ``total += term`` -> ``add(term)``: ``_SequentialSum.add`` makes the
+      operators' ``total = mpf_add(total, term, …)`` from ``fzero``, and
+      ``_ExactSum.add`` adds the term without rounding.
     """
     rnd = round_nearest
     c = [ck._mpf_ for ck in table.c]
@@ -207,7 +270,6 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
         x = mpf_sub(fone, mpf_mul(four_over_m, x, work, rnd), work, rnd)
         return mpf_pow_int(x, n, work, rnd)
 
-    total = fzero
     if theorem1:
         # One term per orbit of (j, k) -> (k, j), (m-k, m-j), read at every
         # live pair of the orbit.
@@ -221,9 +283,9 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
                 term = cache.get(orbit)
                 if term is None:
                     term = cache[orbit] = mpf_mul(weight(*orbit), power(*orbit), work, rnd)
-                total = mpf_add(total, term, work, rnd)
+                add(term)
             summed += len(columns)
-        return total, len(cache), len(cache), summed
+        return len(cache), len(cache), summed
     # ser3 reads the term of j < k at (j, k) and again at (k, j).  Row j
     # keeps its terms (j, k > j) in a list, last column first, so row k
     # pops (j, k) at its second read and the kept terms peak near
@@ -237,7 +299,7 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
     powers = 0
     for j, row_powered in enumerate(powered):
         for earlier in kept:
-            total = mpf_add(total, earlier.pop(), work, rnd)
+            add(earlier.pop())
         handed = mirrored[j]
         row = []
         for k in range(j, m + 1):
@@ -250,11 +312,10 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool):
                 powers += 1
             if j + k < m:
                 mirrored[m - k].append(one_minus_xn)
-            total = mpf_add(total, term, work, rnd)
+            add(term)
             row.append(term)
         kept.append(row[:0:-1])
-    terms = (m + 1) * (m + 2) // 2
-    return total, terms, powers, (m + 1) ** 2
+    return (m + 1) * (m + 2) // 2, powers, (m + 1) ** 2
 
 
 def work_bits(m: int, precision: int) -> int:
@@ -265,12 +326,10 @@ def work_bits(m: int, precision: int) -> int:
 
 def _orbit_counts(m: int, n: int, work: int, variant: str) -> tuple:
     """``(terms, powers, additions)``: the orbit terms ``_orbit_sum``
-    computes, the powers x^n it raises among them and the pairs it adds;
-    exact for ser3's terms and additions, upper bounds otherwise.  ser3's
-    ``powers`` counts the terms whose 1 - x^n enters; it raises only the
-    ones at pairs j + k <= m, about half of them near n = m, and takes the
-    rest from their mirrors, so the charge for its powers is about twice
-    what it raises there.
+    computes, the powers x^n it raises among them and the terms it adds;
+    exact for ser3's terms and additions, upper bounds otherwise.  ser3
+    raises x^n only at pairs j + k <= m, (m+2)^2/4 of them, and takes the
+    rest from their mirrors (see ``closed_form_info``).
 
     A theorem-1 pair is live only if x_jk^n > 2^-(work+9) x_00^n, since
     w_jk <= w_00, and ser3 raises x_jk^n only if x_jk^n > 2^-(work+9).
@@ -278,16 +337,17 @@ def _orbit_counts(m: int, n: int, work: int, variant: str) -> tuple:
     -log x_jk ~ (4/m) theta^2 ((j-k)^2 + (j+k+1)^2), theta = pi/(2m+2), so
     either set fills two quarter discs j^2 + k^2 <= (work+9) ln 2 m^3
     / (2 pi^2 n): ln 2 / (16 pi) work m^3/n = 0.014 work m^3/n theorem-1
-    orbits and twice that many ser3 orbits.  The weights thin the discs,
-    and the sines widen them where they reach the middle.  From n = 1 to
+    orbits and as many ser3 powers raised, the disc at (m, m) taking its
+    powers from the one at (0, 0).  The weights thin the discs, and the
+    sines widen them where they reach the middle.  From n = 1 to
     saturation, over m = 8..2000 and precisions 53..1024, the live orbits
-    never exceeded 2 + 0.025 work m^3/n and the raised powers (m <= 1000)
-    2 + 0.06 work m^3/n.  An orbit has at most 4 pairs.
+    never exceeded 2 + 0.025 work m^3/n, and over m = 8..1000 the powers
+    ser3 raised never exceeded 2 + 0.0271 work m^3/n or (m+2)^2/4.  An
+    orbit has at most 4 pairs.
     """
-    corner = 2 + math.ceil((0.025 if variant == "theorem1" else 0.06) * work * m**3 / n)
+    corner = 2 + math.ceil((0.025 if variant == "theorem1" else 0.03) * work * m**3 / n)
     if variant == "ser3":
-        terms = (m + 1) * (m + 2) // 2
-        return terms, min(terms, corner), (m + 1) ** 2
+        return (m + 1) * (m + 2) // 2, min((m + 2) ** 2 // 4, corner), (m + 1) ** 2
     terms = min((m + 2) ** 2 // 4, corner)
     return terms, terms, min(4 * terms, (m + 1) ** 2)
 
@@ -297,21 +357,25 @@ def closed_form_work(m: int, n: int, precision: int = MIN_PRECISION,
     """Work units ``closed_form_info`` is charged unless its value is
     saturated: 0 at n = 0 or m = 1, where it is exact; else the counts of
     ``_orbit_counts``, a power x^n costing bit_length(n) squarings of
-    ``work`` bits, plus the (m+1)^2 entries of the float bound.
+    ``work`` bits, an addition costing one step of the exact accumulator
+    on integers of about ``work`` bits, plus the (m+1)^2 entries of the
+    float bound.  The second pass of the loop, which runs only when the
+    rounding certificate fails (see ``closed_form_info``), is not charged.
 
-    A unit took 1.9-5.2 ns on a 2-core x86_64 VM in every run longer
-    than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to 4 m^3),
-    and 1.3-3.9 ns for ser3, which raises about half the powers it is
-    charged for (m = 90..300, same precisions and n), so the default
-    budget of 10^9 refuses runs above about 2-5 s: theorem 1 at
-    m = n = 1000 (8.7 s, 2.8e9 units) is refused.
+    A unit took 1.0-4.8 ns on a 2-core x86_64 VM, best of 3, in every
+    run longer than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to
+    4 m^3), 1.9-4.3 ns of them for ser3 (m = 90..1000); the low end is
+    theorem 1 at n = m^2, where about half the orbits the bound allows
+    are live (0.9 ns there under the previous charge).  So the default
+    budget of 10^9 refuses runs above about 1-5 s: theorem 1 at
+    m = n = 1000 (7.4 s, 1.6e9 units) is refused.
     """
     if n == 0 or m == 1:
         return 0
     work = work_bits(m, precision)
     terms, powers, additions = _orbit_counts(m, n, work, variant)
     return (500 * terms + powers * (2000 + 2 * work * n.bit_length())
-            + additions * (1500 + work) + 10 * (m + 1) ** 2)
+            + additions * (300 + work) + 10 * (m + 1) ** 2)
 
 
 def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> ClosedFormResult:
@@ -331,8 +395,15 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     c exactly), so each orbit's term, and its power x^n, is computed once.
     ``_orbit_sum`` runs this loop on raw ``_mpf_`` tuples with the libmp
     functions the mpf operators call, at ``work`` bits and rounding to
-    nearest, so every term and partial sum has the operators' bits; only
-    the final scale and the rounding to ``precision`` use mpf objects.
+    nearest, so every term has the operators' bits.  The operators add
+    the terms read in loop order, each addition rounded to nearest at
+    ``work`` bits, and finish their total T as
+    F(T) = round_p(round_w(L - round_w(scale T))) for theorem 1 and
+    F(T) = round_p(round_w(scale T)) for ser3, with L = m(m+1)/4,
+    scale = 1/(8(m+1)^2) at ``work`` bits and round_p, round_w rounding
+    to nearest at ``precision`` and ``work`` bits.  The proofs below about
+    skipped terms speak of that sequential total; the last one shows how
+    the loop gets F(T) without making those additions.
 
     Theorem 1 at m >= 8 adds only the pairs whose summand can change the
     sum, and the result stays bit-identical to adding all of them:
@@ -377,10 +448,43 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     addition changes, so the sum keeps its bits, and at n = m, where
     every flag is set, (m+2)^2/4 powers are raised for (m+1)(m+2)/2 terms.
 
+    The loop adds its terms without rounding, in a fixed-point
+    accumulator after Kulisch's exact dot product (``_ExactSum``), and
+    rounds once under a two-point certificate in the manner of Ziv's
+    rounding test:
+
+    - the accumulator holds the exact sum S of the r terms read and the
+      sum A of their absolute values;
+    - with u = 2^-work, the k-th rounded addition errs by at most u times
+      a partial sum of absolute value at most A (1 + u)^(k-1), so the
+      sequential total T has |T - S| <= A ((1 + u)^r - 1) <= 2 r u A =
+      delta, since r u <= (m+1)^2 2^-work < 2^-85;
+    - scale > 0 and rounding to nearest is monotone, so F is monotone
+      (non-increasing for theorem 1, non-decreasing for ser3), and mpmath
+      rounds each step of F correctly from exact operands, so F of the
+      exact mpf tuples S - delta and S + delta (``_ExactSum.interval``)
+      is F at those two reals;
+    - so if F(S - delta) and F(S + delta) are one mpf, F(T) is that mpf,
+      bit for bit, and ``rounding`` is ``"exact"``.
+
+    Otherwise the loop runs once more, adding with the operators'
+    ``mpf_add`` (``_SequentialSum``), and F of that total is returned
+    with ``rounding`` ``"sequential"``.  The certificate speaks of the
+    terms the loop reads, so it composes with the proofs above: they show
+    that the sequential total of those terms is the total over every
+    pair with every power raised, and the certificate gives F of that
+    total.  The fallback is rare.  Theorem 1's terms are >= 0, so A = S
+    and delta <= 2^-(precision+32) S, and F maps the interval to a width
+    of about m^2 2^-34 ulps of ``precision`` even at n = 1, where
+    L - scale S cancels most; ser3's signed terms make A exceed S, yet
+    none of 3582 calls over m = 2..64, 90, 101, 140, 300, n from 1 to
+    about m^3 and 53, 128 and 256 bits fell back, for either variant.
+
     ``terms`` counts the orbit summands computed, ``powers`` the terms
     whose 1 - x^n (theorem 1: x^n) entered, raised at the pair or at its
-    mirror, and ``skipped`` the pairs left out (all of them when the
-    value is exact or saturated).
+    mirror, ``skipped`` the pairs left out (all of them when the value is
+    exact or saturated), and ``rounding`` says how the total was rounded
+    (None when the value is exact or saturated, which runs no sum).
 
     The exact and saturated answers take O(1) work.  Any other call is
     charged ``closed_form_work`` before a table, a bound or a term is
@@ -398,19 +502,32 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
             value = mpf(n % 2) if exact else _limit_value(m)
         with workprec(precision):
             return ClosedFormResult(+value, m, n, opts.variant, precision, not exact,
-                                    terms=0, powers=0, skipped=pairs)
+                                    terms=0, powers=0, skipped=pairs, rounding=None)
     check_budget(closed_form_work(m, n, precision, opts.variant),
                  f"closed_form {opts.variant} m={m}, n={n}")
     theorem1 = opts.variant == "theorem1"
-    total, terms, powers, summed = _orbit_sum(m, n, work, build_table(m, work), theorem1)
+    table = build_table(m, work)
     with workprec(work):
-        scale = 1 / (8 * mpf(m + 1) ** 2)
-        total = mpmath.mp.make_mpf(total)
-        value = _limit_value(m) - scale * total if theorem1 else scale * total
-        with workprec(precision):
-            value = +value
-    return ClosedFormResult(value, m, n, opts.variant, precision, False,
-                            terms=terms, powers=powers, skipped=pairs - summed)
+        limit, scale = _limit_value(m), 1 / (8 * mpf(m + 1) ** 2)
+
+    def finish(total):
+        with workprec(work):
+            total = mpmath.mp.make_mpf(total)
+            value = limit - scale * total if theorem1 else scale * total
+            with workprec(precision):
+                return +value
+
+    exact_sum = _ExactSum()
+    terms, powers, summed = _orbit_sum(m, n, work, table, theorem1, exact_sum.add)
+    low, high = (finish(total) for total in exact_sum.interval(work))
+    if low._mpf_ == high._mpf_:
+        value, rounding = low, "exact"
+    else:
+        sequential = _SequentialSum(work)
+        _orbit_sum(m, n, work, table, theorem1, sequential.add)
+        value, rounding = finish(sequential.total), "sequential"
+    return ClosedFormResult(value, m, n, opts.variant, precision, False, terms=terms,
+                            powers=powers, skipped=pairs - summed, rounding=rounding)
 
 
 def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):

@@ -5,6 +5,7 @@ import pathlib
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from invwalk import chain, checks, cli, formulas, genfun, simulate
@@ -148,6 +149,25 @@ def test_closed_meta(capsys):
     code, out, _ = run(capsys, *args, "--no-meta")
     assert code == 0
     assert "meta" not in json.loads(out)
+
+
+def test_closed_meta_reports_rounding(capsys, monkeypatch):
+    # "exact" when the two-point certificate held, "sequential" when the
+    # loop ran again with mpf_add; the saturated answer has no sum to round.
+    args = ("closed", "--m", "40", "--n", "64000", "--format", "json")
+    for variant in formulas.VARIANTS:
+        code, out, _ = run(capsys, *args, "--variant", variant)
+        assert code == 0
+        assert json.loads(out)["meta"]["rounding"] == "exact", variant
+    wide = (mpmath.libmp.from_int(-10**9), mpmath.libmp.from_int(10**9))
+    monkeypatch.setattr(formulas._ExactSum, "interval", lambda self, work: wide)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["rounding"] == "sequential"
+    assert list(meta)[:6] == ["saturated", "terms", "powers", "skipped", "rounding", "work_bits"]
+    code, out, _ = run(capsys, "closed", "--m", "3", "--n", "1000000", "--format", "json")
+    assert "rounding" not in json.loads(out)["meta"]
 
 
 def test_gf_meta(capsys):
