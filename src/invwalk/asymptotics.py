@@ -24,8 +24,6 @@ from mpmath import mpf, workprec
 from .budget import check_budget
 from .formulas import bounds
 
-REGIMES = ("sublinear", "linear", "intermediate", "cubic", "critical_log", "supercubic")
-
 
 @dataclass(frozen=True)
 class RegimeEstimate:

@@ -149,7 +149,8 @@ def _route_simulate(m, n, args) -> Result:
                   {"method": simulate.METHOD, "dtype": simulate.perm_dtype(m).name,
                    "blocks": summary.blocks, "trial_steps": trial_steps,
                    "rejection_redraws": summary.rejection_redraws,
-                   "work_estimated": simulate.estimated_work(m, n, summary.trials),
+                   "work_estimated": simulate.estimated_work(m, n, summary.trials,
+                                                            args.workers),
                    "workers": args.workers, "elapsed_s": summary.elapsed,
                    "trial_steps_per_s": (trial_steps / summary.elapsed
                                          if summary.elapsed > 0 else None)})

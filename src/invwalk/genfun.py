@@ -77,7 +77,7 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def format_polynomial(poly: Polynomial, var: str = "t") -> str:
+def format_polynomial(poly: Polynomial) -> str:
     """Canonical ascending-degree text form, e.g. ``1 - t^2`` or ``2*t + t^2``."""
     if poly.is_zero():
         return "0"
@@ -89,7 +89,7 @@ def format_polynomial(poly: Polynomial, var: str = "t") -> str:
         if power == 0:
             body = str(mag)
         else:
-            t = var if power == 1 else f"{var}^{power}"
+            t = "t" if power == 1 else f"t^{power}"
             body = t if mag == 1 else f"{mag}*{t}"
         if not parts:
             parts.append(body if coef > 0 else f"-{body}")

@@ -7,13 +7,14 @@ counter), so trial k is a fixed function of (seed, k) and the summary is
 bit-identical for any worker count.  Sums and sums of squares accumulate
 in exact integers; floats appear only in the final summary.
 
-Layout: each worker takes one contiguous span of trials and walks it in
-blocks of at most 2^16 trials and 2^22 permutation entries, so memory is
-bounded whatever the trial count (hence m < 2^22).  A block keeps all its
-permutations in one flat array of the narrowest dtype holding 0..m (int8
-up to m = 127, then int16, then int32); a step gathers the entry at
-``p = t (m+1) + i`` and its right neighbour, read at p in the view
-``perm[1:]``, with ``take`` and scatters them back swapped.
+Layout: ``monte_carlo`` cuts the trials once into equal contiguous blocks,
+as few as hold at most 2^16 trials and 2^22 permutation entries each, their
+count rounded up to a multiple of the worker count, and the workers share
+them; so memory is bounded whatever the trial count (hence m < 2^22).  A
+block keeps all its permutations in one flat array of the narrowest dtype
+holding 0..m (int8 up to m = 127, then int16, then int32); a step gathers
+the entry at ``p = t (m+1) + i`` and its right neighbour, read at p in the
+view ``perm[1:]``, with ``take`` and scatters them back swapped.
 
 Since the stream is counter-based, a block draws a tile of T steps at a
 time, ``T = max(1, _TILE_CELLS // trials)``, in one (T, trials) pass: the
@@ -47,6 +48,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -168,9 +170,9 @@ def simulate_once(m: int, n: int, seed: int = 0, trial: int = 0,
     return count
 
 
-def estimated_work(m: int, n: int, trials: int) -> int:
+def estimated_work(m: int, n: int, trials: int, workers: int = 1) -> int:
     """Budget units for monte_carlo: trial-steps plus per-block-step and fill costs."""
-    blocks = -(-trials // _block_size(m))
+    blocks = _block_count(m, trials, workers)
     return n * (trials + _STEP_OVERHEAD * blocks) + trials * (m + 1) // _CELLS_PER_UNIT
 
 
@@ -185,21 +187,10 @@ def _block_size(m: int) -> int:
     return min(_BLOCK_TRIALS, _BLOCK_CELLS // (m + 1))
 
 
-def _run_chunk(m, n, seed, lo, hi, hold_threshold):
-    """Simulate trials [lo, hi) in blocks of _block_size(m) trials.
-
-    Returns exact integers (sum, sumsq, blocks, rejection_redraws).
-    """
-    total = total_sq = blocks = redraws = 0
-    block = _block_size(m)
-    for start in range(lo, hi, block):
-        b_sum, b_sq, b_redraws = _run_block(m, n, seed, start, min(hi, start + block),
-                                            hold_threshold)
-        total += b_sum
-        total_sq += b_sq
-        redraws += b_redraws
-        blocks += 1
-    return total, total_sq, blocks, redraws
+def _block_count(m: int, trials: int, workers: int) -> int:
+    """Blocks monte_carlo cuts its trials into: the fewest that each fit
+    _block_size(m), rounded up to a multiple of workers, at most trials."""
+    return min(trials, -(-trials // (_block_size(m) * workers)) * workers)
 
 
 def _step_offsets(steps: range, slot: int, attempt: int):
@@ -316,21 +307,19 @@ def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
 
     lazy_p, hold_threshold = _lazy_move(lazy_p)
-    check_budget(estimated_work(m, n, trials),
+    check_budget(estimated_work(m, n, trials, workers),
                  f"monte_carlo m={m}, n={n}, trials={trials}")
 
     start = time.monotonic()
-    edges = [trials * w // workers for w in range(workers + 1)]
-    chunks = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    if len(chunks) == 1:
-        results = [_run_chunk(m, n, seed, lo, hi, hold_threshold) for lo, hi in chunks]
+    count = _block_count(m, trials, workers)
+    cuts = [trials * k // count for k in range(count + 1)]
+    run = partial(_run_block, m, n, seed, hold_threshold=hold_threshold)
+    if workers == 1:
+        results = list(map(run, cuts[:-1], cuts[1:]))
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(
-                lambda span: _run_chunk(m, n, seed, span[0], span[1], hold_threshold),
-                chunks,
-            ))
-    total, total_sq, blocks, redraws = (sum(column) for column in zip(*results))
+        with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
+            results = list(pool.map(run, cuts[:-1], cuts[1:]))
+    total, total_sq, redraws = (sum(column) for column in zip(*results))
     elapsed = time.monotonic() - start
 
     mean = Fraction(total, trials)
@@ -342,5 +331,5 @@ def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
         mean=float(mean), variance=variance,
         stderr=float(variance / trials) ** 0.5,
         sum_counts=total, sum_squares=total_sq, elapsed=elapsed,
-        blocks=blocks, rejection_redraws=redraws,
+        blocks=count, rejection_redraws=redraws,
     )

@@ -225,7 +225,9 @@ def test_simulate_meta_reports_workers(capsys):
     assert code == 0
     meta = json.loads(out)["meta"]
     assert meta["workers"] == 3
-    assert meta["work_estimated"] == simulate.estimated_work(5, 30, 1000)
+    assert meta["blocks"] == 3
+    assert meta["work_estimated"] == simulate.estimated_work(5, 30, 1000, 3) \
+        > simulate.estimated_work(5, 30, 1000)
 
 
 def test_simulate_budget_env_refuses(capsys, monkeypatch):

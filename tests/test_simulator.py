@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ def test_parity_and_range(m, n, seed, trial):
 
 def _assert_scalar_and_vectorized_agree(m):
     values = [simulate.simulate_once(m, 50, seed=42, trial=t) for t in range(300)]
-    total, total_sq, _, _ = simulate._run_chunk(m, 50, 42, 0, 300, None)
+    total, total_sq, _ = simulate._run_block(m, 50, 42, 0, 300, None)
     assert total == sum(values)
     assert total_sq == sum(v * v for v in values)
 
@@ -47,7 +48,7 @@ def test_scalar_and_vectorized_lazy_paths_agree():
     threshold = (p.numerator << 64) // p.denominator
     values = [simulate.simulate_once(4, 30, seed=7, trial=t, lazy_p=p)
               for t in range(200)]
-    total, total_sq, _, _ = simulate._run_chunk(4, 30, 7, 0, 200, threshold)
+    total, total_sq, _ = simulate._run_block(4, 30, 7, 0, 200, threshold)
     assert total == sum(values)
     assert total_sq == sum(v * v for v in values)
 
@@ -155,7 +156,7 @@ def test_index_is_exact_at_the_ends_of_uint64(m):
 @pytest.mark.parametrize("lazy_p", [None, Fraction(2, 3)])
 def test_rejection_redraws_match_simulate_once(monkeypatch, lazy_p, workers):
     _force_rejection(monkeypatch)
-    # 60 trials split into chunks of 20 or 60 give tiles of 3 or 1 steps,
+    # 60 trials cut into blocks of 20 or 60 give tiles of 3 or 1 steps,
     # so tiles end inside the 10-step run.
     monkeypatch.setattr(simulate, "_TILE_CELLS", 64)
     m, n, trials = 5, 10, 60
@@ -295,7 +296,7 @@ def test_blocks_do_not_change_summary(monkeypatch, lazy_p):
     assert whole.blocks == 2
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 7)
     blocked = simulate.monte_carlo(5, 40, 100, seed=8, lazy_p=lazy_p, workers=2)
-    assert blocked.blocks == 2 * 8  # 50 trials per worker in blocks of 7
+    assert blocked.blocks == 16  # ceil(100 / 7) = 15, rounded up to a multiple of 2
     assert blocked.key_fields() == whole.key_fields()
 
 
@@ -314,7 +315,7 @@ def test_budget_refuses_before_work(monkeypatch):
     def fail(*args):
         raise AssertionError("simulated before the budget check")
 
-    monkeypatch.setattr(simulate, "_run_chunk", fail)
+    monkeypatch.setattr(simulate, "_run_block", fail)
     monkeypatch.delenv("INVWALK_BUDGET", raising=False)
     with pytest.raises(WorkBudgetError, match="monte_carlo"):
         simulate.monte_carlo(20, 10**6, 10**5)
@@ -328,12 +329,13 @@ def test_budget_admits_criterion_12():
     assert simulate.estimated_work(40, 60, 3_000_000 // 41) < 10**7
 
 
-def test_pool_sized_by_nonempty_chunks(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace ThreadPoolExecutor by a pool that maps serially; returns the list
+    of pool sizes asked for."""
     sizes = []
 
     class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records its size, maps serially."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -343,13 +345,43 @@ def test_pool_sized_by_nonempty_chunks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_sized_by_nonempty_chunks(pool_sizes):
     split = simulate.monte_carlo(4, 10, 3, seed=2, workers=simulate.MAX_WORKERS)
-    assert sizes == [3]
+    assert pool_sizes == [3]
     assert split.key_fields() == simulate.monte_carlo(4, 10, 3, seed=2).key_fields()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("trials", [2, 3, 7, 8, 29])
+def test_trials_cut_once_into_equal_blocks(monkeypatch, pool_sizes, trials, workers):
+    # Blocks of at most 4 trials; trials lie below, at and above workers.
+    monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 4)
+    m, n, seed = 5, 12, 4
+    serial = simulate.monte_carlo(m, n, trials, seed=seed)
+    spans = []
+    run_block = simulate._run_block
+
+    def recording(m, n, seed, lo, hi, **kwargs):
+        spans.append((lo, hi))
+        return run_block(m, n, seed, lo, hi, **kwargs)
+
+    monkeypatch.setattr(simulate, "_run_block", recording)
+    s = simulate.monte_carlo(m, n, trials, seed=seed, workers=workers)
+    count = min(trials, math.ceil(math.ceil(trials / 4) / workers) * workers)
+    assert s.blocks == len(spans) == count
+    edges = [0] + [hi for _, hi in spans]
+    assert edges[-1] == trials and spans == list(zip(edges, edges[1:]))
+    sizes = [hi - lo for lo, hi in spans]
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= simulate._block_size(m) == 4
+    assert pool_sizes == ([] if workers == 1 else [min(workers, count)])
+    assert s.key_fields() == serial.key_fields()
 
 
 def test_workers_above_cap_refused(monkeypatch):

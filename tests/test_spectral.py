@@ -152,13 +152,6 @@ def test_identities_reject_perturbed_table(m):
         assert not report.all_passed
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_certify_spectrum(m):
-    report = spectral.certify_spectrum(m)
-    assert report["passed"]
-    assert all(r < 1e-8 for r in report["residuals"].values())
-
-
 def test_transition_matrix_is_stochastic():
     matrix = spectral.transition_matrix(3)
     for row in matrix:
