@@ -107,7 +107,7 @@ def _route_closed(m, n, args) -> Result:
     opts = formulas.ClosedFormOptions(variant=args.variant, precision=args.precision)
     info, elapsed = _timed(formulas.closed_form_info, m, n, opts)
     value = _mpf_str(info.value, info.precision)
-    # A saturated result is the limit, answered before the budget.
+    # A saturated result is the limit, answered before the sum's budget.
     estimated = 0 if info.saturated else formulas.closed_form_work(
         m, n, info.precision, info.variant)
     return Result(f"closed:{info.variant}",

@@ -7,16 +7,16 @@ exact DP with the lazy chain's outer weights.  The spectral sums run at
 a configurable binary precision with internal guard bits: the summands
 span a ~m^4 dynamic range and the result suffers heavy cancellation for
 small n.  Both run one orbit loop on raw mpf tuples (``_orbit_sum``)
-whose terms are bit-identical to the same loop on mpf operators.  The
-loop adds them exactly, in a fixed-point accumulator (``_ExactSum``),
-and rounds once: when both ends of an interval sure to hold the
-operators' sequentially rounded total finish to one value, that value
-is theirs bit for bit; otherwise, rarely, the loop runs again adding
-with ``mpf_add`` (see ``closed_form_info``).  Eriksen's binomial
-formula takes O(n + max(0, n - m) m) big-integer operations (closed
-forms, then one negacyclic Pascal recurrence, for its inner sums, one
-synthetic division for the outer sum); it shares no code with the DP
-that checks it.  Its n-independent weights v_s (``_eriksen_weights``)
+whose terms are bit-identical to the same loop on mpf operators.  From
+m = 8 the loop adds them exactly, in a fixed-point accumulator
+(``_ExactSum``), and rounds once: when both ends of an interval sure to
+hold the operators' sequentially rounded total finish to one value,
+that value is theirs bit for bit; otherwise, rarely, and always below
+m = 8, the loop adds with ``mpf_add`` (see ``closed_form_info``).
+Eriksen's binomial formula takes O(n + max(0, n - m) m) big-integer
+operations (closed forms, then one negacyclic Pascal recurrence, for its
+inner sums, one synthetic division for the outer sum); it shares no code
+with the DP that checks it.  Its n-independent weights v_s (``_eriksen_weights``)
 are also the terms from which ``genfun.build_gf`` gets I_m(t).
 """
 
@@ -96,11 +96,18 @@ def exact_fraction(value) -> Fraction:
     return Fraction(p, q)
 
 
+def _angle_work(work: int) -> int:
+    """Work units of one angle's cosine and sine at ``work`` bits: work^2/64.
+    Over 10^4-10^5 bits on a 2-core x86_64 VM a unit took 2.5-3.1 ns in
+    ``build_table(40)`` and 3.0-5.0 ns in the saturation test."""
+    return work**2 // 64
+
+
 def _corner(m: int):
-    """c_0 and x_00 at the ambient precision.  c_0 is computed as
-    ``build_table`` computes it, bit for bit, so no table is needed."""
-    c0 = mpmath.cos(mpmath.pi() / (2 * m + 2))
-    return c0, 1 - mpf(4) / m * (1 - c0**2)
+    """c_0, s_0 and x_00 at the ambient precision.  c_0 and s_0 are computed
+    as ``build_table`` computes them, bit for bit, so no table is needed."""
+    c0, s0 = mpmath.cos_sin(mpmath.pi() / (2 * m + 2))
+    return c0, s0, 1 - mpf(4) / m * (1 - c0**2)
 
 
 def _saturated(m: int, n: int, precision: int, work: int) -> bool:
@@ -109,8 +116,14 @@ def _saturated(m: int, n: int, precision: int, work: int) -> bool:
     # every certified |x_jk| < 1; for m <= 2 an eigenvalue -1 persists.
     if n == 0 or m < 3:
         return False
+    # -log x_00 <= 2 (4/m) sin^2(pi/(2m+2)) < 20/(m (m+1)^2) and ln 2 > 0.69,
+    # so below this n the sum is visible, and no angle is computed.
+    if 2000 * n < 69 * (precision + 64) * m * (m + 1) ** 2:
+        return False
+    # The corner's angle and a logarithm, which costs about two angles.
+    check_budget(3 * _angle_work(work), f"closed_form saturation test m={m}, n={n}")
     with workprec(work):
-        x00 = _corner(m)[1]
+        x00 = _corner(m)[2]
         if x00 <= 0:
             return False
         return n * mpmath.log(x00) < -(precision + 64) * mpmath.log(2)
@@ -359,8 +372,10 @@ def closed_form_work(m: int, n: int, precision: int = MIN_PRECISION,
     ``_orbit_counts``, a power x^n costing bit_length(n) squarings of
     ``work`` bits, an addition costing one step of the exact accumulator
     on integers of about ``work`` bits, plus the (m+1)^2 entries of the
-    float bound.  The second pass of the loop, which runs only when the
-    rounding certificate fails (see ``closed_form_info``), is not charged.
+    float bound and the floor(m/2) + 1 angles of the table
+    (``_angle_work`` each).  The second pass of the loop, which runs only
+    when the rounding certificate fails (see ``closed_form_info``), is not
+    charged.
 
     A unit took 1.0-4.8 ns on a 2-core x86_64 VM, best of 3, in every
     run longer than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to
@@ -375,7 +390,8 @@ def closed_form_work(m: int, n: int, precision: int = MIN_PRECISION,
     work = work_bits(m, precision)
     terms, powers, additions = _orbit_counts(m, n, work, variant)
     return (500 * terms + powers * (2000 + 2 * work * n.bit_length())
-            + additions * (300 + work) + 10 * (m + 1) ** 2)
+            + additions * (300 + work) + 10 * (m + 1) ** 2
+            + (m // 2 + 1) * _angle_work(work))
 
 
 def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> ClosedFormResult:
@@ -448,7 +464,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     addition changes, so the sum keeps its bits, and at n = m, where
     every flag is set, (m+2)^2/4 powers are raised for (m+1)(m+2)/2 terms.
 
-    The loop adds its terms without rounding, in a fixed-point
+    At m >= 8 the loop adds its terms without rounding, in a fixed-point
     accumulator after Kulisch's exact dot product (``_ExactSum``), and
     rounds once under a two-point certificate in the manner of Ziv's
     rounding test:
@@ -479,6 +495,10 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     L - scale S cancels most; ser3's signed terms make A exceed S, yet
     none of 3582 calls over m = 2..64, 90, 101, 140, 300, n from 1 to
     about m^3 and 53, 128 and 256 bits fell back, for either variant.
+    Below m = 8 the loop adds with ``mpf_add`` at once (``rounding``
+    ``"sequential"``): it reads every pair, at most 64, and theorem 1's
+    terms there can lie about n bits apart (at m = 2, 48 * 2^-n next to
+    terms near 3), so the exact sum would hold n-bit integers.
 
     ``terms`` counts the orbit summands computed, ``powers`` the terms
     whose 1 - x^n (theorem 1: x^n) entered, raised at the pair or at its
@@ -486,9 +506,10 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     exact or saturated), and ``rounding`` says how the total was rounded
     (None when the value is exact or saturated, which runs no sum).
 
-    The exact and saturated answers take O(1) work.  Any other call is
-    charged ``closed_form_work`` before a table, a bound or a term is
-    computed.
+    The exact answers take O(1) work.  The saturation test is charged its
+    angle and logarithm before it computes them, unless n is too small
+    for the value to saturate, and any other call is charged
+    ``closed_form_work`` before a table, a bound or a term is computed.
     """
     if opts is None:
         opts = ClosedFormOptions()
@@ -517,15 +538,18 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
             with workprec(precision):
                 return +value
 
-    exact_sum = _ExactSum()
-    terms, powers, summed = _orbit_sum(m, n, work, table, theorem1, exact_sum.add)
-    low, high = (finish(total) for total in exact_sum.interval(work))
-    if low._mpf_ == high._mpf_:
-        value, rounding = low, "exact"
-    else:
+    rounding = None
+    if m >= 8:
+        exact_sum = _ExactSum()
+        counts = _orbit_sum(m, n, work, table, theorem1, exact_sum.add)
+        low, high = (finish(total) for total in exact_sum.interval(work))
+        if low._mpf_ == high._mpf_:
+            value, rounding = low, "exact"
+    if rounding is None:
         sequential = _SequentialSum(work)
-        _orbit_sum(m, n, work, table, theorem1, sequential.add)
+        counts = _orbit_sum(m, n, work, table, theorem1, sequential.add)
         value, rounding = finish(sequential.total), "sequential"
+    terms, powers, summed = counts
     return ClosedFormResult(value, m, n, opts.variant, precision, False, terms=terms,
                             powers=powers, skipped=pairs - summed, rounding=rounding)
 
@@ -643,15 +667,17 @@ def eriksen(m: int, n: int) -> Fraction:
 
 
 def bounds(m: int, n: int, precision: int = 128) -> BoundsPair:
-    """Two-sided sandwich for I_{m,n}; requires m >= 3."""
+    """Two-sided sandwich for I_{m,n}; requires m >= 3.  Charged its one
+    angle (``_angle_work``) and the power x_00^n before computing either."""
     if m < 3:
         raise ValueError(f"bounds require m >= 3, got {m}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_precision(precision)
-    with workprec(precision + 32):
-        c0, x00 = _corner(m)
-        s0 = mpmath.sin(mpmath.pi() / (2 * m + 2))
+    work = precision + 32
+    check_budget(_angle_work(work) + 2 * work * n.bit_length(), f"bounds m={m}, n={n}")
+    with workprec(work):
+        c0, s0, x00 = _corner(m)
         xn = x00**n
         limit = _limit_value(m)
         lower = limit * (1 - xn)

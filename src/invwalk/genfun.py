@@ -25,7 +25,7 @@ from mpmath import mpf, workprec
 
 from . import chain, formulas
 from .budget import check_budget
-from .spectral import SpectralTable, eigenvalue, is_certified_eigenvalue
+from .spectral import SpectralTable, eigenvalue, orbit_pairs
 
 
 class Polynomial:
@@ -295,27 +295,22 @@ class PoleCheckReport:
 def pole_check(rf: RationalFunction, table: SpectralTable) -> PoleCheckReport:
     """Verify every denominator root is 1 or a reciprocal certified x_{jk}.
 
-    Candidates are evaluated against the denominator at the table's
-    precision and matched roots deflated (synthetic division) until the
-    remaining degree is zero or no candidate matches; ``POLE_TOL`` is the
-    relative residual that counts as a root.
+    The candidates are 1 and 1/x at each nonzero representative of
+    ``orbit_pairs``, which reads every certified value.  Each is evaluated
+    against the denominator at the table's precision and matched roots
+    deflated (synthetic division) until the remaining degree is zero or no
+    candidate matches; ``POLE_TOL`` is the relative residual that counts as
+    a root.  A value that another orbit repeats (at even m, x = 1 - 4/m
+    at every (j, m/2)) finds its roots deflated by its first candidate, so
+    it matches nothing more.
     """
     m, tol = table.m, POLE_TOL
     with workprec(table.precision):
         candidates = [(mpf(1), "1")]
-        seen = []
-        for j in range(m + 1):
-            for k in range(j, m + 1):
-                if not is_certified_eigenvalue(table, j, k):
-                    continue
-                x = eigenvalue(table, j, k)
-                if x == 0:
-                    continue
-                r = 1 / x
-                if any(abs(r - s) < tol for s in seen):
-                    continue
-                seen.append(r)
-                candidates.append((r, f"1/x[{j},{k}]"))
+        for j, k in orbit_pairs(m):
+            x = eigenvalue(table, j, k)
+            if x != 0:
+                candidates.append((1 / x, f"1/x[{j},{k}]"))
 
         coeffs = [mpf(c.numerator) / c.denominator for c in rf.den.coeffs]
         scale = max(abs(c) for c in coeffs)

@@ -102,26 +102,17 @@ def build_table(m: int, precision: int = MIN_PRECISION) -> SpectralTable:
 def _mirrored_cos_sin(m: int):
     """c_k and s_k, k = 0..m, at the ambient precision.
 
-    Only k <= m/2 is computed (per index, no recurrence, so errors stay
-    O(ulp)); the upper half is mirrored so that c[m-k] == -c[k] and
-    s[m-k] == s[k] hold exactly at working precision (not merely up to
-    rounding); downstream symmetry-halving relies on this.
+    Only k < m/2 is computed, by one ``cos_sin`` call per index (no
+    recurrence, so errors stay O(ulp)); the upper half is mirrored so that
+    c[m-k] == -c[k] and s[m-k] == s[k] hold exactly at working precision
+    (not merely up to rounding); downstream symmetry-halving relies on
+    this.  At k = m/2 the angle is pi/2, and c = 0, s = 1 exactly.
     """
-    c = [None] * (m + 1)
-    s = [None] * (m + 1)
+    c, s = [mpf(0)] * (m + 1), [mpf(1)] * (m + 1)
     pi = mpmath.pi()
-    for k in range(m // 2 + 1):
-        mirror = m - k
-        if mirror == k:
-            # alpha = pi/2 exactly.
-            c[k] = mpf(0)
-            s[k] = mpf(1)
-        else:
-            alpha = (2 * k + 1) * pi / (2 * m + 2)
-            c[k] = mpmath.cos(alpha)
-            s[k] = mpmath.sin(alpha)
-            c[mirror] = -c[k]
-            s[mirror] = s[k]
+    for k in range((m + 1) // 2):
+        c[k], s[k] = mpmath.cos_sin((2 * k + 1) * pi / (2 * m + 2))
+        c[m - k], s[m - k] = -c[k], s[k]
     return tuple(c), tuple(s)
 
 
@@ -129,7 +120,7 @@ def eigenvalue(table: SpectralTable, j: int, k: int):
     """x_{jk} = 1 - (4/m)(1 - c_j c_k).
 
     Defined for every index pair; only pairs with j + k != m are certified
-    eigenvalues of the transition matrix (see ``is_certified_eigenvalue``).
+    eigenvalues of the transition matrix (see ``orbit_pairs``).
     """
     m = table.m
     if not (0 <= j <= m and 0 <= k <= m):
@@ -138,12 +129,19 @@ def eigenvalue(table: SpectralTable, j: int, k: int):
         return 1 - mpf(4) / m * (1 - table.c[j] * table.c[k])
 
 
-def is_certified_eigenvalue(table: SpectralTable, j: int, k: int) -> bool:
-    """Whether x_{jk} is a certified eigenvalue (equivalently c_j + c_k != 0)."""
-    m = table.m
-    if not (0 <= j <= m and 0 <= k <= m):
-        raise ValueError(f"indices must lie in [0, {m}], got ({j}, {k})")
-    return j + k != m
+def orbit_pairs(m: int):
+    """The pairs j <= k, j + k < m, row by row: one per mirror orbit of
+    certified eigenvalues, ceil(m/2) (floor(m/2) + 1) of them.
+
+    x is bit-equal on the orbit (j, k), (k, j), (m-k, m-j), (m-j, m-k):
+    it is computed from c_j c_k alone, and the table mirrors c exactly
+    (c_{m-k} = -c_k), so c_{m-k} c_{m-j} is the same product.  The mirror
+    takes j + k < m to j + k > m.  The pairs j + k = m, their own mirrors,
+    are left out: there c_j + c_k = 0 and x is not a certified eigenvalue.
+    """
+    for j in range((m + 1) // 2):
+        for k in range(j, m - j):
+            yield j, k
 
 
 def _identity_values(m: int) -> tuple:
@@ -291,31 +289,26 @@ def certify_spectrum(m: int) -> dict:
     """Desk-scale check that every x_{jk} with j+k != m is an eigenvalue.
 
     Builds the full (m+1)! transition matrix and evaluates its characteristic
-    polynomial at each candidate at ``CERTIFY_PRECISION`` bits.  Returns
-    per-pair |det(P - x Id)| values, the tolerance ``CERTIFY_TOL`` and an
-    overall pass flag.
+    polynomial at ``CERTIFY_PRECISION`` bits at one candidate per mirror
+    orbit (``orbit_pairs``).  Returns per-pair |det(P - x Id)| values, the
+    tolerance ``CERTIFY_TOL`` and an overall pass flag.
 
-    Each candidate costs one (m+1)!-sized elimination:
-    measured 340 ns per candidate * size^3 at m = 4 and 256 bits (7.0 s) on a
-    2-core x86_64 VM.  The estimate charges 16 units for each, about 20 ns a
-    unit, so the default budget admits m <= 4 and refuses m = 5 (about 40 min).
+    Each candidate costs one (m+1)!-sized elimination: measured 230-250 ns
+    per candidate * size^3 at m = 4 and 256 bits (2.3-2.6 s) on a 2-core
+    x86_64 VM.  The estimate charges 16 units for each, about 15 ns a unit,
+    so the default budget admits m <= 4 and refuses m = 5 (about 13 min).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     size = _state_count(m)
-    candidates = (m + 1) * (m + 2) // 2 - (m // 2 + 1)
+    candidates = (m + 1) // 2 * (m // 2 + 1)  # orbit_pairs(m), not enumerated
     check_budget(16 * candidates * size**3,
                  f"certify_spectrum m={m}: {candidates} determinants of size {size}")
     table = build_table(m, CERTIFY_PRECISION)
     matrix = transition_matrix(m)
-    residuals = {}
     with workprec(CERTIFY_PRECISION):
-        for j in range(m + 1):
-            for k in range(j, m + 1):
-                if j + k == m:
-                    continue
-                x = eigenvalue(table, j, k)
-                residuals[(j, k)] = float(abs(_det_high_precision(matrix, x)))
+        residuals = {(j, k): float(abs(_det_high_precision(matrix, eigenvalue(table, j, k))))
+                     for j, k in orbit_pairs(m)}
     return {
         "m": m,
         "residuals": residuals,

@@ -89,3 +89,18 @@ def test_checks_fail_on_wrong_self_weight(monkeypatch):
     record = checks.cross_method("quick")
     assert not record.passed
     assert record.measured["exact mismatches"] > 0
+
+
+def test_spectrum_check_fails_on_shifted_eigenvalue(monkeypatch):
+    # One representative off by 1e-3 is no longer a root of det(P - x Id).
+    eigenvalue = spectral.eigenvalue
+
+    def shifted(table, j, k):
+        x = eigenvalue(table, j, k)
+        return x + 1e-3 if (table.m, j, k) == (2, 0, 0) else x
+
+    monkeypatch.setattr(spectral, "eigenvalue", shifted)
+    record = checks.spectrum("full")
+    assert not record.passed
+    assert record.measured["|det|"] > record.tolerance["|det|"]
+    assert record.detail == f"uncertified at m=2: x[0,0] |det| {record.measured['|det|']:.3g}"

@@ -170,6 +170,29 @@ def test_closed_meta_reports_rounding(capsys, monkeypatch):
     assert "rounding" not in json.loads(out)["meta"]
 
 
+def test_high_precision_refused_before_trig(capsys, monkeypatch):
+    # Each angle is charged about work^2/64 units: the closed form's table,
+    # its saturation test (when n could saturate) and the bounds' corner.
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+
+    def no_trig(*args):
+        raise AssertionError("trigonometry ran before the budget refused")
+
+    monkeypatch.setattr(formulas, "build_table", no_trig)
+    for name in ("cos", "sin", "cos_sin", "log"):
+        monkeypatch.setattr(mpmath, name, no_trig)
+    for argv, what in [
+        (("closed", "--m", "40", "--n", "40", "--precision", "100000"),
+         "closed_form theorem1 m=40, n=40"),
+        (("closed", "--m", "3", "--n", "1000000000", "--precision", "1000000"),
+         "closed_form saturation test m=3, n=1000000000"),
+        (("bounds", "--m", "3", "--n", "5", "--precision", "1000000"), "bounds m=3, n=5"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert what in err, argv
+
+
 def test_gf_meta(capsys):
     args = ("gf", "--m", "3", "--format", "json")
     code, out, _ = run(capsys, *args)

@@ -263,6 +263,36 @@ def test_closed_form_equals_full_loop():
             assert info.value == expected[variant], (m, n, precision, variant)
 
 
+def test_small_m_adds_sequentially():
+    # Below m = 8 theorem 1's terms lie about n bits apart (48 * 2^-n next
+    # to terms near 3 at m = 2), so the loop adds them with mpf_add at once:
+    # the operators' bits, and no n-bit integer is built.
+    for m in range(2, 8):
+        for n in (1, 2, m, m**2, 1000):
+            for precision in (53, 256):
+                expected = _full_loop(m, n, precision)
+                for variant in formulas.VARIANTS:
+                    info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
+                        variant=variant, precision=precision))
+                    if info.saturated:
+                        continue
+                    assert info.rounding == "sequential", (m, n, precision, variant)
+                    assert info.value == expected[variant], (m, n, precision, variant)
+    formulas.closed_form_info(2, 10**7)  # caches outside the call
+    tracemalloc.start()
+    try:
+        formulas.closed_form_info(2, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    start = time.perf_counter()
+    for n, bits in [(10**12, (0, 6004799503160661, -52, 53)),
+                    (10**12 + 1, (0, 7505999378950827, -52, 53))]:
+        assert formulas.closed_form_info(2, n).value._mpf_ == bits, n
+    assert time.perf_counter() - start < 1
+
+
 def test_ser3_power_skip_is_bit_identical():
     # Far past n = m, ser3 takes x^n as 0 wherever 1 - x^n rounds to 1;
     # the sum must equal the full loop's, which raises every x^n.  The

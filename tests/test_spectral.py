@@ -41,16 +41,29 @@ def test_eigenvalue_examples():
     certified = sorted(
         float(spectral.eigenvalue(t2, j, k))
         for j in range(3) for k in range(3)
-        if spectral.is_certified_eigenvalue(t2, j, k)
+        if j + k != 2
     )
     assert certified == pytest.approx([-1, -1, -1, -1, 0.5, 0.5])
 
 
-def test_certification_predicate():
-    table = spectral.build_table(4, 53)
-    for j in range(5):
-        for k in range(5):
-            assert spectral.is_certified_eigenvalue(table, j, k) == (j + k != 4)
+def test_orbit_pairs_cover_the_certified_spectrum():
+    # One representative j <= k, j + k < m per mirror orbit, and every
+    # certified pair's eigenvalue is its representative's, bit for bit.
+    assert list(spectral.orbit_pairs(4)) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
+    for m in range(1, 61):
+        pairs = list(spectral.orbit_pairs(m))
+        assert len(pairs) == len(set(pairs)) == (m + 1) // 2 * (m // 2 + 1), m
+        for precision in (53, 128, 256):
+            table = spectral.build_table(m, precision)
+            values = {pair: spectral.eigenvalue(table, *pair)._mpf_ for pair in pairs}
+            for j in range(m + 1):
+                for k in range(m + 1):
+                    if j + k == m:
+                        continue
+                    a, b = min(j, k), max(j, k)
+                    representative = (a, b) if a + b < m else (m - b, m - a)
+                    assert spectral.eigenvalue(table, j, k)._mpf_ == values[representative], \
+                        (m, precision, j, k)
 
 
 @pytest.mark.parametrize("m", [3, 5, 8, 20, 101])
