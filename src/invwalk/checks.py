@@ -164,16 +164,16 @@ def spectrum(full: bool) -> dict:
     failures = []
     for m in ms:
         report = spectral.certify_spectrum(m)
-        residuals = report["residuals"]
-        worst = max(worst, *residuals.values())
-        failures += [f"uncertified at m={m}: x[{j},{k}] |det| {r:.3g}"
-                     for (j, k), r in residuals.items() if not r < report["tolerance"]]
+        ratios = report["pivot_ratios"]
+        worst = max(worst, *ratios.values())
+        failures += [f"uncertified at m={m}: x[{j},{k}] pivot ratio {r:.3g}"
+                     for (j, k), r in ratios.items() if not r < report["bound"]]
     return dict(
         parameters={"m": ms},
-        measured={"|det|": worst},
-        tolerance={"|det|": report["tolerance"]},
+        measured={"pivot ratio": worst},
+        tolerance={"pivot ratio": report["bound"]},
         failures=failures,
-        summary=f"every certified x_jk is a root, worst |det| {worst:.2e}",
+        summary=f"every certified x_jk is a root, worst pivot ratio {worst:.2e}",
     )
 
 

@@ -23,6 +23,7 @@ import ast
 import csv
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import asdict
@@ -291,6 +292,34 @@ _ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant,
                   ast.Sub, ast.USub, ast.Load)
 
 
+def _power(base, exponent):
+    """``base ** exponent``, refused with ValueError before it is computed
+    when an integer result would exceed 2^4096: an admitted one has at most
+    8192 bits, so n can still be printed in decimal."""
+    if (isinstance(base, int) and isinstance(exponent, int) and abs(base) > 1
+            and exponent * (abs(base).bit_length() - 1) > 1 << 12):
+        raise ValueError(f"n expression power of a {abs(base).bit_length()}-bit integer "
+                         f"to a {exponent.bit_length()}-bit exponent exceeds 2^4096")
+    return base ** exponent
+
+
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: _power}
+
+
+def _evaluate(node, m: int):
+    """The value at m of a node that ``parse_n_expression`` admitted."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return m
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, m)
+    if isinstance(node, ast.Call):
+        return math.log(_evaluate(node.args[0], m))
+    return _OPERATORS[type(node.op)](_evaluate(node.left, m), _evaluate(node.right, m))
+
+
 def parse_n_expression(text: str):
     """Compile an n(m) expression: constants, m, log, ^, *, /, +, -."""
     source = text.replace("^", "**")
@@ -313,11 +342,9 @@ def parse_n_expression(text: str):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id != "m" and id(node) not in call_names:
             raise ValueError(f"bad n expression {text!r}: unknown name {node.id!r}")
-    code = compile(tree, "<n-expr>", "eval")
 
     def evaluate(m: int) -> int:
-        value = eval(code, {"__builtins__": {}}, {"m": m, "log": math.log})
-        n = round(value)
+        n = round(_evaluate(tree.body, m))
         if n < 0:
             raise ValueError(f"n expression {text!r} gives n={n} < 0 at m={m}")
         return n

@@ -6,13 +6,13 @@ sandwich bounds, and the lazified (aperiodic) expectation, which is the
 exact DP with the lazy chain's outer weights.  The spectral sums run at
 a configurable binary precision with internal guard bits: the summands
 span a ~m^4 dynamic range and the result suffers heavy cancellation for
-small n.  Both run one orbit loop on raw mpf tuples (``_orbit_sum``)
-whose terms are bit-identical to the same loop on mpf operators.  From
-m = 8 the loop adds them exactly, in a fixed-point accumulator
-(``_ExactSum``), and rounds once: when both ends of an interval sure to
-hold the operators' sequentially rounded total finish to one value,
-that value is theirs bit for bit; otherwise, rarely, and always below
-m = 8, the loop adds with ``mpf_add`` (see ``closed_form_info``).
+small n.  One kernel computes their terms on raw mpf tuples, bit for bit
+as the mpf operators would.  From m = 8 the exact pass adds each distinct
+term once, times its read count, in a fixed-point accumulator, and
+rounds once: when both ends of an interval sure to hold the operators'
+sequentially rounded total finish to one value, that value is theirs bit
+for bit; otherwise, rarely, and always below m = 8, the sequential pass
+adds the reads with ``mpf_add`` (see ``closed_form_info``).
 Eriksen's binomial formula takes O(n + max(0, n - m) m) big-integer
 operations (closed forms, then one negacyclic Pascal recurrence, for its
 inner sums, one synthetic division for the outer sum); it shares no code
@@ -88,9 +88,7 @@ def exact_fraction(value) -> Fraction:
     again (a 53-bit detour can flip a 1e-16 margin), so bounds and
     closed-form outputs are compared through this.
     """
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float, Fraction)):
         return Fraction(value)
     p, q = mpmath.libmp.to_rational(value._mpf_)
     return Fraction(p, q)
@@ -186,25 +184,19 @@ def _powered_columns(m: int, n: int, work: int):
             yield powered.tolist()
 
 
-class _SequentialSum:
-    """The running total of the mpf operators: each term is added to it
-    with one ``mpf_add`` at ``work`` bits, rounding to nearest."""
-
-    __slots__ = ("total", "work")
-
-    def __init__(self, work: int):
-        self.total, self.work = fzero, work
-
-    def add(self, term) -> None:
-        self.total = mpf_add(self.total, term, self.work, round_nearest)
+def _rows(m: int, n: int, work: int, theorem1: bool):
+    """Row by row, theorem 1's live columns or ser3's power flags: all below m = 8."""
+    if m < 8:
+        return [range(m + 1) if theorem1 else [True] * (m + 1)] * (m + 1)
+    return _live_columns(m, n, work) if theorem1 else _powered_columns(m, n, work)
 
 
 class _ExactSum:
     """An exact sum of mpf tuples in fixed point (Kulisch's long
-    accumulator): ``total`` is the sum S of the terms and ``size`` the sum
-    A of their absolute values, both in units of 2^``exp``, the smallest
-    exponent of a nonzero term seen so far; ``reads`` counts the terms, r,
-    zeros included.  ``add`` rounds nothing, so S and A are exact."""
+    accumulator): ``total`` is the sum S of the terms read and ``size`` the
+    sum A of their absolute values, in units of 2^``exp``, the smallest
+    exponent of a nonzero term seen so far; ``reads`` counts the reads, r,
+    zeros included.  ``add(term, reads)`` rounds nothing: S and A are exact."""
 
     __slots__ = ("total", "size", "exp", "reads")
 
@@ -212,14 +204,15 @@ class _ExactSum:
         self.total = self.size = self.reads = 0
         self.exp = None
 
-    def add(self, term) -> None:
-        self.reads += 1
+    def add(self, term, reads: int) -> None:
+        self.reads += reads
         sign, man, exp, _ = term
         if not man:
             return
         if self.exp is None:
             self.exp = exp
         shift = exp - self.exp
+        man *= reads
         if shift < 0:
             self.total <<= -shift
             self.size <<= -shift
@@ -232,7 +225,7 @@ class _ExactSum:
     def interval(self, work: int) -> tuple:
         """S - delta and S + delta, delta = r A 2^(1-work), as exact mpf
         tuples: the interval that holds the sequential total of the same
-        terms at ``work`` bits (see ``closed_form_info``)."""
+        reads at ``work`` bits, in any order (see ``closed_form_info``)."""
         if self.exp is None:
             return fzero, fzero
         total, delta = self.total << (work - 1), self.reads * self.size
@@ -240,10 +233,10 @@ class _ExactSum:
         return from_man_exp(total - delta, exp), from_man_exp(total + delta, exp)
 
 
-def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool, add):
-    """``(terms, powers, summed)`` of the orbit loop, which passes each term
-    it reads to ``add``, in order.  Every mpf operator of the loop is
-    replaced by the libmp call it makes (``…`` = work, nearest):
+def _term_kernel(m: int, n: int, work: int, table, theorem1: bool):
+    """``power(j, k)``, x_jk^n, and ``term(j, k, xn)``, the term at (j, k)
+    given x^n (ser3: None if unraised), on raw mpf tuples: every mpf
+    operator is replaced by the libmp call it makes (``…`` = work, nearest):
 
     - ``c_k`` -> ``table.c[k]._mpf_``;
     - ``1 / s_k**2`` -> ``mpf_rdiv_int(1, mpf_pow_int(s_k, 2, …), …)`` (theorem 1);
@@ -259,9 +252,8 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool, add):
     - ``w * (1 - xn)`` -> ``mpf_mul(w, mpf_sub(fone, xn, …), …)`` (ser3);
     - ``w * (1 - 0)``, x^n unraised -> ``w`` (ser3): ``mpf_mul_int(w, 1, …)``
       returns a ``work``-bit w unchanged;
-    - ``total += term`` -> ``add(term)``: ``_SequentialSum.add`` makes the
-      operators' ``total = mpf_add(total, term, …)`` from ``fzero``, and
-      ``_ExactSum.add`` adds the term without rounding.
+    - ``total += term`` -> ``mpf_add(total, term, …)`` from ``fzero``
+      (``_sequential_pass``; ``_exact_pass`` adds exactly).
     """
     rnd = round_nearest
     c = [ck._mpf_ for ck in table.c]
@@ -272,63 +264,71 @@ def _orbit_sum(m: int, n: int, work: int, table, theorem1: bool, add):
         factor = [mpf_rdiv_int(1, mpf_sub(fone, ck, work, rnd), work, rnd) for ck in c]
     four_over_m = mpf_div(from_int(4), from_int(m), work, rnd)
 
-    def weight(j, k):
-        w = mpf_add(c[j], c[k], work, rnd)
-        if theorem1:
-            w = mpf_pow_int(w, 2, work, rnd)
-        return mpf_mul(mpf_mul(w, factor[j], work, rnd), factor[k], work, rnd)
-
     def power(j, k):
         x = mpf_sub(fone, mpf_mul(c[j], c[k], work, rnd), work, rnd)
         x = mpf_sub(fone, mpf_mul(four_over_m, x, work, rnd), work, rnd)
         return mpf_pow_int(x, n, work, rnd)
 
+    def term(j, k, xn):
+        w = mpf_add(c[j], c[k], work, rnd)
+        if theorem1:
+            w = mpf_pow_int(w, 2, work, rnd)
+        w = mpf_mul(mpf_mul(w, factor[j], work, rnd), factor[k], work, rnd)
+        if xn is None:  # ser3, x^n unraised
+            return w
+        return mpf_mul(w, xn if theorem1 else mpf_sub(fone, xn, work, rnd), work, rnd)
+
+    return power, term
+
+
+def _exact_pass(m: int, n: int, work: int, table, theorem1: bool) -> tuple:
+    """``(exact, (terms, powers, summed))``: each distinct term added to the
+    ``_ExactSum`` once with its read count, theorem 1's after counting the
+    live reads of each orbit, ser3's by mirror pairs (see ``closed_form_info``)."""
+    power, term = _term_kernel(m, n, work, table, theorem1)
+    exact = _ExactSum()
+    rows = _rows(m, n, work, theorem1)
     if theorem1:
-        # One term per orbit of (j, k) -> (k, j), (m-k, m-j), read at every
-        # live pair of the orbit.
-        rows = _live_columns(m, n, work) if m >= 8 else [range(m + 1)] * (m + 1)
-        cache: dict = {}
-        summed = 0
+        reads: dict = {}
         for j, columns in enumerate(rows):
             for k in columns:
                 a, b = (j, k) if j <= k else (k, j)
-                orbit = min((a, b), (m - b, m - a))
-                term = cache.get(orbit)
-                if term is None:
-                    term = cache[orbit] = mpf_mul(weight(*orbit), power(*orbit), work, rnd)
-                add(term)
-            summed += len(columns)
-        return len(cache), len(cache), summed
-    # ser3 reads the term of j < k at (j, k) and again at (k, j).  Row j
-    # keeps its terms (j, k > j) in a list, last column first, so row k
-    # pops (j, k) at its second read and the kept terms peak near
-    # (m+1)^2/4.  A pair (j, k) with j + k < m hands its 1 - x^n (None if
-    # unraised) to its mirror (m-k, m-j), a later row: row r's list gets
-    # them from rows j = 0, 1, ... for columns m - j, so it pops them in
-    # column order.  Only the pairs j + k <= m raise x^n.
-    powered = _powered_columns(m, n, work) if m >= 8 else [[True] * (m + 1)] * (m + 1)
-    kept: list = []
-    mirrored: list = [[] for _ in range(m + 1)]
-    powers = 0
-    for j, row_powered in enumerate(powered):
-        for earlier in kept:
-            add(earlier.pop())
-        handed = mirrored[j]
-        row = []
-        for k in range(j, m + 1):
-            one_minus_xn = handed.pop() if j + k > m else None
-            term = weight(j, k)
-            if row_powered[k]:  # else x^n is too small to change 1 - x^n
-                if one_minus_xn is None:
-                    one_minus_xn = mpf_sub(fone, power(j, k), work, rnd)
-                term = mpf_mul(term, one_minus_xn, work, rnd)
-                powers += 1
+                orbit = (a, b) if a + b <= m else (m - b, m - a)
+                reads[orbit] = reads.get(orbit, 0) + 1
+        for (j, k), count in reads.items():
+            exact.add(term(j, k, power(j, k)), count)
+        return exact, (len(reads), len(reads), exact.reads)
+    flags = list(rows)
+    for j in range(m // 2 + 1):
+        for k in range(j, m - j + 1):
+            count = 2 if j < k else 1
+            flag, mirror_flag = flags[j][k], flags[m - k][m - j]
+            xn = power(j, k) if flag or mirror_flag else None
+            exact.add(term(j, k, xn if flag else None), count)
             if j + k < m:
-                mirrored[m - k].append(one_minus_xn)
-            add(term)
-            row.append(term)
-        kept.append(row[:0:-1])
-    return (m + 1) * (m + 2) // 2, powers, (m + 1) ** 2
+                exact.add(term(m - k, m - j, xn if mirror_flag else None), count)
+    powers = sum(row[j:].count(True) for j, row in enumerate(flags))
+    return exact, ((m + 1) * (m + 2) // 2, powers, exact.reads)
+
+
+def _sequential_pass(m: int, n: int, work: int, table, theorem1: bool) -> tuple:
+    """``(total, (terms, powers, summed))``: the operators' ``mpf_add`` total
+    of the reads in row-major order.  Each term is kept from its first read
+    on, so it raises at most one x^n."""
+    power, term = _term_kernel(m, n, work, table, theorem1)
+    memo, total, powers, summed = {}, fzero, 0, 0
+    for j, row in enumerate(_rows(m, n, work, theorem1)):
+        for k in row if theorem1 else range(m + 1):
+            key = a, b = (j, k) if j <= k else (k, j)
+            if theorem1 and a + b > m:
+                key = m - b, m - a
+            if key not in memo:  # ser3's first read of (a, b) is in row a
+                raised = theorem1 or row[k]
+                memo[key] = term(*key, power(*key) if raised else None)
+                powers += raised
+            total = mpf_add(total, memo[key], work, round_nearest)
+            summed += 1
+    return total, (len(memo), powers, summed)
 
 
 def work_bits(m: int, precision: int) -> int:
@@ -338,11 +338,10 @@ def work_bits(m: int, precision: int) -> int:
 
 
 def _orbit_counts(m: int, n: int, work: int, variant: str) -> tuple:
-    """``(terms, powers, additions)``: the orbit terms ``_orbit_sum``
-    computes, the powers x^n it raises among them and the terms it adds;
+    """``(terms, powers, additions)``: the orbit terms the exact pass
+    computes, the powers x^n it raises among them and the terms it reads;
     exact for ser3's terms and additions, upper bounds otherwise.  ser3
-    raises x^n only at pairs j + k <= m, (m+2)^2/4 of them, and takes the
-    rest from their mirrors (see ``closed_form_info``).
+    raises x^n once per mirror pair, (m+2)^2/4 (see ``closed_form_info``).
 
     A theorem-1 pair is live only if x_jk^n > 2^-(work+9) x_00^n, since
     w_jk <= w_00, and ser3 raises x_jk^n only if x_jk^n > 2^-(work+9).
@@ -373,9 +372,10 @@ def closed_form_work(m: int, n: int, precision: int = MIN_PRECISION,
     ``work`` bits, an addition costing one step of the exact accumulator
     on integers of about ``work`` bits, plus the (m+1)^2 entries of the
     float bound and the floor(m/2) + 1 angles of the table
-    (``_angle_work`` each).  The second pass of the loop, which runs only
-    when the rounding certificate fails (see ``closed_form_info``), is not
-    charged.
+    (``_angle_work`` each).  The sequential pass, run only when the
+    rounding certificate fails, is not charged: it may compute the float
+    bound and every term once more, one x^n per term that takes one (for
+    ser3 up to twice the powers charged) and one ``mpf_add`` per read.
 
     A unit took 1.0-4.8 ns on a 2-core x86_64 VM, best of 3, in every
     run longer than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to
@@ -405,21 +405,18 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     swaps, so there I_{m,n} = n mod 2 is returned exactly: the sums would
     leave a cancellation residue of about 2^-work m(m+1)/4 instead.
 
-    The sum runs over the pairs (j, k) in row-major order.  The
-    j <-> k and, for theorem 1, (j, k) -> (m-j, m-k)
-    symmetries make the summands of one orbit bit-equal (the table mirrors
-    c exactly), so each orbit's term, and its power x^n, is computed once.
-    ``_orbit_sum`` runs this loop on raw ``_mpf_`` tuples with the libmp
-    functions the mpf operators call, at ``work`` bits and rounding to
-    nearest, so every term has the operators' bits.  The operators add
-    the terms read in loop order, each addition rounded to nearest at
-    ``work`` bits, and finish their total T as
-    F(T) = round_p(round_w(L - round_w(scale T))) for theorem 1 and
-    F(T) = round_p(round_w(scale T)) for ser3, with L = m(m+1)/4,
+    The operators' loop reads the pairs (j, k) in row-major order, adds
+    each summand rounded to nearest at ``work`` bits, and finishes its
+    total T as F(T) = round_p(round_w(L - round_w(scale T))) for theorem 1
+    and F(T) = round_p(round_w(scale T)) for ser3, with L = m(m+1)/4,
     scale = 1/(8(m+1)^2) at ``work`` bits and round_p, round_w rounding
-    to nearest at ``precision`` and ``work`` bits.  The proofs below about
-    skipped terms speak of that sequential total; the last one shows how
-    the loop gets F(T) without making those additions.
+    to nearest at ``precision`` and ``work`` bits.  The j <-> k and, for
+    theorem 1, (j, k) -> (m-j, m-k) symmetries make the summands of one
+    orbit bit-equal (the table mirrors c exactly), so each orbit's term,
+    and its power x^n, is computed once, by ``_term_kernel`` with the
+    libmp functions the operators call, so with their bits.  The proofs
+    below about skipped terms speak of the sequential total T; the last
+    one shows how the exact pass gets F(T) without its additions.
 
     Theorem 1 at m >= 8 adds only the pairs whose summand can change the
     sum, and the result stays bit-identical to adding all of them:
@@ -427,7 +424,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     - every x_jk > 0, since x_jk >= 1 - (4/m)(1 + c_0^2) and c_0^2 < 1
       (at m = 7 the pair (0, m) already has x < 0), so every summand
       w_jk x_jk^n is >= 0;
-    - the loop adds the (0, 0) summand T00 first, and adding summands
+    - the operators add the (0, 0) summand T00 first, and adding summands
       >= 0 with rounding to nearest never lowers the running total, so it
       stays >= T00;
     - mpmath rounds each addition correctly to nearest at ``work`` bits,
@@ -449,32 +446,28 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
 
     The float bound of log(x_jk^n) from the same rows
     (``_powered_columns``) certifies x_jk^n < 2^-(work+1) with the same
-    margin, and such an orbit's term is its weight: x^n is taken as 0,
-    which gives the same bits, and the product by 1 is left out, since
-    it returns a ``work``-bit weight unchanged.
+    margin, and such a term is its weight: x^n is taken as 0, which gives
+    the same bits (see ``_term_kernel``).
 
-    ``ser3`` raises each x^n once per mirror pair, again bit-identically.
-    The table mirrors c exactly (c_{m-k} = -c_k), so c_{m-k} c_{m-j} is
-    bit-equal to c_j c_k, and so are x, x^n and 1 - x^n at (m-k, m-j).
-    A pair j <= k with j + k < m hands its 1 - x^n to that mirror, whose
-    row m - k > j comes later; only the weights differ.  Each term still
-    follows its own ``_powered_columns`` flag: a term whose flag is unset
-    is its weight, whatever its mirror raised, and one whose flag is set
-    raises x^n itself if its mirror's flag was unset.  No term and no
-    addition changes, so the sum keeps its bits, and at n = m, where
+    ``ser3``'s exact pass raises each x^n once per mirror pair, again
+    bit-identically: c_{m-k} = -c_k exactly, so c_{m-k} c_{m-j} is
+    bit-equal to c_j c_k, and so are x and x^n at (m-k, m-j).  It walks
+    the pairs j <= k, j + k <= m and raises x^n if the pair's or its
+    mirror's flag is set; each term follows its own flag.  At n = m, where
     every flag is set, (m+2)^2/4 powers are raised for (m+1)(m+2)/2 terms.
 
-    At m >= 8 the loop adds its terms without rounding, in a fixed-point
+    At m >= 8 the exact pass (``_exact_pass``) adds each distinct term
+    once, times the number of pairs that read it, to a fixed-point
     accumulator after Kulisch's exact dot product (``_ExactSum``), and
-    rounds once under a two-point certificate in the manner of Ziv's
-    rounding test:
+    rounds once under a two-point certificate after Ziv's rounding test:
 
-    - the accumulator holds the exact sum S of the r terms read and the
-      sum A of their absolute values;
+    - the accumulator holds the exact sum S of the r terms read, counted
+      with multiplicity, and the sum A of their absolute values;
     - with u = 2^-work, the k-th rounded addition errs by at most u times
-      a partial sum of absolute value at most A (1 + u)^(k-1), so the
-      sequential total T has |T - S| <= A ((1 + u)^r - 1) <= 2 r u A =
-      delta, since r u <= (m+1)^2 2^-work < 2^-85;
+      a partial sum of absolute value at most A (1 + u)^(k-1), so a
+      sequential total T of the reads, in any order, has
+      |T - S| <= A ((1 + u)^r - 1) <= 2 r u A = delta, since
+      r u <= (m+1)^2 2^-work < 2^-85;
     - scale > 0 and rounding to nearest is monotone, so F is monotone
       (non-increasing for theorem 1, non-decreasing for ser3), and mpmath
       rounds each step of F correctly from exact operands, so F of the
@@ -483,28 +476,27 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     - so if F(S - delta) and F(S + delta) are one mpf, F(T) is that mpf,
       bit for bit, and ``rounding`` is ``"exact"``.
 
-    Otherwise the loop runs once more, adding with the operators'
-    ``mpf_add`` (``_SequentialSum``), and F of that total is returned
-    with ``rounding`` ``"sequential"``.  The certificate speaks of the
-    terms the loop reads, so it composes with the proofs above: they show
-    that the sequential total of those terms is the total over every
-    pair with every power raised, and the certificate gives F of that
-    total.  The fallback is rare.  Theorem 1's terms are >= 0, so A = S
-    and delta <= 2^-(precision+32) S, and F maps the interval to a width
-    of about m^2 2^-34 ulps of ``precision`` even at n = 1, where
-    L - scale S cancels most; ser3's signed terms make A exceed S, yet
-    none of 3582 calls over m = 2..64, 90, 101, 140, 300, n from 1 to
-    about m^3 and 53, 128 and 256 bits fell back, for either variant.
-    Below m = 8 the loop adds with ``mpf_add`` at once (``rounding``
-    ``"sequential"``): it reads every pair, at most 64, and theorem 1's
-    terms there can lie about n bits apart (at m = 2, 48 * 2^-n next to
-    terms near 3), so the exact sum would hold n-bit integers.
+    The certificate thus needs only the multiset of reads, whose row-major
+    total is, by the proofs above, the total over every pair with every
+    power raised.  Otherwise the sequential pass (``_sequential_pass``)
+    adds the reads in row-major order with ``mpf_add``, and F of that
+    total is returned with ``rounding`` ``"sequential"``.  The fallback
+    is rare.  Theorem 1's terms are >= 0, so A = S and
+    delta <= 2^-(precision+32) S, and F maps the interval to a width of
+    about m^2 2^-34 ulps of ``precision`` even at n = 1, where L - scale S
+    cancels most; ser3's signed terms make A exceed S, yet none of 3582
+    calls over m = 2..64, 90, 101, 140, 300, n from 1 to about m^3 and
+    53, 128 and 256 bits fell back, for either variant.  Below m = 8 the
+    sequential pass runs at once: it reads every pair, at most 64, and
+    theorem 1's terms there can lie about n bits apart (at m = 2,
+    48 * 2^-n next to terms near 3), so the exact sum would hold n-bit
+    integers.
 
     ``terms`` counts the orbit summands computed, ``powers`` the terms
     whose 1 - x^n (theorem 1: x^n) entered, raised at the pair or at its
-    mirror, ``skipped`` the pairs left out (all of them when the value is
-    exact or saturated), and ``rounding`` says how the total was rounded
-    (None when the value is exact or saturated, which runs no sum).
+    mirror, ``skipped`` the pairs left out (all when the value is exact or
+    saturated), and ``rounding`` says how the total was rounded (None when
+    the value is exact or saturated, which runs no sum).
 
     The exact answers take O(1) work.  The saturation test is charged its
     angle and logarithm before it computes them, unless n is too small
@@ -540,15 +532,13 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
 
     rounding = None
     if m >= 8:
-        exact_sum = _ExactSum()
-        counts = _orbit_sum(m, n, work, table, theorem1, exact_sum.add)
+        exact_sum, counts = _exact_pass(m, n, work, table, theorem1)
         low, high = (finish(total) for total in exact_sum.interval(work))
         if low._mpf_ == high._mpf_:
             value, rounding = low, "exact"
     if rounding is None:
-        sequential = _SequentialSum(work)
-        counts = _orbit_sum(m, n, work, table, theorem1, sequential.add)
-        value, rounding = finish(sequential.total), "sequential"
+        total, counts = _sequential_pass(m, n, work, table, theorem1)
+        value, rounding = finish(total), "sequential"
     terms, powers, summed = counts
     return ClosedFormResult(value, m, n, opts.variant, precision, False, terms=terms,
                             powers=powers, skipped=pairs - summed, rounding=rounding)

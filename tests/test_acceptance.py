@@ -68,7 +68,8 @@ def test_criterion_04_spectral_certification(capsys):
     rec = checks.spectrum("full")
     ok = rec.passed and rec.elapsed_s < 10
     report(capsys, 4, ok, f"all certified x_jk are characteristic roots for {params(rec)}; "
-                  f"worst |det| {rec.measured['|det|']:.2e} (< {rec.tolerance['|det|']:g}), "
+                  f"worst pivot ratio {rec.measured['pivot ratio']:.2e} "
+                  f"(< {rec.tolerance['pivot ratio']:g}), "
                   f"{rec.elapsed_s:.1f}s (< 10 s)")
     assert ok, rec.detail
 

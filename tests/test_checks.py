@@ -92,15 +92,19 @@ def test_checks_fail_on_wrong_self_weight(monkeypatch):
 
 
 def test_spectrum_check_fails_on_shifted_eigenvalue(monkeypatch):
-    # One representative off by 1e-3 is no longer a root of det(P - x Id).
+    # One representative off by 1e-3 leaves every pivot of the elimination
+    # of P - x Id far above the certified ratio, at m = 2 and at m = 3,
+    # where |det(P - x Id)| is 5.7e-12 or less.
     eigenvalue = spectral.eigenvalue
+    for shifted_at in [(2, 0, 0), (3, 0, 0), (3, 0, 1)]:
+        def shifted(table, j, k):
+            x = eigenvalue(table, j, k)
+            return x + 1e-3 if (table.m, j, k) == shifted_at else x
 
-    def shifted(table, j, k):
-        x = eigenvalue(table, j, k)
-        return x + 1e-3 if (table.m, j, k) == (2, 0, 0) else x
-
-    monkeypatch.setattr(spectral, "eigenvalue", shifted)
-    record = checks.spectrum("full")
-    assert not record.passed
-    assert record.measured["|det|"] > record.tolerance["|det|"]
-    assert record.detail == f"uncertified at m=2: x[0,0] |det| {record.measured['|det|']:.3g}"
+        monkeypatch.setattr(spectral, "eigenvalue", shifted)
+        record = checks.spectrum("full")
+        worst = record.measured["pivot ratio"]
+        assert not record.passed, shifted_at
+        assert worst > 1e-3 > record.tolerance["pivot ratio"], shifted_at
+        m, j, k = shifted_at
+        assert record.detail == f"uncertified at m={m}: x[{j},{k}] pivot ratio {worst:.3g}"

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -559,6 +563,25 @@ def test_n_expression_grammar():
                 "m^2; m", "lambda: 1"):
         with pytest.raises(ValueError):
             cli.parse_n_expression(bad)
+
+
+def test_sweep_refuses_huge_power_before_computing():
+    # A power that would run past 2^4096 is refused before it is raised
+    # (the three below ran past 20 s unbounded); n(m) is otherwise unchanged.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    for expr in ("m^m^m", "10^10^10", "2^2^40"):
+        done = subprocess.run([sys.executable, "-m", "invwalk.cli", "sweep", "--m-values", "9",
+                               "--n-expr", expr], capture_output=True, text=True, timeout=20,
+                              env=env)
+        assert done.returncode == 2 and "exceeds 2^4096" in done.stderr, (expr, done.stderr)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds 2\\^4096"):
+            cli.parse_n_expression(expr)(9)
+        assert time.perf_counter() - start < 1, expr
+    assert cli.parse_n_expression("m^2")(9) == 81
+    assert cli.parse_n_expression("m^3*log(m)")(9) == round(9**3 * math.log(9)) == 1602
+    assert cli.parse_n_expression("2^4096")(9) == 2**4096
+    assert cli.parse_n_expression("-2^-2^40 + m")(9) == 9
 
 
 def test_exit_code_argument_error(capsys):

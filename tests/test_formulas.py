@@ -202,17 +202,18 @@ def _work(m, precision):
     return precision + 32 + (2 * (m + 1) ** 2).bit_length()
 
 
-def _full_loop(m, n, precision, reuse=True, powered=None):
+def _full_loop(m, n, precision, powered=None, raw=False):
     """Both variants by the plain double loop over all (m+1)^2 pairs.
 
     The guard bits, operations and addition order of ``closed_form``,
     with no summand skipped.  Each summand is
     evaluated at its orbit's representative, as there, because the
     weight's product order depends on it; x^n is the same at every member
-    of an orbit.  With ``reuse`` every x^n and summand for j <= k is
-    computed up front and reused for (k, j) only; without it each of the
-    (m+1)^2 pairs is computed afresh.  ``powered[j][k]``, if given, says
-    whether ser3's term at j <= k takes its 1 - x^n or is its weight.
+    of an orbit.  Every x^n and summand for j <= k is computed up front,
+    each x^n at its own pair, and read again for (k, j).
+    ``powered[j][k]``, if given, says whether ser3's term at j <= k takes
+    its 1 - x^n or is its weight.  With ``raw`` the totals are returned as
+    the loop leaves them, mpf tuples at working precision.
     """
     work = _work(m, precision)
     table = spectral.build_table(m, work)
@@ -229,16 +230,14 @@ def _full_loop(m, n, precision, reuse=True, powered=None):
                     "ser3": (c[a] + c[b]) * inv_omc[a] * inv_omc[b]
                     * (1 - xn if powered is None or powered[a][b] else 1)}
 
-        if reuse:
-            upper = {(a, b): summands(a, b) for a in range(m + 1) for b in range(a, m + 1)}
-            pair_terms = lambda a, b: upper[a, b]
-        else:
-            pair_terms = summands
+        upper = {(a, b): summands(a, b) for a in range(m + 1) for b in range(a, m + 1)}
         totals = dict.fromkeys(formulas.VARIANTS, mpmath.mpf(0))
         for j in range(m + 1):
             for k in range(m + 1):
-                for variant, term in pair_terms(min(j, k), max(j, k)).items():
+                for variant, term in upper[min(j, k), max(j, k)].items():
                     totals[variant] += term
+        if raw:
+            return {v: total._mpf_ for v, total in totals.items()}
         limit = mpmath.mpf(m) * (m + 1) / 4
         scale = 1 / (8 * mpmath.mpf(m + 1) ** 2)
         values = {"theorem1": limit - scale * totals["theorem1"],
@@ -249,12 +248,19 @@ def _full_loop(m, n, precision, reuse=True, powered=None):
 
 def test_closed_form_equals_full_loop():
     # m = 7 and 8 lie on either side of the m >= 8 edge above which
-    # theorem 1 skips summands; ser3 always adds every pair.  (30, 400) at
-    # 128 bits is the exact-routes workload's largest closed-form check.
-    points = [(m, n, precision) for m in (7, 8, 40, 100)
+    # theorem 1 skips summands and the exact pass adds each distinct term
+    # once; ser3 always reads every pair.  (30, 400) at 128 bits is the
+    # exact-routes workload's largest closed-form check.  The small odd
+    # and even m, m = 60 at n = m^2 and the m = 8, 9, 40, 41 mirror pairs
+    # of ser3 at n = m and far past it join them.
+    points = {(m, n, precision) for m in (7, 8, 40, 100)
               for n in (1, m, m**2, m**3, asymptotics.critical_step_count(m, 0))
-              for precision in (53, 256)]
-    for m, n, precision in points + [(40, 1600, 128), (30, 400, 128)]:
+              for precision in (53, 256)}
+    points |= {(m, n, precision) for m in (8, 9, 40, 41)
+               for n in (m, asymptotics.critical_step_count(m, 1)) for precision in (53, 256)}
+    points |= {(4, 9, 53), (5, 3, 53), (8, 17, 53), (40, 1600, 53), (3, 8, 53),
+               (7, 100, 53), (60, 3600, 53), (40, 1600, 128), (30, 400, 128)}
+    for m, n, precision in sorted(points):
         expected = _full_loop(m, n, precision)
         for variant in formulas.VARIANTS:
             info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
@@ -321,11 +327,10 @@ def test_ser3_power_skip_is_bit_identical():
         assert info.powers == info.terms, m
 
 
-def test_ser3_keeps_each_term_until_its_second_read():
-    # ser3 drops the term of (j, k), j < k, once (k, j) has read it, so at
-    # most about (m+1)^2/4 terms are held at once.  The bound is the peak
-    # traced when ser3 kept its terms in an orbit dict, which already held
-    # them only until their second read (1751708 bytes, Python 3.11).
+def test_ser3_peak_memory():
+    # ser3's exact pass holds no term past its addition, only the power
+    # flags.  The bound is the peak traced when ser3 kept its terms in an
+    # orbit dict until their second read (1751708 bytes, Python 3.11).
     opts = formulas.ClosedFormOptions(variant="ser3")
     formulas.closed_form_info(120, 120, opts)  # caches outside the call
     tracemalloc.start()
@@ -360,16 +365,6 @@ def test_ser3_raises_each_power_once_per_mirror_pair(monkeypatch, m):
     info = formulas.closed_form_info(m, m, formulas.ClosedFormOptions(variant="ser3"))
     assert len(raised) == (m + 2) ** 2 // 4
     assert info.powers == info.terms == (m + 1) * (m + 2) // 2
-
-
-@pytest.mark.parametrize("m", [8, 9, 40, 41])
-def test_ser3_mirror_reuse_is_bit_identical(m):
-    for n in (m, asymptotics.critical_step_count(m, 1)):
-        for precision in (53, 256):
-            expected = _full_loop(m, n, precision)["ser3"]
-            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(
-                variant="ser3", precision=precision))
-            assert value == expected, (m, n, precision)
 
 
 def test_ser3_mirror_follows_each_term_own_flag(monkeypatch):
@@ -423,26 +418,6 @@ def test_theorem1_skip_is_certified():
                     assert t00 + summand(j, k) == t00, (m, n, j, k)
 
 
-def test_symmetry_halving_is_bit_identical():
-    # Each orbit's summand is computed once and reused: the same sum as
-    # computing every one of the (m+1)^2 summands afresh.
-    for m, n in [(4, 9), (5, 3), (8, 17), (40, 1600)]:
-        expected = _full_loop(m, n, 53, reuse=False)
-        for variant in formulas.VARIANTS:
-            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(variant=variant))
-            assert value == expected[variant], (m, n, variant)
-
-
-def test_materialization_is_bit_identical():
-    # x^n is raised lazily, once per orbit that is summed: the same sum as
-    # raising it for all (m+1)(m+2)/2 pairs j <= k up front.
-    for m, n in [(3, 8), (7, 100), (60, 3600)]:
-        expected = _full_loop(m, n, 53)
-        for variant in formulas.VARIANTS:
-            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(variant=variant))
-            assert value == expected[variant], (m, n, variant)
-
-
 def test_closed_form_is_correctly_rounded():
     m = 120
     for n in (1, 7, 120, 1000, 14400, 10**5, 2 * 10**6):
@@ -459,11 +434,15 @@ def _fraction(raw):
 
 
 def test_failed_certificate_falls_back_to_sequential_sum(monkeypatch):
-    # An interval whose ends finish to different values makes the loop run
-    # again with the sequential mpf_add: the operators' bits, reported so.
+    # An interval whose ends finish to different values makes the sequential
+    # pass add the reads with mpf_add: the operators' bits, reported so.
     wide = (mpmath.libmp.from_int(-10**9), mpmath.libmp.from_int(10**9))
     monkeypatch.setattr(formulas._ExactSum, "interval", lambda self, work: wide)
-    for m, n, precision in [(2, 5, 53), (7, 100, 256), (40, 1600, 128), (100, 100, 53)]:
+    points = {(m, n, precision) for m in (2, 7, 8, 9, 40)
+              for n in (1, m, m**2, asymptotics.critical_step_count(m, 0))
+              for precision in (53, 256)}
+    points |= {(2, 5, 53), (7, 100, 256), (40, 1600, 128), (100, 100, 53)}
+    for m, n, precision in sorted(points):
         expected = _full_loop(m, n, precision)
         for variant in formulas.VARIANTS:
             info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
@@ -473,30 +452,59 @@ def test_failed_certificate_falls_back_to_sequential_sum(monkeypatch):
 
 
 def test_sequential_total_lies_in_the_certified_interval():
-    # The sequential total of the terms read lies within
-    # delta = r A 2^(1-work) of their exact sum S, also where the result
-    # cancels heavily (n = 1, 2) and where ser3's signed terms cancel.
+    # The sequential pass's total of the reads lies within
+    # delta = r A 2^(1-work) of the exact pass's sum S of the same reads,
+    # also where the result cancels heavily (n = 1, 2) and where ser3's
+    # signed terms cancel; both passes count the same terms and reads.
+    # Up to m = 40 that total is the full loop's, bit for bit at working
+    # precision, where the final rounding would hide a change of order.
     for m in list(range(2, 13)) + [40, 140]:
         for n in (1, 2, m):
             for precision in (53, 256):
                 work = formulas.work_bits(m, precision)
                 table = spectral.build_table(m, work)
+                full = _full_loop(m, n, precision, raw=True) if m <= 40 else None
                 for theorem1 in (True, False):
-                    exact, sequential = formulas._ExactSum(), formulas._SequentialSum(work)
-
-                    def both(term):
-                        exact.add(term)
-                        sequential.add(term)
-
-                    formulas._orbit_sum(m, n, work, table, theorem1, both)
+                    exact, counts = formulas._exact_pass(m, n, work, table, theorem1)
+                    total, sequential_counts = formulas._sequential_pass(
+                        m, n, work, table, theorem1)
                     low, high = exact.interval(work)
                     case = (m, n, precision, theorem1)
-                    assert _fraction(low) <= _fraction(sequential.total) <= _fraction(high), case
+                    assert counts == sequential_counts, case
+                    assert _fraction(low) <= _fraction(total) <= _fraction(high), case
+                    if full:
+                        assert total == full["theorem1" if theorem1 else "ser3"], case
+
+
+def test_exact_pass_adds_each_distinct_term_once(monkeypatch):
+    # From m = 8 each distinct term enters the accumulator once, with the
+    # number of pairs that read it: theorem 1's orbit terms and ser3's
+    # (m+1)(m+2)/2 terms j <= k, read (m+1)^2 - skipped times in all.
+    calls = []
+    add = formulas._ExactSum.add
+
+    def counting_add(self, term, reads):
+        calls.append(reads)
+        add(self, term, reads)
+
+    monkeypatch.setattr(formulas._ExactSum, "add", counting_add)
+    for m in (8, 9, 40, 41):
+        for n in (1, m, m**2, asymptotics.critical_step_count(m, 0)):
+            for variant in formulas.VARIANTS:
+                calls.clear()
+                info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(
+                    variant=variant))
+                case = (m, n, variant)
+                assert info.rounding == "exact", case
+                terms = info.terms if variant == "theorem1" else (m + 1) * (m + 2) // 2
+                assert len(calls) == terms == info.terms, case
+                assert sum(calls) == (m + 1) ** 2 - info.skipped, case
 
 
 def test_exact_sum_is_exact():
     # Signed terms, zeros and exponents more than 500 bits apart, met in
-    # falling and rising order, against the Fraction sums.
+    # falling and rising order, each read 1 to 4 times, against the Fraction
+    # sums.
     rng = random.Random(22)
     from_man_exp = mpmath.libmp.from_man_exp
     terms = [mpmath.libmp.fzero]
@@ -504,21 +512,22 @@ def test_exact_sum_is_exact():
         for _ in range(3):
             man = rng.getrandbits(rng.randint(1, 200)) * rng.choice((1, -1))
             terms += [from_man_exp(man, exp + rng.randint(-3, 3)), mpmath.libmp.fzero]
+    reads = [rng.randint(1, 4) for _ in terms]
     exact = formulas._ExactSum()
-    for term in terms:
-        exact.add(term)
+    for term, count in zip(terms, reads):
+        exact.add(term, count)
     unit = Fraction(2) ** exact.exp
-    total = sum(map(_fraction, terms))
-    size = sum(abs(_fraction(t)) for t in terms)
-    assert (exact.total * unit, exact.size * unit, exact.reads) == (total, size, len(terms))
+    total = sum(count * _fraction(t) for t, count in zip(terms, reads))
+    size = sum(count * abs(_fraction(t)) for t, count in zip(terms, reads))
+    assert (exact.total * unit, exact.size * unit, exact.reads) == (total, size, sum(reads))
     work = 100
     delta = exact.reads * size * Fraction(2) ** (1 - work)
     low, high = exact.interval(work)
     assert (_fraction(low), _fraction(high)) == (total - delta, total + delta)
     only_zeros = formulas._ExactSum()
-    only_zeros.add(mpmath.libmp.fzero)
+    only_zeros.add(mpmath.libmp.fzero, 3)
     assert only_zeros.interval(work) == (mpmath.libmp.fzero,) * 2
-    assert only_zeros.reads == 1
+    assert only_zeros.reads == 3
 
 
 def test_closed_form_counts_terms():
@@ -537,7 +546,7 @@ def test_closed_form_refuses_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("the closed form did work before the budget refused")
 
-    for name in ("build_table", "_log_bound_blocks", "_orbit_sum"):
+    for name in ("build_table", "_log_bound_blocks", "_exact_pass", "_sequential_pass"):
         monkeypatch.setattr(formulas, name, no_work)
     for variant in formulas.VARIANTS:
         with pytest.raises(WorkBudgetError, match=f"closed_form {variant} m=31600, n=1"):
