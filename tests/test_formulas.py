@@ -202,15 +202,16 @@ def _work(m, precision):
     return precision + 32 + (2 * (m + 1) ** 2).bit_length()
 
 
-def _full_loop(m, n, precision, powered=None, raw=False):
+def _full_loop(m, n, precision, reuse=True, powered=None, raw=False):
     """Both variants by the plain double loop over all (m+1)^2 pairs.
 
     The guard bits, operations and addition order of ``closed_form``,
     with no summand skipped.  Each summand is
     evaluated at its orbit's representative, as there, because the
     weight's product order depends on it; x^n is the same at every member
-    of an orbit.  Every x^n and summand for j <= k is computed up front,
-    each x^n at its own pair, and read again for (k, j).
+    of an orbit.  With ``reuse`` every x^n and summand for j <= k is
+    computed up front, each x^n at its own pair, and read again for (k, j)
+    only; without it each of the (m+1)^2 pairs is computed afresh.
     ``powered[j][k]``, if given, says whether ser3's term at j <= k takes
     its 1 - x^n or is its weight.  With ``raw`` the totals are returned as
     the loop leaves them, mpf tuples at working precision.
@@ -230,11 +231,15 @@ def _full_loop(m, n, precision, powered=None, raw=False):
                     "ser3": (c[a] + c[b]) * inv_omc[a] * inv_omc[b]
                     * (1 - xn if powered is None or powered[a][b] else 1)}
 
-        upper = {(a, b): summands(a, b) for a in range(m + 1) for b in range(a, m + 1)}
+        if reuse:
+            upper = {(a, b): summands(a, b) for a in range(m + 1) for b in range(a, m + 1)}
+            pair_terms = lambda a, b: upper[a, b]
+        else:
+            pair_terms = summands
         totals = dict.fromkeys(formulas.VARIANTS, mpmath.mpf(0))
         for j in range(m + 1):
             for k in range(m + 1):
-                for variant, term in upper[min(j, k), max(j, k)].items():
+                for variant, term in pair_terms(min(j, k), max(j, k)).items():
                     totals[variant] += term
         if raw:
             return {v: total._mpf_ for v, total in totals.items()}
@@ -250,16 +255,14 @@ def test_closed_form_equals_full_loop():
     # m = 7 and 8 lie on either side of the m >= 8 edge above which
     # theorem 1 skips summands and the exact pass adds each distinct term
     # once; ser3 always reads every pair.  (30, 400) at 128 bits is the
-    # exact-routes workload's largest closed-form check.  The small odd
-    # and even m, m = 60 at n = m^2 and the m = 8, 9, 40, 41 mirror pairs
-    # of ser3 at n = m and far past it join them.
+    # exact-routes workload's largest closed-form check.  Theorem 1 at the
+    # odd m = 9 and 41 of ser3's mirror pairs joins them.
     points = {(m, n, precision) for m in (7, 8, 40, 100)
               for n in (1, m, m**2, m**3, asymptotics.critical_step_count(m, 0))
               for precision in (53, 256)}
-    points |= {(m, n, precision) for m in (8, 9, 40, 41)
+    points |= {(m, n, precision) for m in (9, 41)
                for n in (m, asymptotics.critical_step_count(m, 1)) for precision in (53, 256)}
-    points |= {(4, 9, 53), (5, 3, 53), (8, 17, 53), (40, 1600, 53), (3, 8, 53),
-               (7, 100, 53), (60, 3600, 53), (40, 1600, 128), (30, 400, 128)}
+    points |= {(40, 1600, 128), (30, 400, 128)}
     for m, n, precision in sorted(points):
         expected = _full_loop(m, n, precision)
         for variant in formulas.VARIANTS:
@@ -367,6 +370,18 @@ def test_ser3_raises_each_power_once_per_mirror_pair(monkeypatch, m):
     assert info.powers == info.terms == (m + 1) * (m + 2) // 2
 
 
+@pytest.mark.parametrize("m", [8, 9, 40, 41])
+def test_ser3_mirror_reuse_is_bit_identical(m):
+    # A term's x^n, raised once per mirror pair, gives the full loop's
+    # sum, which raises it at every pair j <= k.
+    for n in (m, asymptotics.critical_step_count(m, 1)):
+        for precision in (53, 256):
+            expected = _full_loop(m, n, precision)["ser3"]
+            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(
+                variant="ser3", precision=precision))
+            assert value == expected, (m, n, precision)
+
+
 def test_ser3_mirror_follows_each_term_own_flag(monkeypatch):
     # Flags that differ between mirror pairs: a term whose flag is unset is
     # its weight even if its mirror raised x^n, and one whose flag is set
@@ -416,6 +431,27 @@ def test_theorem1_skip_is_certified():
             for j, live in enumerate(formulas._live_columns(m, n, work)):
                 for k in set(range(j, m + 1)) - set(live):
                     assert t00 + summand(j, k) == t00, (m, n, j, k)
+
+
+def test_symmetry_halving_is_bit_identical():
+    # Each distinct term is computed once and counted for every pair that
+    # reads it: the same sum as computing every one of the (m+1)^2
+    # summands afresh.
+    for m, n in [(4, 9), (5, 3), (8, 17), (40, 1600)]:
+        expected = _full_loop(m, n, 53, reuse=False)
+        for variant in formulas.VARIANTS:
+            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(variant=variant))
+            assert value == expected[variant], (m, n, variant)
+
+
+def test_materialization_is_bit_identical():
+    # x^n is raised as each term is formed, once per term that is summed:
+    # the same sum as raising it for all (m+1)(m+2)/2 pairs j <= k up front.
+    for m, n in [(3, 8), (7, 100), (60, 3600)]:
+        expected = _full_loop(m, n, 53)
+        for variant in formulas.VARIANTS:
+            value = formulas.closed_form(m, n, formulas.ClosedFormOptions(variant=variant))
+            assert value == expected[variant], (m, n, variant)
 
 
 def test_closed_form_is_correctly_rounded():
