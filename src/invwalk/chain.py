@@ -247,8 +247,8 @@ def expected_inversions_dp(m: int, n: int, p: int | Fraction = 1) -> Fraction:
 
 
 def expected_inversions_float(m: int, n: int) -> float:
-    """Float64 version of the same recursion (approximate); criterion 7 and the
-    benchmark's n = m check call it."""
+    """Float64 version of the same recursion (approximate); only the benchmark's
+    n = m check and ``test_float_dp_tracks_exact`` call it."""
     check_walk_args(m, n)
     check_budget(orbit_count(m) * (4 * n + 256) + 2048 * n, f"float DP m={m}, n={n}")
     q = quotient(m)

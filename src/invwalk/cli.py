@@ -320,8 +320,16 @@ def _evaluate(node, m: int):
     return _OPERATORS[type(node.op)](_evaluate(node.left, m), _evaluate(node.right, m))
 
 
+# _evaluate recurses once per nesting level: on Python 3.11 a 1999-character
+# sum 'm+m+...' and 1200 unary minuses before m ran past the recursion limit,
+# where 1799 and 801 characters did not.
+MAX_N_EXPR_CHARS = 500
+
+
 def parse_n_expression(text: str):
     """Compile an n(m) expression: constants, m, log, ^, *, /, +, -."""
+    if len(text) > MAX_N_EXPR_CHARS:
+        raise ValueError(f"bad n expression: {len(text)} characters, more than {MAX_N_EXPR_CHARS}")
     source = text.replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval")

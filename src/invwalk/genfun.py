@@ -46,18 +46,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __mul__(self, scalar: int | Fraction) -> "Polynomial":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return Polynomial([c * scalar for c in self.coeffs])
-
-    __rmul__ = __mul__
 
     def content(self) -> Fraction:
         """Positive rational c such that self / c has coprime integer coefficients."""
@@ -72,9 +62,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
-
-    def __str__(self):
-        return format_polynomial(self)
 
 
 def format_polynomial(poly: Polynomial) -> str:
@@ -180,7 +167,7 @@ def gf_terms(m: int) -> int:
 
 def homogenized(coeffs, k: int, a: int, B: int, A: int) -> Polynomial:
     """``sum_i c_i a^i t^i (B - A t)^(k-i)``, that is ``(B - A t)^k P(s)``
-    at ``s = a t / (B - A t)`` for P with integer coefficients ``coeffs``,
+    at ``s = a t / (B - A t)`` for P with rational coefficients ``coeffs``,
     k >= deg P, by the Horner step ``out <- out (B - A t) + c_i (a t)^i``.
 
     Images of a coprime pair stay coprime if one of them has k = deg: a
@@ -267,7 +254,9 @@ def aperiodic_gf(rf: RationalFunction, m: int, p: Fraction | None = None) -> Rat
 
     With rf = N/D and e = max(deg N, deg D - 1) the result is
     ``(1-qt)^e N(s) / ((1-qt)^(e+1) D(s))``, s = tp/(1-qt): ``homogenized``
-    images at e and e + 1, coprime since e = deg N or e + 1 = deg D.
+    images at e and e + 1, coprime since e = deg N or e + 1 = deg D.  With
+    p = a/b the image at k carries a factor b^k, so N enters as b N (over Q)
+    to match D's b^(e+1).
     """
     p = formulas.move_probability(m, p)
     if p == 1:
@@ -275,10 +264,9 @@ def aperiodic_gf(rf: RationalFunction, m: int, p: Fraction | None = None) -> Rat
     e = max(rf.num.degree, rf.den.degree - 1)
     # With p = a/b, b^k (1-qt)^k s^i = (a t)^i (b - (b-a) t)^(k-i).
     a, b = p.numerator, p.denominator
-    scale = math.lcm(*(c.denominator for c in rf.num.coeffs))
-    num = homogenized([int(c * scale) for c in rf.num.coeffs], e, a, b, b - a)
+    num = homogenized([c * b for c in rf.num.coeffs], e, a, b, b - a)
     den = homogenized([int(c) for c in rf.den.coeffs], e + 1, a, b, b - a)
-    return RationalFunction(num * Fraction(b, scale), den)
+    return RationalFunction(num, den)
 
 
 POLE_TOL = 1e-8

@@ -5,7 +5,9 @@ maintained incrementally at O(1) per step.  Randomness is a counter-based
 splittable stream (SplitMix64 finalizer over a (seed, trial, step, slot)
 counter), so trial k is a fixed function of (seed, k) and the summary is
 bit-identical for any worker count.  Sums and sums of squares accumulate
-in exact integers; floats appear only in the final summary.
+in exact integers; floats appear only in the final summary.  ``_run_block``
+is the one kernel; the tests' oracle (``tests/mc_reference.py``) reads the
+same stream one draw at a time in pure Python.
 
 Layout: ``monte_carlo`` cuts the trials once into equal contiguous blocks,
 as few as hold at most 2^16 trials and 2^22 permutation entries each, their
@@ -92,14 +94,6 @@ def _mix64_np(z, tmp=None):
     return z
 
 
-def trial_key(seed: int, trial: int) -> int:
-    return _mix64(_mix64(seed & _MASK) ^ ((_GAMMA * (trial + 1)) & _MASK))
-
-
-def _draw(key: int, counter: int) -> int:
-    return _mix64((key + _GAMMA * counter) & _MASK)
-
-
 def _counter(step: int, slot: int, attempt: int) -> int:
     return (step * _SLOTS + slot) * _ATTEMPTS + attempt
 
@@ -107,17 +101,6 @@ def _counter(step: int, slot: int, attempt: int) -> int:
 def _rejection_limit(m: int) -> int:
     """Draws at or above this are redrawn, so ``v % m`` has no modulo bias."""
     return (1 << 64) - ((1 << 64) % m)
-
-
-def _uniform_index(key: int, step: int, m: int) -> int:
-    """Uniform i in [0, m) by rejection (no modulo bias)."""
-    limit = _rejection_limit(m)
-    for attempt in range(_ATTEMPTS):
-        v = _draw(key, _counter(step, 1, attempt))
-        if v < limit:
-            return v % m
-    # Probability ~ (m / 2^64)^_ATTEMPTS; residual bias is negligible.
-    return v % m
 
 
 @dataclass(frozen=True)
@@ -149,25 +132,6 @@ def _lazy_move(lazy_p: Fraction | None):
         return None, None
     lazy_p = check_probability(lazy_p, "lazy_p")
     return lazy_p, (lazy_p.numerator << 64) // lazy_p.denominator
-
-
-def simulate_once(m: int, n: int, seed: int = 0, trial: int = 0,
-                  lazy_p: Fraction | None = None) -> int:
-    """Inversion count after n steps for one trial of the (seed, trial) stream."""
-    check_walk_args(m, n)
-    key = trial_key(seed, trial)
-    lazy_p, hold_threshold = _lazy_move(lazy_p)
-    perm = list(range(m + 1))
-    count = 0
-    for step in range(n):
-        if hold_threshold is not None:
-            if _draw(key, _counter(step, 0, 0)) >= hold_threshold:
-                continue
-        i = _uniform_index(key, step, m)
-        a, b = perm[i], perm[i + 1]
-        count += 1 if a < b else -1
-        perm[i], perm[i + 1] = b, a
-    return count
 
 
 def estimated_work(m: int, n: int, trials: int, workers: int = 1) -> int:

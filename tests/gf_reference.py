@@ -1,7 +1,7 @@
 """Test-side polynomial sum and product, and the paper's printed GFs.
 
-``genfun`` multiplies polynomials only by scalars; the reference
-generating functions and the Euclid oracle need the full product.
+``genfun`` multiplies no polynomials; the reference generating
+functions and the Euclid oracle need the full product.
 """
 
 from fractions import Fraction
@@ -39,7 +39,7 @@ def printed_gfs() -> dict:
     return {
         1: RationalFunction(poly(0, 1), poly(1, 0, -1)),
         2: RationalFunction(poly(0, 2, 1), poly_mul(one_minus_t, poly(2, -1), poly(1, 1))),
-        3: RationalFunction(3 * poly(0, 27, 9, -7, -1),
+        3: RationalFunction(poly(0, 81, 27, -21, -3),
                             poly_mul(one_minus_t, poly(9, 6, -1), poly(9, -6, -1))),
         4: RationalFunction(poly(0, 256, -192, -48, 44, -5),
                             poly_mul(one_minus_t, poly(16, 0, -5), poly(16, -20, 5))),

@@ -94,15 +94,14 @@ def test_criterion_06_sandwich_bounds(capsys):
 def test_criterion_07_linear_regime(capsys):
     start = time.monotonic()
     f1 = asy.f_kappa(1.0)
-    devs = [abs(chain.expected_inversions_float(m, m) / m - f1)
-            for m in (100, 150, 200)]
+    devs = [abs(float(formulas.eriksen(m, m)) / m - f1) for m in (100, 150, 200)]
     decreasing = devs[0] > devs[1] > devs[2]
     capped = devs[2] <= 0.06
     f001 = asy.f_kappa(0.01)
     series_ok = abs(f001 - 0.99005) <= 1e-4
     elapsed = time.monotonic() - start
     ok = decreasing and capped and series_ok and elapsed < 60
-    report(capsys, 7, ok, f"|dp_float(m,m)/m - f(1)| = {[f'{d:.2e}' for d in devs]} "
+    report(capsys, 7, ok, f"|eriksen(m,m)/m - f(1)| = {[f'{d:.2e}' for d in devs]} "
                   f"decreasing={decreasing}, cap {devs[2]:.4f} <= 0.06; "
                   f"f(0.01) = {f001:.7f} within 1e-4 of 0.99005: {series_ok}; "
                   f"{elapsed:.1f}s (< 1 min)")

@@ -584,6 +584,26 @@ def test_sweep_refuses_huge_power_before_computing():
     assert cli.parse_n_expression("-2^-2^40 + m")(9) == 9
 
 
+def test_sweep_refuses_long_expression_before_parsing():
+    # Unbounded, the evaluator raised RecursionError on both and main
+    # printed a traceback with exit 1; the length bound refuses them first.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    for expr in ("m" + "+m" * 999, "-" * 1200 + "m"):
+        done = subprocess.run([sys.executable, "-m", "invwalk.cli", "sweep", "--m-values", "9",
+                               f"--n-expr={expr}"], capture_output=True, text=True, timeout=20,
+                              env=env)
+        assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr[-300:]
+        assert f"more than {cli.MAX_N_EXPR_CHARS}" in done.stderr
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="characters"):
+            cli.parse_n_expression(expr)
+        assert time.perf_counter() - start < 1
+    longest = "m" + "+m" * ((cli.MAX_N_EXPR_CHARS - 1) // 2)
+    assert len(longest) == cli.MAX_N_EXPR_CHARS - 1
+    assert cli.parse_n_expression(longest)(9) == 9 * (cli.MAX_N_EXPR_CHARS // 2)
+    assert cli.parse_n_expression("-" * (cli.MAX_N_EXPR_CHARS - 2) + "m")(9) == 9
+
+
 def test_exit_code_argument_error(capsys):
     code, _, err = run(capsys, "exact", "--m", "0", "--n", "1")
     assert code == 2

@@ -464,6 +464,25 @@ def test_closed_form_is_correctly_rounded():
                 assert value == +reference, (n, precision)
 
 
+def test_closed_form_equals_correctly_rounded_eriksen():
+    # Eriksen's sum is exact and shares no code with the spectral sums, so
+    # this checks round_p(I) itself.  from_rational rounds the fraction once;
+    # mpf(numerator) / den would round the numerator first.
+    mismatches, cases = [], 0
+    for m in [*range(2, 13), 20, 33, 40, 63, 64]:
+        for n in sorted({1, 2, 3, m, 5 * m, m * m}):
+            exact = formulas.eriksen(m, n)
+            for precision in (53, 128):
+                want = mpmath.libmp.from_rational(exact.numerator, exact.denominator,
+                                                  precision, mpmath.libmp.round_nearest)
+                for variant in formulas.VARIANTS:
+                    opts = formulas.ClosedFormOptions(variant, precision)
+                    cases += 1
+                    if formulas.closed_form(m, n, opts)._mpf_ != want:
+                        mismatches.append((m, n, precision, variant))
+    assert cases == 372 and not mismatches, mismatches
+
+
 def _fraction(raw):
     """The exact rational of a raw mpf tuple."""
     return Fraction(*mpmath.libmp.to_rational(raw))

@@ -62,10 +62,9 @@ def _substituted_then_reduced(rf: RationalFunction, p: Fraction) -> RationalFunc
 def test_polynomial_arithmetic():
     a = poly(1, 2)
     b = poly(0, 1, 1)
-    assert (a * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
-    assert (3 * b).coeffs == (0, 3, 3)
-    with pytest.raises(TypeError):
-        a * b  # genfun keeps only the scalar product; the tests own the rest
+    for x, y in ((a, b), (a, 3), (3, b), (a, Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            x * y  # genfun multiplies no polynomials; the tests own the product
     assert poly_add(a, b).coeffs == (1, 3, 1)
     assert poly_mul(a, b).coeffs == (0, 1, 3, 2)
     assert poly(0, 0, 0).degree == -1
@@ -237,7 +236,7 @@ def test_build_gf_coefficients_pinned(m):
 def test_berlekamp_massey_fibonacci():
     den, order = genfun.berlekamp_massey([0, 1, 1, 2, 3, 5])
     assert order == 2
-    assert den * Fraction(1, den.coeffs[0]) == poly(1, -1, -1)
+    assert [c / den.coeffs[0] for c in den.coeffs] == [1, -1, -1]
 
 
 def test_build_gf_timing_guard():

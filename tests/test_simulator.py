@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from invwalk import chain, formulas, simulate
 from invwalk.budget import WorkBudgetError
 
+from mc_reference import draw, simulate_once, trial_key
+
 
 def test_simulate_once_trivial_cases():
-    assert simulate.simulate_once(1, 7) == 1
-    assert simulate.simulate_once(1, 6) == 0
-    assert simulate.simulate_once(5, 0) == 0
+    assert simulate_once(1, 7) == 1
+    assert simulate_once(1, 6) == 0
+    assert simulate_once(5, 0) == 0
     for trial in range(20):
-        assert simulate.simulate_once(2, 1, seed=9, trial=trial) == 1
+        assert simulate_once(2, 1, seed=9, trial=trial) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -23,13 +25,13 @@ def test_simulate_once_trivial_cases():
        seed=st.integers(min_value=0, max_value=2**64 - 1),
        trial=st.integers(min_value=0, max_value=1000))
 def test_parity_and_range(m, n, seed, trial):
-    count = simulate.simulate_once(m, n, seed=seed, trial=trial)
+    count = simulate_once(m, n, seed=seed, trial=trial)
     assert count % 2 == n % 2  # each swap flips the sign of the permutation
     assert 0 <= count <= m * (m + 1) // 2
 
 
 def _assert_scalar_and_vectorized_agree(m):
-    values = [simulate.simulate_once(m, 50, seed=42, trial=t) for t in range(300)]
+    values = [simulate_once(m, 50, seed=42, trial=t) for t in range(300)]
     total, total_sq, _ = simulate._run_block(m, 50, 42, 0, 300, None)
     assert total == sum(values)
     assert total_sq == sum(v * v for v in values)
@@ -46,7 +48,7 @@ def test_scalar_and_vectorized_paths_agree_int16():
 def test_scalar_and_vectorized_lazy_paths_agree():
     p = Fraction(2, 3)
     threshold = (p.numerator << 64) // p.denominator
-    values = [simulate.simulate_once(4, 30, seed=7, trial=t, lazy_p=p)
+    values = [simulate_once(4, 30, seed=7, trial=t, lazy_p=p)
               for t in range(200)]
     total, total_sq, _ = simulate._run_block(4, 30, 7, 0, 200, threshold)
     assert total == sum(values)
@@ -110,12 +112,12 @@ def _any_step_moves(seed, lo, hi, n, hold_threshold):
     moving step draws an index, so only then can a forced limit redraw."""
     if hold_threshold is None:
         return n > 0
-    return any(simulate._draw(simulate.trial_key(seed, t), simulate._counter(step, 0, 0))
+    return any(draw(trial_key(seed, t), simulate._counter(step, 0, 0))
                < hold_threshold for t in range(lo, hi) for step in range(n))
 
 
 def _force_rejection(monkeypatch):
-    """Make about half of all index draws redraw, in both kernels and simulate_once."""
+    """Make about half of all index draws redraw, in both kernels and the oracle."""
     monkeypatch.setattr(simulate, "_rejection_limit", lambda m: 1 << 63)
 
 
@@ -160,7 +162,7 @@ def test_rejection_redraws_match_simulate_once(monkeypatch, lazy_p, workers):
     # so tiles end inside the 10-step run.
     monkeypatch.setattr(simulate, "_TILE_CELLS", 64)
     m, n, trials = 5, 10, 60
-    values = [simulate.simulate_once(m, n, seed=31, trial=t, lazy_p=lazy_p)
+    values = [simulate_once(m, n, seed=31, trial=t, lazy_p=lazy_p)
               for t in range(trials)]
     s = simulate.monte_carlo(m, n, trials, seed=31, lazy_p=lazy_p, workers=workers)
     assert s.sum_counts == sum(values)
@@ -178,12 +180,12 @@ def test_lazy_redraws_count_only_moving_steps(monkeypatch, lazy_p):
     limit = simulate._rejection_limit(m)
     expected = 0
     for t in range(trials):
-        key = simulate.trial_key(seed, t)
+        key = trial_key(seed, t)
         for step in range(n):
-            if simulate._draw(key, simulate._counter(step, 0, 0)) >= threshold:
+            if draw(key, simulate._counter(step, 0, 0)) >= threshold:
                 continue
             for attempt in range(simulate._ATTEMPTS - 1):
-                if simulate._draw(key, simulate._counter(step, 1, attempt)) < limit:
+                if draw(key, simulate._counter(step, 1, attempt)) < limit:
                     break
                 expected += 1
     s = simulate.monte_carlo(m, n, trials, seed=seed, lazy_p=lazy_p)
@@ -254,7 +256,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         simulate.monte_carlo(simulate._BLOCK_CELLS, 1, 2, seed=0)
     with pytest.raises(ValueError, match=r"lazy_p must lie in \(0, 1\]"):
-        simulate.simulate_once(2, 3, lazy_p=Fraction(3, 2))
+        simulate.monte_carlo(2, 3, 10, lazy_p=Fraction(3, 2))
     with pytest.raises(ValueError, match=r"lazy_p must lie in \(0, 1\]"):
         simulate.monte_carlo(3, 5, 10, seed=0, lazy_p=0)
 
