@@ -41,11 +41,30 @@ separate computations of the a_r, and two separate codes for the outer
 division.  The lazy mean is checked against the lazy GF (``genfun``) and
 Monte Carlo.  All denominators divide (bm)^n, so the state is stored as
 big-integer numerators over the implied denominator, with no gcd work.
+
+**The moment memo.**  The a_r depend on m alone; only the weights depend
+on n and p.  So ``expected_inversions_dp`` keeps, per m, the moments
+a_0 .. a_{k-1} it has stepped and the orbit vector N^(k-1) e they end at,
+and steps N only past the longest n seen at that m: a process that asks
+for many n at one m steps each m's walk once.  Only the DP reads the
+memo: ``iterate_totals``, ``formulas.eriksen``, ``_eriksen_weights`` and
+``genfun.build_gf`` compute the same numbers their own way, so DP =
+Eriksen stays a check between two separate computations.  The memo holds
+at most ``MEMO_BITS`` integer bits over all m, least recently used m
+evicted first, so it cannot grow with the number of calls a process
+makes; a call that needs more streams the rest as a call with no memo
+does, and so peaks at most the cap above it.  A lock guards the memo and
+an entry is only ever replaced whole.  The work budget charges a call's
+cold cost before the memo is read, so which calls are refused does not
+depend on earlier calls.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -225,24 +244,111 @@ def iterate_totals(m: int, n: int):
         yield Fraction(_cell_sum(u, q), m**k)
 
 
+# At most this many integer bits stay in the moment memo, over all m
+# (8 MiB); see the module docstring.
+MEMO_BITS = 1 << 26
+
+
+class _Moments(NamedTuple):
+    """One m's memo entry: a_0 .. a_{k-1}, the orbit vector N^(k-1) e they
+    end at, and the bits charged for them.  Each entry of N^(k-1) e is at
+    most a_{k-1}, so the vector is charged a_{k-1}'s bits per orbit."""
+
+    moments: tuple
+    orbit: np.ndarray
+    bits: int
+
+
+class _MomentMemo:
+    """Least-recently-used map m -> ``_Moments`` within ``MEMO_BITS`` bits."""
+
+    def __init__(self):
+        self._entries: OrderedDict[int, _Moments] = OrderedDict()
+        self._lock = threading.Lock()
+        self.bits = 0
+
+    def get(self, m: int) -> _Moments | None:
+        with self._lock:
+            entry = self._entries.get(m)
+            if entry is not None:
+                self._entries.move_to_end(m)
+            return entry
+
+    def put(self, m: int, entry: _Moments) -> None:
+        """Store ``entry`` unless the memo holds as many moments of m already."""
+        with self._lock:
+            old = self._entries.get(m)
+            if old is not None and len(old.moments) >= len(entry.moments):
+                return
+            self._entries[m] = entry
+            self._entries.move_to_end(m)
+            self.bits += entry.bits - (old.bits if old is not None else 0)
+            while self.bits > MEMO_BITS:
+                self.bits -= self._entries.popitem(last=False)[1].bits
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.bits = 0
+
+
+_memo = _MomentMemo()
+
+
+def _jump_moments(m: int, n: int):
+    """Yield a_r = 1^T N^r e for r = 0..n-1: the memo's prefix for m, then
+    one jump step per moment past it.  After the last, the longest prefix
+    that fits in ``MEMO_BITS`` replaces the memo's entry for m."""
+    if n == 0:
+        return
+    entry = _memo.get(m)
+    stored = entry.moments if entry is not None else ()
+    yield from islice(stored, n)
+    if n <= len(stored):
+        return
+    q = quotient(m)
+    h = len(q.size)
+    if entry is None:
+        u = np.zeros(h, dtype=object)
+        u[q.diag] = 1
+        moments, moment_bits = [m], m.bit_length()
+        yield m  # a_0 = 1^T e: the m diagonal cells
+    else:
+        moments, u = list(stored), entry.orbit
+        moment_bits = entry.bits - h * stored[-1].bit_length()
+    moment, tail, keeping = moments[-1], u, True
+    for _ in range(len(moments), n):
+        moment = 4 * moment - 2 * _cell_sum(u, q, q.diag)
+        u = _orbit_step(u, q, 0, 0)
+        yield moment
+        keeping = keeping and moment_bits + (h + 1) * moment.bit_length() <= MEMO_BITS
+        if keeping:
+            moments.append(moment)
+            moment_bits += moment.bit_length()
+            tail = u
+    bits = moment_bits + h * moments[-1].bit_length()
+    if len(moments) > len(stored) and bits <= MEMO_BITS:
+        _memo.put(m, _Moments(tuple(moments), tail, bits))
+
+
 def expected_inversions_dp(m: int, n: int, p: int | Fraction = 1) -> Fraction:
     """I_{m,n} as an exact rational for the chain that moves with
     probability p (default 1): the jump chain N on the quotient gives
-    a_r = 1^T N^r e, and ``_jump_weights`` the outer sum (module docstring)."""
+    a_r = 1^T N^r e, and ``_jump_weights`` the outer sum (module docstring).
+
+    The a_r come from the moment memo, which steps N only past the longest
+    n already asked at this m and keeps at most ``MEMO_BITS`` bits, so the
+    value is the same Fraction as a first call's.  The budget charges
+    ``dp_work``, a first call's cost, before the memo is read.
+    """
     check_walk_args(m, n)
     p = check_probability(p)
     check_budget(dp_work(m, n, p), f"exact DP m={m}, n={n}")
     a, B = p.numerator, p.denominator * m
-    q = quotient(m)
-    u = np.zeros(len(q.size), dtype=object)
-    u[q.diag] = 1
-    moment = m  # a_0 = 1^T e: the m diagonal cells
     total = 0
-    for r, weight in enumerate(_jump_weights(a, B, B - 4 * a, n)):
+    for moment, weight in zip(_jump_moments(m, n), _jump_weights(a, B, B - 4 * a, n),
+                              strict=True):
         total += moment * weight
-        if r + 1 < n:
-            moment = 4 * moment - 2 * _cell_sum(u, q, q.diag)
-            u = _orbit_step(u, q, 0, 0)
     return Fraction(total, B**n)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import decimal
 import json
 import math
 import operator
@@ -43,6 +44,14 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _exact_str(value: Fraction) -> str:
+    """``str(value)`` with no cap on its digits: ``str`` of an int past 4300
+    digits raises, but ``decimal`` converts exactly at any size, and the
+    work budget has already bounded the value's."""
+    num, den = (str(decimal.Decimal(part)) for part in (value.numerator, value.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 def _mpf_str(value, precision: int) -> str:
@@ -92,14 +101,16 @@ def _dp_meta(m, n, p, elapsed) -> dict:
 
 def _route_dp(m, n, args) -> Result:
     value, elapsed = _timed(chain.expected_inversions_dp, m, n)
-    return Result("dp", {"value": str(value)}, (float(value), "", ""),
-                  f"I({m},{n}) = {value}", _dp_meta(m, n, 1, elapsed))
+    text = _exact_str(value)
+    return Result("dp", {"value": text}, (float(value), "", ""),
+                  f"I({m},{n}) = {text}", _dp_meta(m, n, 1, elapsed))
 
 
 def _route_eriksen(m, n, args) -> Result:
     value, elapsed = _timed(formulas.eriksen, m, n)
-    return Result("eriksen", {"value": str(value)}, (float(value), "", ""),
-                  f"I({m},{n}) = {value}",
+    text = _exact_str(value)
+    return Result("eriksen", {"value": text}, (float(value), "", ""),
+                  f"I({m},{n}) = {text}",
                   {"method": "negacyclic-pascal",
                    "work_estimated": formulas.eriksen_work(m, n), "elapsed_s": elapsed})
 
@@ -127,8 +138,9 @@ def _route_closed(m, n, args) -> Result:
 def _route_lazy(m, n, args) -> Result:
     value, elapsed = _timed(formulas.aperiodic_expected, m, n, args.p)
     p = formulas.move_probability(m, args.p)
-    return Result("lazy", {"p": str(p), "value": str(value)}, (float(value), "", f"p={p}"),
-                  f"lazy I({m},{n}; p={p}) = {value}",
+    text = _exact_str(value)
+    return Result("lazy", {"p": str(p), "value": text}, (float(value), "", f"p={p}"),
+                  f"lazy I({m},{n}; p={p}) = {text}",
                   {"p": str(p), **_dp_meta(m, n, p, elapsed)})
 
 

@@ -1,11 +1,14 @@
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invwalk import chain
+from invwalk import chain, formulas
 from invwalk.budget import WorkBudgetError
 
 from brute_force import brute_force_expected
@@ -253,3 +256,87 @@ def test_domain_errors():
         chain.expected_inversions_dp(0, 1)
     with pytest.raises(ValueError):
         chain.expected_inversions_float(2, -1)
+
+
+def _memo_grid():
+    return [(m, n, p) for m in range(1, 13) for n in range(41)
+            for p in (1, Fraction(1, 2), Fraction(m, m + 1), Fraction(1, 7))]
+
+
+def test_memo_answers_equal_cold_answers_in_any_order():
+    grid = _memo_grid()
+    random.Random(27).shuffle(grid)
+    warm = {case: chain.expected_inversions_dp(*case) for case in grid}
+    assert chain._memo.bits > 0
+    for case in grid:
+        chain._memo.clear()
+        assert chain.expected_inversions_dp(*case) == warm[case], case
+    for m, n, p in grid:
+        if p == 1:
+            assert warm[m, n, p] == formulas.eriksen(m, n), (m, n)
+
+
+def test_memo_over_cap_returns_the_cold_value(monkeypatch):
+    cold = chain.expected_inversions_dp(12, 300)
+    chain._memo.clear()
+    chain.expected_inversions_dp(5, 40)  # one entry the cap must evict
+    cap = 20_000
+    monkeypatch.setattr(chain, "MEMO_BITS", cap)
+    assert chain.expected_inversions_dp(12, 300) == cold
+    assert 0 < chain._memo.bits <= cap
+    stored = chain._memo.get(12).moments
+    assert 1 < len(stored) < 300
+    assert chain.expected_inversions_dp(12, 300) == cold
+    assert chain._memo.get(5) is None
+    monkeypatch.setattr(chain, "MEMO_BITS", 10)  # not even a_0 and e fit
+    chain._memo.clear()
+    assert chain.expected_inversions_dp(12, 300) == cold
+    assert chain._memo.bits == 0 and chain._memo.get(12) is None
+
+
+def test_refused_call_leaves_memo_unchanged(monkeypatch):
+    chain.expected_inversions_dp(10, 50)
+    before, bits = chain._memo.get(10), chain._memo.bits
+
+    def no_work(*args):
+        raise AssertionError("the DP started before the budget check")
+
+    monkeypatch.setattr(chain, "quotient", no_work)
+    monkeypatch.setattr(chain, "_orbit_step", no_work)
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    with pytest.raises(WorkBudgetError):
+        chain.expected_inversions_dp(10, 10**6)
+    assert chain._memo.get(10) is before and chain._memo.bits == bits
+    # A call inside the stored prefix neither folds nor steps.
+    assert chain.expected_inversions_dp(10, 40) == formulas.eriksen(10, 40)
+
+
+def test_memo_keeps_the_longer_entry_under_threads():
+    # A call that read a shorter prefix and stores after a longer one did
+    # (another thread's) leaves the longer entry in place.
+    chain.expected_inversions_dp(6, 5)
+    shorter = chain._memo.get(6)
+    chain._memo.clear()
+    chain.expected_inversions_dp(6, 30)
+    longer, bits = chain._memo.get(6), chain._memo.bits
+    chain._memo.put(6, shorter)
+    assert chain._memo.get(6) is longer and chain._memo.bits == bits
+    # More threads than cores, switching often: a lost update of the memo's
+    # bit count or a torn entry would show below.
+    grid = _memo_grid()
+    random.Random(6).shuffle(grid)
+    chain._memo.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            values = list(pool.map(lambda case: chain.expected_inversions_dp(*case), grid,
+                                   timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    entries = [chain._memo.get(m) for m in range(1, 13)]
+    assert chain._memo.bits == sum(entry.bits for entry in entries)
+    assert all(len(entry.moments) == 40 for entry in entries)
+    for case, value in zip(grid[::37], values[::37]):
+        chain._memo.clear()
+        assert chain.expected_inversions_dp(*case) == value, case

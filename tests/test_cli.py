@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import json
 import math
@@ -54,6 +55,18 @@ def test_exact_budget_refuses_before_work(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     assert code == 3
     assert err.startswith("error: budget:")
+
+
+def test_exact_json_past_the_int_str_digit_limit(capsys):
+    # At m = 9, n = 4506 is the smallest n whose numerator has more than
+    # 4300 digits, where str() of an int raises.
+    code, out, _ = run(capsys, "exact", "--m", "9", "--n", "4506", "--format", "json",
+                       "--no-meta")
+    assert code == 0
+    num, den = json.loads(out)["value"].split("/")
+    assert len(num) > 4300
+    value = chain.expected_inversions_dp(9, 4506)
+    assert Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den))) == value
 
 
 def test_exact_text(capsys):
