@@ -367,12 +367,26 @@ def expected_inversions_float(m: int, n: int) -> float:
 # --- functional-equation verification on truncated series -----------------
 
 
-def _shift(series, r: int, a: int, b: int):
-    """Multiply an (N+1, U, V) coefficient array by t^r u^a v^b, truncating at t^N."""
-    out = np.zeros_like(series)
-    T, U, V = series.shape
-    out[r:, a:, b:] = series[:T - r, :U - a, :V - b]
+def _shift(plane, a: int, b: int):
+    """Multiply an (m+2, m+2) coefficient plane by u^a v^b; nothing is lost,
+    as the shifts below stay inside the plane."""
+    out = np.zeros_like(plane)
+    U, V = plane.shape
+    out[a:, b:] = plane[:U - a, :V - b]
     return out
+
+
+def _equation_work(m: int, N: int) -> int:
+    """Work units ``functional_equation_residual(m, N)`` is charged: N + 1
+    rounds of about thirty numpy operations on (m+2)^2-entry planes of
+    integers of about N log2(m) bits, a sixth of a unit per bit.
+
+    On a 2-core x86_64 VM a unit took 2.4-3.9 ns in one pass and 3.7-6.9 ns
+    in a second on a slower host (best of 3 below 1.5 s; m = 1..300,
+    N = 1..20000, m >> N included), so the default budget of 10^9 refuses
+    runs above about 2.5-7 s.
+    """
+    return (N + 1) * (16000 + (m + 2) ** 2 * (120 + N * (m - 1).bit_length() // 6))
 
 
 def functional_equation_residual(m: int, N: int) -> Fraction:
@@ -380,35 +394,41 @@ def functional_equation_residual(m: int, N: int) -> Fraction:
     after clearing the 1/u, 1/v poles by multiplying through by u*v and
     truncating at t^N.  Exact arithmetic; the contract is residual == 0.
 
-    Each series is an integer object array of shape (N+1, m+2, m+2) whose
-    entry [r, i, j] is m^N times the coefficient of t^r u^i v^j; the equation
-    is multiplied through by m as well, so no division remains.  The
+    The coefficient of t^r is an integer plane of shape (m+2, m+2) whose
+    entry [i, j] is m^N times the coefficient of t^r u^i v^j; the equation
+    is multiplied through by m as well, so no division remains.  Its t^(r+1)
+    coefficient involves P_r and P_(r+1) alone, so it is checked one power
+    of t at a time, P_r's share carried to the next as one plane.  The
     equation is written on the full triangle, so the DP's orbit values are
     expanded to every cell here.
     """
     if m < 1 or N < 1:
         raise ValueError(f"need m >= 1 and N >= 1, got m={m}, N={N}")
-    check_budget((N + 1) * m * m * (m * m + 1), f"functional equation m={m}, N={N}")
+    check_budget(_equation_work(m, N), f"functional equation m={m}, N={N}")
 
     i, j = np.array(_triangle_cells(m)).T
     diag = range(m)
     q = quotient(m)
-    P = np.zeros((N + 1, m + 2, m + 2), dtype=object)
+    geom = np.zeros((m + 2, m + 2), dtype=object)
+    geom[range(1, m + 1), range(1, m + 1)] = m**N  # uv (1 + ... + (uv)^{m-1}) / (1-t)
+    worst, carry = 0, 0
     for r, u in enumerate(_numerators(q, N)):
-        P[r, i, j] = u[q.orbit] * m ** (N - r)
-    Pl, Pt, Pd, geom = (np.zeros_like(P) for _ in range(4))
-    Pl[:, 0, :] = P[:, 0, :]               # P_l(v): the left border i = 0
-    Pt[:, :, 0] = P[:, :, m - 1]           # P_t(u): the top border j = m-1
-    Pd[:, diag, diag] = P[:, diag, diag]   # P_d(uv): the diagonal, as u^i v^i
-    geom[:, range(1, m + 1), range(1, m + 1)] = m**N  # uv (1 + ... + (uv)^{m-1}) / (1-t)
-
-    # m uv LHS = m uv (1-t) P + t (4uv - u^2 v - u - u v^2 - v) P
-    uvP = _shift(P, 0, 1, 1)
-    kernel = (4 * uvP - _shift(P, 0, 2, 1) - _shift(P, 0, 1, 0)
-              - _shift(P, 0, 1, 2) - _shift(P, 0, 0, 1))
-    # m uv RHS = t (geom - (v - uv) P_l - (v-1) v^{m-1} uv P_t - (u^2 v + u) P_d)
-    rhs = (geom + _shift(Pl, 0, 1, 1) - _shift(Pl, 0, 0, 1)
-           + _shift(Pt, 0, 1, m) - _shift(Pt, 0, 1, m + 1)
-           - _shift(Pd, 0, 2, 1) - _shift(Pd, 0, 1, 0))
-    residual = m * uvP + _shift(kernel - m * uvP - rhs, 1, 0, 0)
-    return Fraction(abs(residual).max(), m ** (N + 1))
+        P = np.zeros_like(geom)
+        P[i, j] = u[q.orbit] * m ** (N - r)
+        Pl, Pt, Pd = (np.zeros_like(geom) for _ in range(3))
+        Pl[0, :] = P[0, :]               # P_l(v): the left border i = 0
+        Pt[:, 0] = P[:, m - 1]           # P_t(u): the top border j = m-1
+        Pd[diag, diag] = P[diag, diag]   # P_d(uv): the diagonal, as u^i v^i
+        # m uv LHS = m uv (1-t) P + t (4uv - u^2 v - u - u v^2 - v) P
+        uvP = _shift(P, 1, 1)
+        m_uvP = m * uvP
+        kernel = (4 * uvP - _shift(P, 2, 1) - _shift(P, 1, 0)
+                  - _shift(P, 1, 2) - _shift(P, 0, 1))
+        # m uv RHS = t (geom - (v - uv) P_l - (v-1) v^{m-1} uv P_t - (u^2 v + u) P_d)
+        rhs = (geom + _shift(Pl, 1, 1) - _shift(Pl, 0, 1)
+               + _shift(Pt, 1, m) - _shift(Pt, 1, m + 1)
+               - _shift(Pd, 2, 1) - _shift(Pd, 1, 0))
+        # The t^r coefficient of m uv (LHS - RHS); carry is P_(r-1)'s share of it.
+        worst = max(worst, abs(m_uvP + carry).max())
+        carry = kernel - m_uvP - rhs
+    return Fraction(worst, m ** (N + 1))

@@ -299,40 +299,47 @@ def _asym_predict(args) -> int:
 
 # --- sweep -------------------------------------------------------------
 
-_ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant,
-                  ast.Name, ast.Call, ast.Add, ast.Mult, ast.Pow, ast.Div,
-                  ast.Sub, ast.USub, ast.Load)
-
-
 def _power(base, exponent):
     """``base ** exponent``, refused with ValueError before it is computed
-    when an integer result would exceed 2^4096: an admitted one has at most
-    8192 bits, so n can still be printed in decimal."""
+    when an integer result would exceed 2^4096 (an admitted one has at most
+    8192 bits, so n can still be printed in decimal), and after it when the
+    result is not real, as a negative base to a fractional power is."""
     if (isinstance(base, int) and isinstance(exponent, int) and abs(base) > 1
             and exponent * (abs(base).bit_length() - 1) > 1 << 12):
         raise ValueError(f"n expression power of a {abs(base).bit_length()}-bit integer "
                          f"to a {exponent.bit_length()}-bit exponent exceeds 2^4096")
-    return base ** exponent
+    value = base ** exponent
+    if isinstance(value, complex):
+        raise ValueError(f"n expression power ({base!r})^({exponent!r}) is not real")
+    return value
 
 
-_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-              ast.Div: operator.truediv, ast.Pow: _power}
+def _compile(node):
+    """n(m) for one node of the n expression grammar, as a function of m:
+    a numeric constant, m, -x, log(x), or x + - * / ^ y.  Any other node
+    is refused with ValueError."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        value = node.value
+        return lambda m: value
+    if isinstance(node, ast.Name) and node.id == "m":
+        return lambda m: m
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _compile(node.operand)
+        return lambda m: -operand(m)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "log" and len(node.args) == 1 and not node.keywords):
+        argument = _compile(node.args[0])
+        return lambda m: math.log(argument(m))
+    operators = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                 ast.Div: operator.truediv, ast.Pow: _power}
+    if isinstance(node, ast.BinOp) and type(node.op) in operators:
+        op, left, right = operators[type(node.op)], _compile(node.left), _compile(node.right)
+        return lambda m: op(left(m), right(m))
+    raise ValueError(f"{getattr(node, 'id', type(node).__name__)} is not a number, "
+                     "m, -x, log(x) or x + - * / ^ y")
 
 
-def _evaluate(node, m: int):
-    """The value at m of a node that ``parse_n_expression`` admitted."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        return m
-    if isinstance(node, ast.UnaryOp):
-        return -_evaluate(node.operand, m)
-    if isinstance(node, ast.Call):
-        return math.log(_evaluate(node.args[0], m))
-    return _OPERATORS[type(node.op)](_evaluate(node.left, m), _evaluate(node.right, m))
-
-
-# _evaluate recurses once per nesting level: on Python 3.11 a 1999-character
+# The compiled n(m) nests one call per level: on Python 3.11 a 1999-character
 # sum 'm+m+...' and 1200 unary minuses before m ran past the recursion limit,
 # where 1799 and 801 characters did not.
 MAX_N_EXPR_CHARS = 500
@@ -342,29 +349,13 @@ def parse_n_expression(text: str):
     """Compile an n(m) expression: constants, m, log, ^, *, /, +, -."""
     if len(text) > MAX_N_EXPR_CHARS:
         raise ValueError(f"bad n expression: {len(text)} characters, more than {MAX_N_EXPR_CHARS}")
-    source = text.replace("^", "**")
     try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
+        n_of_m = _compile(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except (SyntaxError, ValueError) as exc:
         raise ValueError(f"bad n expression {text!r}: {exc}") from exc
-    call_names = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"bad n expression {text!r}: "
-                             f"{type(node).__name__} not allowed")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ValueError(f"bad n expression {text!r}: non-numeric constant")
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id == "log"
-                    and len(node.args) == 1 and not node.keywords):
-                raise ValueError(f"bad n expression {text!r}: only log(...) calls")
-            call_names.add(id(node.func))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id != "m" and id(node) not in call_names:
-            raise ValueError(f"bad n expression {text!r}: unknown name {node.id!r}")
 
     def evaluate(m: int) -> int:
-        n = round(_evaluate(tree.body, m))
+        n = round(n_of_m(m))
         if n < 0:
             raise ValueError(f"n expression {text!r} gives n={n} < 0 at m={m}")
         return n

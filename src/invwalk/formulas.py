@@ -34,7 +34,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
 
 from .budget import check_budget, check_probability, check_walk_args
 from .chain import expected_inversions_dp
-from .spectral import MIN_PRECISION, build_table, check_precision
+from .spectral import MIN_PRECISION, _angle_work, build_table, check_precision
 
 VARIANTS = ("theorem1", "ser3")
 
@@ -92,13 +92,6 @@ def exact_fraction(value) -> Fraction:
         return Fraction(value)
     p, q = mpmath.libmp.to_rational(value._mpf_)
     return Fraction(p, q)
-
-
-def _angle_work(work: int) -> int:
-    """Work units of one angle's cosine and sine at ``work`` bits: work^2/64.
-    Over 10^4-10^5 bits on a 2-core x86_64 VM a unit took 2.5-3.1 ns in
-    ``build_table(40)`` and 3.0-5.0 ns in the saturation test."""
-    return work**2 // 64
 
 
 def _corner(m: int):

@@ -236,6 +236,19 @@ def test_functional_equation_detects_wrong_self_weight(monkeypatch):
     assert chain.functional_equation_residual(3, 5) != 0
 
 
+def test_functional_equation_refused_before_allocating(monkeypatch):
+    # 2e5 powers of t with integers of 2e5 bits: about 80 GB held at once,
+    # and minutes of work one power at a time.
+    def no_allocation(m):
+        raise AssertionError("the functional equation allocated before the budget check")
+
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    monkeypatch.setattr(chain, "_triangle_cells", no_allocation)
+    monkeypatch.setattr(chain, "quotient", no_allocation)
+    with pytest.raises(WorkBudgetError, match="functional equation m=2, N=200000"):
+        chain.functional_equation_residual(2, 2 * 10**5)
+
+
 def wrong_corner_self_weight(stencil):
     """The stencil with one unit too much self weight at the corner cell (0, 0)."""
     def wrong(m):

@@ -617,6 +617,52 @@ def test_sweep_refuses_long_expression_before_parsing():
     assert cli.parse_n_expression("-" * (cli.MAX_N_EXPR_CHARS - 2) + "m")(9) == 9
 
 
+def test_sweep_refuses_non_real_n():
+    # A negative base to a fractional power is complex: round() of it raised
+    # TypeError, which main printed as a traceback with exit 1.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    for expr in ("(-m)^0.5", "(0-2)^0.5"):
+        done = subprocess.run([sys.executable, "-m", "invwalk.cli", "sweep", "--m-values", "3",
+                               f"--n-expr={expr}", "--methods", "dp"],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr[-300:]
+        assert "not real" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "exact --m 0 --n 3", "exact --m 3 --n=-1",
+    "eriksen --m 0 --n 3", "eriksen --m 3 --n=-1",
+    "closed --m 0 --n 3", "closed --m 3 --n=-1", "closed --m 3 --n 3 --precision 52",
+    "lazy --m 0 --n 3", "lazy --m 3 --n=-1", "lazy --m 3 --n 3 --p 0",
+    "lazy --m 3 --n 3 --p 3/2", "lazy --m 3 --n 3 --p=-1/2",
+    "simulate --m 0 --n 3 --trials 10", "simulate --m 3 --n=-1 --trials 10",
+    "simulate --m 3 --n 3 --trials 1", "simulate --m 3 --n 3 --trials 10 --workers 0",
+    "simulate --m 3 --n 3 --trials 10 --lazy-p 0", "simulate --m 3 --n 3 --trials 10 --lazy-p 2",
+    "bounds --m 0 --n 3", "bounds --m 3 --n=-1", "bounds --m 3 --n 3 --precision 52",
+    "gf --m 0", "gf --m 3 --p 0", "gf --m 3 --p 2", "gf --m 3 --series=-1",
+    "asym --m 0 --n 3", "asym --m 3 --n=-1", "asym --f nan", "asym --f=-1",
+    "asym --f nan --method quadrature", "asym --g 1e-14", "asym --g nan",
+    "sweep --m-values 0 --n-expr m --methods dp",
+    "sweep --m-values 3 --n-expr m --methods closed --precision 52",
+    "sweep --m-values 3 --n-expr m --methods simulate --trials 1",
+    "sweep --m-values 3 --n-expr m --methods simulate --workers 0",
+    "sweep --m-values 3 --n-expr log(0) --methods dp",
+    "sweep --m-values 3 --n-expr log(-m) --methods dp",
+    "sweep --m-values 3 --n-expr m/0 --methods dp",
+    "sweep --m-values 3 --n-expr 0^-1 --methods dp",
+    "sweep --m-values 3 --n-expr 1e400 --methods dp",
+    "sweep --m-values 3 --n-expr 1e400-1e400 --methods dp",
+    "sweep --m-values 3 --n-expr=-m --methods dp",
+    "sweep --m-values 3 --n-expr (-m)^0.5 --methods dp",
+    "sweep --m-values 3 --n-expr (0-2)^0.5 --methods dp",
+    "sweep --m-values 3 --n-expr (-8)^(1/3) --methods dp",
+])
+def test_bad_arguments_are_refused_without_traceback(capsys, argv):
+    # An exception that escapes main is a traceback with exit 1 at the console.
+    code, _, err = run(capsys, *argv.split())
+    assert code in (2, 3) and err.startswith("error:"), (code, err)
+
+
 def test_exit_code_argument_error(capsys):
     code, _, err = run(capsys, "exact", "--m", "0", "--n", "1")
     assert code == 2

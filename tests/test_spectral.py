@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -191,6 +192,16 @@ def test_certification_budget(monkeypatch):
     for m in (5, 7, 10**6):
         with pytest.raises(WorkBudgetError, match="certify_spectrum"):
             spectral.certify_spectrum(m)
+
+
+def test_table_budget(monkeypatch):
+    # Unbounded, build_table(10**8) would run about 15 min and hold about 31 GB.
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    monkeypatch.setattr(spectral, "_mirrored_cos_sin", _no_work)
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="build_table m=100000000"):
+        spectral.build_table(10**8)
+    assert time.perf_counter() - start < 1
 
 
 def test_transition_matrix_budget(monkeypatch):
