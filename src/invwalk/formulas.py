@@ -104,8 +104,9 @@ def _corner(m: int):
 def _saturated(m: int, n: int, precision: int, work: int) -> bool:
     # x_00^n below relative 2^-(precision+64): the whole sum is invisible
     # next to m(m+1)/4 at working precision.  Only valid for m >= 3, where
-    # every certified |x_jk| < 1; for m <= 2 an eigenvalue -1 persists.
-    if n == 0 or m < 3:
+    # every certified |x_jk| < 1 and x_00 >= 1 - (4/3) sin^2(pi/8) > 0.8; for
+    # m <= 2 an eigenvalue -1 persists.
+    if m < 3:
         return False
     # -log x_00 <= 2 (4/m) sin^2(pi/(2m+2)) < 20/(m (m+1)^2) and ln 2 > 0.69,
     # so below this n the sum is visible, and no angle is computed.
@@ -114,10 +115,7 @@ def _saturated(m: int, n: int, precision: int, work: int) -> bool:
     # The corner's angle and a logarithm, which costs about two angles.
     check_budget(3 * _angle_work(work), f"closed_form saturation test m={m}, n={n}")
     with workprec(work):
-        x00 = _corner(m)[2]
-        if x00 <= 0:
-            return False
-        return n * mpmath.log(x00) < -(precision + 64) * mpmath.log(2)
+        return n * mpmath.log(_corner(m)[2]) < -(precision + 64) * mpmath.log(2)
 
 
 def _log_bound_blocks(m: int, n: int, weighted: bool):
@@ -151,37 +149,23 @@ def _log_bound_blocks(m: int, n: int, weighted: bool):
         yield bound
 
 
-def _skip_margin(work: int) -> float:
-    # How far, in nats, a bound must fall below its reference to be cut:
-    # a factor 2^-(work + 1) and the float bounds' slack.
-    return (work + 1 + SKIP_MARGIN_BITS) * math.log(2)
-
-
-def _live_columns(m: int, n: int, work: int):
-    """For each row j in turn, the columns k whose theorem-1 summand can
-    change the sum at ``work`` bits (see ``closed_form_info``)."""
-    cut = None
-    for block in _log_bound_blocks(m, n, weighted=True):
-        if cut is None:
-            cut = block[0, 0] - _skip_margin(work)  # T00's bound
-        for live in block >= cut:
-            yield np.flatnonzero(live).tolist()
-
-
-def _powered_columns(m: int, n: int, work: int):
-    """For each row j in turn, whether each x_jk^n can reach 2^-(work+1),
-    where ser3's 1 - x_jk^n can differ from 1 (see ``closed_form_info``)."""
-    cut = -_skip_margin(work)
-    for block in _log_bound_blocks(m, n, weighted=False):
-        for powered in block >= cut:
-            yield powered.tolist()
-
-
 def _rows(m: int, n: int, work: int, theorem1: bool):
-    """Row by row, theorem 1's live columns or ser3's power flags: all below m = 8."""
+    """For each row j in turn, theorem 1's live columns k, whose summand
+    can change the sum at ``work`` bits, or ser3's flags, whether x_jk^n
+    can reach 2^-(work+1), where 1 - x_jk^n can differ from 1 (see
+    ``closed_form_info``); every column below m = 8.  An entry is kept
+    if its bound lies within a factor 2^-(work+1), and the float bounds'
+    slack, of T00's bound (theorem 1) or of 1 (ser3)."""
     if m < 8:
-        return [range(m + 1) if theorem1 else [True] * (m + 1)] * (m + 1)
-    return _live_columns(m, n, work) if theorem1 else _powered_columns(m, n, work)
+        yield from [range(m + 1) if theorem1 else [True] * (m + 1)] * (m + 1)
+        return
+    margin = (work + 1 + SKIP_MARGIN_BITS) * math.log(2)
+    cut = None if theorem1 else -margin
+    for block in _log_bound_blocks(m, n, weighted=theorem1):
+        if cut is None:
+            cut = block[0, 0] - margin  # T00's bound
+        for kept in block >= cut:
+            yield np.flatnonzero(kept).tolist() if theorem1 else kept.tolist()
 
 
 class _ExactSum:
@@ -425,7 +409,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
       and adding it leaves the total unchanged bit for bit.
 
     A float bound of log(w_jk x_jk^n) selects the pairs within
-    ``work + 1 + SKIP_MARGIN_BITS`` bits of T00 (``_live_columns``); the
+    ``work + 1 + SKIP_MARGIN_BITS`` bits of T00 (``_rows``); the
     margin covers the float error of the bound.  ``ser3``, whose weights
     change sign, and m < 8 add every pair.
 
@@ -437,10 +421,10 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
       lies within half an ulp of 1 and rounds to exactly 1;
     - then v_jk (1 - x_jk^n) rounds to v_jk * 1 = v_jk, bit for bit.
 
-    The float bound of log(x_jk^n) from the same rows
-    (``_powered_columns``) certifies x_jk^n < 2^-(work+1) with the same
-    margin, and such a term is its weight: x^n is taken as 0, which gives
-    the same bits (see ``_term_kernel``).
+    The float bound of log(x_jk^n) from the same rows (``_rows``)
+    certifies x_jk^n < 2^-(work+1) with the same margin, and such a term
+    is its weight: x^n is taken as 0, which gives the same bits (see
+    ``_term_kernel``).
 
     ``ser3``'s exact pass raises each x^n once per mirror pair, again
     bit-identically: c_{m-k} = -c_k exactly, so c_{m-k} c_{m-j} is

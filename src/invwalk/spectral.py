@@ -212,12 +212,24 @@ def verify_identities(table: SpectralTable) -> IdentityReport:
     times.)  The double sums are evaluated as products of single sums.
 
     Each residual must stay below (m+1)^3 * 2**(-precision+7).
+
+    The (m + 1) // 2 guarded angles (``_angle_work`` each) and, per
+    index, 8000 + 50 * (guarded precision) units for the table's error
+    and the sums, about 20 mpf operations, are charged before any is
+    computed.  A unit took 1.4-3.4 ns on a 2-core x86_64 VM, best of 3,
+    in every call longer than 0.1 s (m = 3..5 * 10^4, 53 to 6 * 10^4
+    bits; the low end at 256 bits, the high end where 6 * 10^4-bit
+    divisions outgrow the linear term).  So the default budget refuses
+    m above about 5.7 * 10^4 at 53 bits: the table of m = 10^5 is built
+    in 0.6 s, and its check (4.1 s, 1.8e9 units) is refused.
     """
     m, precision = table.m, table.precision
     tol = (m + 1) ** 3 * 2.0 ** (-precision + 7)
 
-    guard = 40 + max(0, (2 * (m + 1) ** 2).bit_length())
-    with workprec(precision + guard):
+    work = precision + 40 + (2 * (m + 1) ** 2).bit_length()
+    check_budget((m + 1) // 2 * _angle_work(work) + (m + 1) * (8000 + 50 * work),
+                 f"verify_identities m={m}, precision={precision}")
+    with workprec(work):
         # Not via ``build_table``, so that a substituted table builder
         # cannot also supply the reference its table is checked against.
         c, s = _mirrored_cos_sin(m)

@@ -320,7 +320,7 @@ def test_ser3_power_skip_is_bit_identical():
             c = spectral.build_table(m, work).c
             with workprec(work):
                 four_over_m = mpmath.mpf(4) / m
-                for j, powered in enumerate(formulas._powered_columns(m, n, work)):
+                for j, powered in enumerate(formulas._rows(m, n, work, theorem1=False)):
                     for k in range(j, m + 1):
                         if not powered[k]:
                             xn = (1 - four_over_m * (1 - c[j] * c[k])) ** n
@@ -392,7 +392,7 @@ def test_ser3_mirror_follows_each_term_own_flag(monkeypatch):
     mismatched = {(flags[j][k], flags[m - k][m - j]) for j, k in upper if j + k < m}
     assert {(True, False), (False, True)} <= mismatched
     raised = _count_raised_powers(monkeypatch, n)
-    monkeypatch.setattr(formulas, "_powered_columns", lambda m, n, work: iter(flags))
+    monkeypatch.setattr(formulas, "_rows", lambda m, n, work, theorem1: iter(flags))
     info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(variant="ser3"))
     assert info.value == _full_loop(m, n, 53, powered=flags)["ser3"]
     assert info.powers == sum(flags[j][k] for j, k in upper)
@@ -428,7 +428,7 @@ def test_theorem1_skip_is_certified():
                 return (c[j] + c[k]) ** 2 / (s[j] ** 2 * s[k] ** 2) * x**n
 
             t00 = summand(0, 0)
-            for j, live in enumerate(formulas._live_columns(m, n, work)):
+            for j, live in enumerate(formulas._rows(m, n, work, theorem1=True)):
                 for k in set(range(j, m + 1)) - set(live):
                     assert t00 + summand(j, k) == t00, (m, n, j, k)
 
@@ -593,6 +593,19 @@ def test_closed_form_counts_terms():
     full = formulas.closed_form_info(120, 120**3, formulas.ClosedFormOptions(variant="ser3"))
     assert full.skipped == 0
     assert full.terms == 121 * 122 // 2
+    # The selection's exact counts at workload sizes, 53 bits: n = m^2 and
+    # m^3 at m = 140, and the console check's (40, 1600).
+    for m, n, variant, counts in [
+        (40, 1600, "theorem1", (63, 63, 1447)),
+        (40, 1600, "ser3", (861, 150, 0)),
+        (140, 19600, "theorem1", (193, 193, 19139)),
+        (140, 19600, "ser3", (10011, 462, 0)),
+        (140, 2744000, "theorem1", (2, 2, 19875)),
+        (140, 2744000, "ser3", (10011, 4, 0)),
+    ]:
+        info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(variant=variant))
+        assert (info.terms, info.powers, info.skipped) == counts, (m, n, variant)
+        assert info.rounding == "exact", (m, n, variant)
 
 
 def test_closed_form_refuses_before_work(monkeypatch):

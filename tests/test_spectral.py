@@ -204,6 +204,22 @@ def test_table_budget(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def test_identities_budget(monkeypatch):
+    # Unbounded, the guarded recompute of a table of m = 10^7 would run
+    # 4-10 min.  An empty table stands in: refusing it must not read it.
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    monkeypatch.setattr(spectral, "_mirrored_cos_sin", _no_work)
+    table = spectral.SpectralTable(m=10**7, precision=53, c=(), s=())
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="verify_identities m=10000000"):
+        spectral.verify_identities(table)
+    assert time.perf_counter() - start < 1
+    # The largest tables the bench and ``verify --level full`` check are admitted.
+    monkeypatch.undo()
+    monkeypatch.delenv("INVWALK_BUDGET", raising=False)
+    assert spectral.verify_identities(spectral.build_table(200, 256)).all_passed
+
+
 def test_transition_matrix_budget(monkeypatch):
     monkeypatch.setattr(spectral, "permutations", _no_work)
     for m in (7, 10**6):  # 1.6e9 entries; the default budget admits m <= 6
