@@ -72,13 +72,15 @@ import numpy as np
 from .budget import check_budget, check_probability, check_walk_args
 
 
-def _triangle_cells(m: int):
-    return [(i, j) for j in range(m) for i in range(j + 1)]
-
-
 def cell_index(m: int, i: int, j: int) -> int:
     """Position of cell (i, j) in the row-major triangular layout."""
     return j * (j + 1) // 2 + i
+
+
+def _cell_coords(m: int):
+    """Arrays ``(i, j)`` of every cell, in the cell_index layout."""
+    j = np.repeat(np.arange(m), np.arange(1, m + 1))
+    return np.arange(len(j)) - cell_index(m, 0, j), j
 
 
 def stencil(m: int):
@@ -93,8 +95,7 @@ def stencil(m: int):
     ``quotient`` folds it onto the reversal orbits.
     """
     d = m * (m + 1) // 2
-    j = np.repeat(np.arange(m), np.arange(1, m + 1))
-    i = np.arange(d) - cell_index(m, 0, j)
+    i, j = _cell_coords(m)
     nbrs = np.full((d, 4), d, dtype=np.intp)
     for c, (di, dj) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
         k, l = i + di, j + dj
@@ -137,8 +138,7 @@ def quotient(m: int) -> Quotient:
     """
     self_coeff, nbrs, diag = stencil(m)
     d = len(self_coeff)
-    j = np.repeat(np.arange(m), np.arange(1, m + 1))
-    i = np.arange(d) - cell_index(m, 0, j)
+    i, j = _cell_coords(m)
     mirror = cell_index(m, m - 1 - j, m - 1 - i)
     loops = self_coeff - (m - 4)  # N's self weight
     count = (nbrs < d).sum(axis=1) + loops
@@ -367,24 +367,14 @@ def expected_inversions_float(m: int, n: int) -> float:
 # --- functional-equation verification on truncated series -----------------
 
 
-def _shift(plane, a: int, b: int):
-    """Multiply an (m+2, m+2) coefficient plane by u^a v^b; nothing is lost,
-    as the shifts below stay inside the plane."""
-    out = np.zeros_like(plane)
-    U, V = plane.shape
-    out[a:, b:] = plane[:U - a, :V - b]
-    return out
-
-
 def _equation_work(m: int, N: int) -> int:
     """Work units ``functional_equation_residual(m, N)`` is charged: N + 1
-    rounds of about thirty numpy operations on (m+2)^2-entry planes of
+    rounds of about fifteen numpy operations on (m+2)^2-entry planes of
     integers of about N log2(m) bits, a sixth of a unit per bit.
 
-    On a 2-core x86_64 VM a unit took 2.4-3.9 ns in one pass and 3.7-6.9 ns
-    in a second on a slower host (best of 3 below 1.5 s; m = 1..300,
-    N = 1..20000, m >> N included), so the default budget of 10^9 refuses
-    runs above about 2.5-7 s.
+    On a 2-core x86_64 VM a unit took 1.5-3.5 ns (best of 3 below 1.5 s;
+    m = 1..1000, N = 1..20000, m >> N included), so the default budget of
+    10^9 refuses runs above about 1.5-3.5 s.
     """
     return (N + 1) * (16000 + (m + 2) ** 2 * (120 + N * (m - 1).bit_length() // 6))
 
@@ -406,29 +396,33 @@ def functional_equation_residual(m: int, N: int) -> Fraction:
         raise ValueError(f"need m >= 1 and N >= 1, got m={m}, N={N}")
     check_budget(_equation_work(m, N), f"functional equation m={m}, N={N}")
 
-    i, j = np.array(_triangle_cells(m)).T
-    diag = range(m)
+    i, j = _cell_coords(m)
+    diag = np.arange(m)
     q = quotient(m)
-    geom = np.zeros((m + 2, m + 2), dtype=object)
-    geom[range(1, m + 1), range(1, m + 1)] = m**N  # uv (1 + ... + (uv)^{m-1}) / (1-t)
-    worst, carry = 0, 0
+    P, carry = (np.zeros((m + 2, m + 2), dtype=object) for _ in range(2))
+    worst = 0
     for r, u in enumerate(_numerators(q, N)):
-        P = np.zeros_like(geom)
         P[i, j] = u[q.orbit] * m ** (N - r)
-        Pl, Pt, Pd = (np.zeros_like(geom) for _ in range(3))
-        Pl[0, :] = P[0, :]               # P_l(v): the left border i = 0
-        Pt[:, 0] = P[:, m - 1]           # P_t(u): the top border j = m-1
-        Pd[diag, diag] = P[diag, diag]   # P_d(uv): the diagonal, as u^i v^i
-        # m uv LHS = m uv (1-t) P + t (4uv - u^2 v - u - u v^2 - v) P
-        uvP = _shift(P, 1, 1)
-        m_uvP = m * uvP
-        kernel = (4 * uvP - _shift(P, 2, 1) - _shift(P, 1, 0)
-                  - _shift(P, 1, 2) - _shift(P, 0, 1))
-        # m uv RHS = t (geom - (v - uv) P_l - (v-1) v^{m-1} uv P_t - (u^2 v + u) P_d)
-        rhs = (geom + _shift(Pl, 1, 1) - _shift(Pl, 0, 1)
-               + _shift(Pt, 1, m) - _shift(Pt, 1, m + 1)
-               - _shift(Pd, 2, 1) - _shift(Pd, 1, 0))
         # The t^r coefficient of m uv (LHS - RHS); carry is P_(r-1)'s share of it.
-        worst = max(worst, abs(m_uvP + carry).max())
-        carry = kernel - m_uvP - rhs
+        carry[1:, 1:] += m * P[:-1, :-1]
+        worst = max(worst, carry.max(), -carry.min())
+        # P_r's share of the t^(r+1) coefficient, each term u^a v^b P added as
+        # P moved down a rows and right b columns.
+        carry.fill(0)
+        # m uv LHS = m uv (1-t) P + t (4uv - u^2 v - u - u v^2 - v) P
+        carry[1:, 1:] += (4 - m) * P[:-1, :-1]
+        carry[2:, 1:] -= P[:-2, :-1]
+        carry[1:, :] -= P[:-1, :]
+        carry[1:, 2:] -= P[:-1, :-2]
+        carry[:, 1:] -= P[:, :-1]
+        # m uv RHS = t (geom - (v - uv) P_l - (v-1) v^{m-1} uv P_t - (u^2 v + u) P_d),
+        # geom = m^N uv (1 + ... + (uv)^{m-1}), P_l(v) the left border i = 0,
+        # P_t(u) the top border j = m-1, P_d(uv) the diagonal as u^i v^i.
+        carry[diag + 1, diag + 1] -= m**N
+        carry[0, 1:] += P[0, :-1]
+        carry[1, 1:] -= P[0, :-1]
+        carry[1:, m + 1] += P[:-1, m - 1]
+        carry[1:, m] -= P[:-1, m - 1]
+        carry[diag + 2, diag + 1] += P[diag, diag]
+        carry[diag + 1, diag] += P[diag, diag]
     return Fraction(worst, m ** (N + 1))

@@ -227,8 +227,9 @@ def _cmd_gf(args) -> int:
     tail = {}
     if args.series is not None:
         coeffs = genfun.series(rf, args.series)
-        tail["series"] = [str(c) for c in coeffs]
-        lines.append("series: " + ", ".join(str(c) for c in coeffs))
+        texts = [_exact_str(c) for c in coeffs]
+        tail["series"] = texts
+        lines.append("series: " + ", ".join(texts))
         rows.extend((args.m, k, "gf:series", float(c), "", "")
                     for k, c in enumerate(coeffs))
     exit_code = 0

@@ -1,7 +1,10 @@
-"""Test-side polynomial sum and product, and the paper's printed GFs.
+"""Test-side polynomial sum and product, the paper's printed GFs, and the
+textbook series expansion.
 
 ``genfun`` multiplies no polynomials; the reference generating
-functions and the Euclid oracle need the full product.
+functions and the Euclid oracle need the full product.  ``series_reference``
+is the literal ``Fraction`` recurrence that ``genfun.series`` runs
+fraction-free.
 """
 
 from fractions import Fraction
@@ -44,3 +47,17 @@ def printed_gfs() -> dict:
         4: RationalFunction(poly(0, 256, -192, -48, 44, -5),
                             poly_mul(one_minus_t, poly(16, 0, -5), poly(16, -20, 5))),
     }
+
+
+def series_reference(rf: RationalFunction, N: int) -> list:
+    """First N+1 Taylor coefficients of rf, by ``b_0 c_n = a_n - sum_j b_j
+    c_(n-j)`` in ``Fraction`` arithmetic, one reduction per operation."""
+    a = rf.num.coeffs
+    b = rf.den.coeffs
+    out = []
+    for n in range(N + 1):
+        acc = a[n] if n < len(a) else Fraction(0)
+        for j in range(1, min(n, len(b) - 1) + 1):
+            acc -= b[j] * out[n - j]
+        out.append(acc / b[0])
+    return out

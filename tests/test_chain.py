@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -14,17 +15,23 @@ from invwalk.budget import WorkBudgetError
 from brute_force import brute_force_expected
 
 
+def _triangle_cells(m):
+    """Every cell (i, j), 0 <= i <= j < m, in row-major order."""
+    return [(i, j) for j in range(m) for i in range(j + 1)]
+
+
 def test_cell_index_is_dense():
     for m in (1, 2, 5):
-        cells = chain._triangle_cells(m)
+        cells = _triangle_cells(m)
         assert [chain.cell_index(m, i, j) for i, j in cells] == list(range(len(cells)))
         assert len(cells) == m * (m + 1) // 2
+        assert list(zip(*chain._cell_coords(m))) == cells
 
 
 def test_neighbors_stay_in_triangle():
     for m in (1, 2, 3, 6):
         self_coeff, nbrs, diag = chain.stencil(m)
-        cells = chain._triangle_cells(m)
+        cells = _triangle_cells(m)
         d = len(cells)
         assert nbrs.shape == (d, 4) and self_coeff.shape == (d,)
         assert sorted(diag) == [chain.cell_index(m, i, i) for i in range(m)]
@@ -86,11 +93,11 @@ def _probabilities(m, n):
     for p in _expanded_numerators(m, n):
         pass
     return {cell: Fraction(p[chain.cell_index(m, *cell)], m**n)
-            for cell in chain._triangle_cells(m)}
+            for cell in _triangle_cells(m)}
 
 
 def test_initial_state():
-    assert _probabilities(3, 0) == dict.fromkeys(chain._triangle_cells(3), 0)
+    assert _probabilities(3, 0) == dict.fromkeys(_triangle_cells(3), 0)
 
 
 def test_single_step_m2():
@@ -114,7 +121,7 @@ def test_jump_kernel_shape(m):
     # 4 - 2 [i = j], nonnegative, and symmetric as the neighbour relation is.
     self_coeff, nbrs, diag = chain.stencil(m)
     d = len(self_coeff)
-    for i, j in chain._triangle_cells(m):
+    for i, j in _triangle_cells(m):
         row = chain.cell_index(m, i, j)
         self_weight = self_coeff[row] - (m - 4)
         assert self_weight == (i == 0) + (j == m - 1)
@@ -180,7 +187,7 @@ def test_symmetry_holds_along_trajectory():
     # p_{i,j} == p_{m-j-1, m-i-1} exactly (conjugation by the reversal), on
     # the full-triangle oracle: the DP stores one value per orbit.
     m = 4
-    cells = chain._triangle_cells(m)
+    cells = _triangle_cells(m)
     for p in _oracle_numerators(m, 12):
         assert all(p[chain.cell_index(m, i, j)] == p[chain.cell_index(m, m - j - 1, m - i - 1)]
                    for i, j in cells)
@@ -243,10 +250,23 @@ def test_functional_equation_refused_before_allocating(monkeypatch):
         raise AssertionError("the functional equation allocated before the budget check")
 
     monkeypatch.delenv("INVWALK_BUDGET", raising=False)
-    monkeypatch.setattr(chain, "_triangle_cells", no_allocation)
+    monkeypatch.setattr(chain, "_cell_coords", no_allocation)
     monkeypatch.setattr(chain, "quotient", no_allocation)
     with pytest.raises(WorkBudgetError, match="functional equation m=2, N=200000"):
         chain.functional_equation_residual(2, 2 * 10**5)
+
+
+def test_functional_equation_holds_few_planes():
+    # Each power of t adds its shifted terms into one carried plane by
+    # slices, so the peak stays under three planes of m^N-sized integers.
+    m, N = 20, 100
+    tracemalloc.start()
+    try:
+        assert chain.functional_equation_residual(m, N) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (m + 2) ** 2 * (8 + sys.getsizeof(m**N))
 
 
 def wrong_corner_self_weight(stencil):

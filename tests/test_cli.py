@@ -106,6 +106,35 @@ def test_gf_lazy_pole_check_builds_gf_once(capsys, monkeypatch):
     assert calls == [2]
 
 
+@pytest.fixture
+def int_str_limit_640():
+    """Python's int-to-str digit limit at its minimum, 640 digits, so that a
+    short series already crosses it (``gf --m 4 --series 7200`` crosses 4300)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _decimal_fraction(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_gf_series_past_the_int_str_digit_limit(capsys, int_str_limit_640, fmt):
+    # From coefficient 1064 on, I_4(t)'s terms have more than 640 digits.
+    code, out, _ = run(capsys, "gf", "--m", "4", "--series", "1100", "--format", fmt,
+                       "--no-meta")
+    assert code == 0
+    if fmt == "json":
+        texts = json.loads(out)["series"]
+    else:
+        texts = out.splitlines()[1].removeprefix("series: ").split(", ")
+    assert max(map(len, texts)) > 2 * 640
+    assert [_decimal_fraction(t) for t in texts] == genfun.series(genfun.build_gf(4), 1100)
+
+
 def test_gf_lazy_variant(capsys):
     code, out, _ = run(capsys, "gf", "--m", "1", "--p", "1/2",
                        "--series", "3", "--format", "json")

@@ -8,7 +8,7 @@ from invwalk import chain, formulas, genfun, spectral
 from invwalk.budget import WorkBudgetError
 from invwalk.genfun import Polynomial, RationalFunction
 
-from gf_reference import poly, poly_add, poly_mul, printed_gfs
+from gf_reference import poly, poly_add, poly_mul, printed_gfs, series_reference
 
 
 def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -113,6 +113,30 @@ def test_series_satisfies_recurrence(num, den_tail):
                    for j in range(min(n, rf.den.degree) + 1))
         expected = rf.num.coeffs[n] if n <= rf.num.degree else 0
         assert conv == expected
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=st.lists(rationals, max_size=9),
+       den=st.lists(rationals, min_size=1, max_size=6).filter(lambda d: d[0] != 0),
+       N=st.integers(0, 30))
+def test_series_equals_fraction_recurrence(num, den, N):
+    # Constant terms other than 1 and negative ones (normalisation flips the
+    # sign), rational numerators, numerators longer than the denominator,
+    # degree-0 denominators and the zero numerator.
+    rf = RationalFunction(Polynomial(num), Polynomial(den))
+    assert genfun.series(rf, N) == series_reference(rf, N)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_series_of_lazy_gfs_equals_fraction_recurrence(m):
+    base = genfun.build_gf(m)
+    N = m * (m + 1) + 2
+    for p in (None, Fraction(1, 2), Fraction(1, 7), Fraction(999, 1000)):
+        rf = base if p is None else genfun.aperiodic_gf(base, m, p)
+        assert genfun.series(rf, N) == series_reference(rf, N)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
