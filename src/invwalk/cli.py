@@ -132,6 +132,9 @@ def _route_closed(m, n, args) -> Result:
                    # An exact or saturated answer runs no sum to round.
                    **({"rounding": info.rounding} if info.rounding else {}),
                    "work_bits": formulas.work_bits(m, info.precision),
+                   # No certificate runs below m = 8 or without a sum.
+                   **({"certificate_ulps": info.certificate_ulps}
+                      if info.certificate_ulps is not None else {}),
                    "work_estimated": estimated, "elapsed_s": elapsed})
 
 

@@ -6,13 +6,18 @@ sandwich bounds, and the lazified (aperiodic) expectation, which is the
 exact DP with the lazy chain's outer weights.  The spectral sums run at
 a configurable binary precision with internal guard bits: the summands
 span a ~m^4 dynamic range and the result suffers heavy cancellation for
-small n.  One kernel computes their terms on raw mpf tuples, bit for bit
-as the mpf operators would.  From m = 8 the exact pass adds each distinct
-term once, times its read count, in a fixed-point accumulator, and
-rounds once: when both ends of an interval sure to hold the operators'
+small n.  One kernel (``_term_kernel``) computes their terms on raw mpf
+tuples, bit for bit as the mpf operators would; it serves ser3 and the
+sequential pass.  From m = 8 the exact pass adds each distinct term
+once, times its read count, in a fixed-point accumulator, and rounds
+once: when both ends of an interval sure to hold the operators'
 sequentially rounded total finish to one value, that value is theirs bit
 for bit; otherwise, rarely, and always below m = 8, the sequential pass
-adds the reads with ``mpf_add`` (see ``closed_form_info``).
+adds the reads with ``mpf_add`` (see ``closed_form_info``).  Theorem 1's
+exact pass takes its terms from a second kernel on Python integers
+(``_fixed_kernel``), so from m = 8 theorem 1 no longer shares its term
+kernel with ser3; the interval is widened by a proven bound E on that
+kernel's distance from the operators' terms.
 Eriksen's binomial formula takes O(n + max(0, n - m) m) big-integer
 operations (closed forms, then one negacyclic Pascal recurrence, for its
 inner sums, one synthetic division for the outer sum); it shares no code
@@ -69,6 +74,7 @@ class ClosedFormResult:
     powers: int   # terms whose 1 - x^n entered, raised at the pair or at its mirror
     skipped: int  # of the (m+1)^2 pairs, those left out of the sum
     rounding: str | None  # "exact" or "sequential" (see closed_form_info); None: no sum
+    certificate_ulps: float | None  # the certificate's finished width; None: none ran
 
 
 @dataclass(frozen=True)
@@ -169,21 +175,28 @@ def _rows(m: int, n: int, work: int, theorem1: bool):
 
 
 class _ExactSum:
-    """An exact sum of mpf tuples in fixed point (Kulisch's long
+    """An exact sum of dyadic terms in fixed point (Kulisch's long
     accumulator): ``total`` is the sum S of the terms read and ``size`` the
     sum A of their absolute values, in units of 2^``exp``, the smallest
     exponent of a nonzero term seen so far; ``reads`` counts the reads, r,
-    zeros included.  ``add(term, reads)`` rounds nothing: S and A are exact."""
+    zeros included.  ``add(term, reads)`` takes an mpf tuple and
+    ``add_int(man, exp, reads)`` the term man 2^exp; neither rounds, so S
+    and A are exact.  ``rho`` bounds how far the terms added may lie from
+    the operators' terms: by at most rho 2^-work A in all, r reads counted
+    (0: they are the operators' terms; None: no bound holds)."""
 
-    __slots__ = ("total", "size", "exp", "reads")
+    __slots__ = ("total", "size", "exp", "reads", "rho")
 
     def __init__(self):
-        self.total = self.size = self.reads = 0
+        self.total = self.size = self.reads = self.rho = 0
         self.exp = None
 
     def add(self, term, reads: int) -> None:
-        self.reads += reads
         sign, man, exp, _ = term
+        self.add_int(-man if sign else man, exp, reads)
+
+    def add_int(self, man: int, exp: int, reads: int) -> None:
+        self.reads += reads
         if not man:
             return
         if self.exp is None:
@@ -196,18 +209,30 @@ class _ExactSum:
             self.exp = exp
         else:
             man <<= shift
-        self.size += man
-        self.total += -man if sign else man
+        self.size += abs(man)
+        self.total += man
 
-    def interval(self, work: int) -> tuple:
-        """S - delta and S + delta, delta = r A 2^(1-work), as exact mpf
-        tuples: the interval that holds the sequential total of the same
-        reads at ``work`` bits, in any order (see ``closed_form_info``)."""
+    def interval(self, work: int):
+        """S - h and S + h as exact mpf tuples, h = delta + E with
+        E = rho u A and delta = 2 r u (A + E), u = 2^-work: the interval
+        that holds the operators' sequential total of the same reads at
+        ``work`` bits, in any order (see ``closed_form_info``); None if
+        ``rho`` is None."""
+        if self.rho is None:
+            return None
         if self.exp is None:
             return fzero, fzero
-        total, delta = self.total << (work - 1), self.reads * self.size
-        exp = self.exp + 1 - work
-        return from_man_exp(total - delta, exp), from_man_exp(total + delta, exp)
+        r, rho, size = self.reads, self.rho, self.size
+        total, half = self.total << 2 * work, ((2 * r + rho) * size << work) + 2 * r * rho * size
+        exp = self.exp - 2 * work
+        return from_man_exp(total - half, exp), from_man_exp(total + half, exp)
+
+
+def _inverse_squares(table, work: int) -> list:
+    """Theorem 1's factors 1/s_k^2 as the operators round them at ``work``
+    bits: ``mpf_rdiv_int(1, mpf_pow_int(s_k, 2, …), …)``."""
+    rnd = round_nearest
+    return [mpf_rdiv_int(1, mpf_pow_int(sk._mpf_, 2, work, rnd), work, rnd) for sk in table.s]
 
 
 def _term_kernel(m: int, n: int, work: int, table, theorem1: bool):
@@ -235,8 +260,7 @@ def _term_kernel(m: int, n: int, work: int, table, theorem1: bool):
     rnd = round_nearest
     c = [ck._mpf_ for ck in table.c]
     if theorem1:
-        factor = [mpf_rdiv_int(1, mpf_pow_int(sk._mpf_, 2, work, rnd), work, rnd)
-                  for sk in table.s]
+        factor = _inverse_squares(table, work)
     else:
         factor = [mpf_rdiv_int(1, mpf_sub(fone, ck, work, rnd), work, rnd) for ck in c]
     four_over_m = mpf_div(from_int(4), from_int(m), work, rnd)
@@ -258,11 +282,76 @@ def _term_kernel(m: int, n: int, work: int, table, theorem1: bool):
     return power, term
 
 
+def _fixed_kernel(m: int, n: int, work: int, table):
+    """``term(j, k)``, theorem 1's term at (j, k) as ``(man, exp, x)``:
+    man 2^exp, and x_jk as x 2^-W; and ``bound(x)``, a rho with
+    |t_op - man 2^exp| <= rho 2^-work man 2^exp for every term whose x is
+    at least ``x``, t_op being ``_term_kernel``'s term, or None if the
+    bound's premise rho 2^-work < 2^-20 fails (see ``closed_form_info``).
+
+    Python integers at W = work + 2 bit_length(m) + 24 bits replace the
+    operators, from the same dyadics: c_k, f_k, the operator-rounded
+    1/s_k^2, and 4/m.  W >= work + bit_length(m + 1), so c_k (|c_k| >
+    1/(m+1) unless 0) and 4/m are integers C_k, F at 2^-W.  A cut keeps
+    the top W bits of a product (a floor) and counts the rest in its
+    binary exponent:
+
+    - x = 2^W - floor(F (2^W - floor(C_j C_k 2^-W)) 2^-W), two products;
+    - x^n by left-to-right square-and-multiply, a cut after each product;
+    - the weight (C_j + C_k)^2 f_j f_k, three products, each cut; a live
+      orbit has j + k != m, so C_j + C_k != 0;
+    - the term, the weight times x^n's mantissa, exactly.
+    """
+    rnd, width = round_nearest, work + 2 * m.bit_length() + 24
+    one = 1 << width
+    c = [(-man if sign else man) << (exp + width) for sign, man, exp, _ in
+         (ck._mpf_ for ck in table.c)]
+    f = _inverse_squares(table, work)
+    f_man, f_exp = [fk[1] for fk in f], [fk[2] - width for fk in f]
+    _, man, exp, _ = mpf_div(from_int(4), from_int(m), work, rnd)
+    four_over_m = man << (exp + width)
+    bits = [digit == "1" for digit in bin(n)[3:]]
+
+    def term(j, k):
+        x = one - (four_over_m * (one - (c[j] * c[k] >> width)) >> width)
+        man, exp = x, -width
+        for bit in bits:  # x > 2^-7 from m = 8, so each cut drops >= W - 14 bits
+            man *= man
+            cut = man.bit_length() - width
+            man >>= cut
+            exp += exp + cut
+            if bit:
+                man *= x
+                cut = man.bit_length() - width
+                man >>= cut
+                exp += cut - width
+        weight = c[j] + c[k]
+        weight *= weight
+        cut = weight.bit_length() - width
+        weight = (weight >> cut) * f_man[j]
+        exp += cut
+        cut = weight.bit_length() - width
+        weight = (weight >> cut) * f_man[k]
+        exp += cut
+        cut = weight.bit_length() - width
+        return (weight >> cut) * man, f_exp[j] + f_exp[k] + exp + cut, x
+
+    def bound(x):
+        low = x - (4 << (width - work))  # x_lo 2^W, x_lo <= x_jk - 3 2^-work
+        if low <= 0:
+            return None
+        rho = 4 * -(-(n << width) // low) + 8  # 4 ceil(n / x_lo) + 8
+        return rho if rho << 20 < 1 << work else None
+
+    return term, bound
+
+
 def _exact_pass(m: int, n: int, work: int, table, theorem1: bool) -> tuple:
     """``(exact, (terms, powers, summed))``: each distinct term added to the
-    ``_ExactSum`` once with its read count, theorem 1's after counting the
-    live reads of each orbit, ser3's by mirror pairs (see ``closed_form_info``)."""
-    power, term = _term_kernel(m, n, work, table, theorem1)
+    ``_ExactSum`` once with its read count, theorem 1's from
+    ``_fixed_kernel`` after counting the live reads of each orbit, with the
+    bound ``rho`` of their smallest x, ser3's from ``_term_kernel`` by
+    mirror pairs (see ``closed_form_info``)."""
     exact = _ExactSum()
     rows = _rows(m, n, work, theorem1)
     if theorem1:
@@ -272,9 +361,16 @@ def _exact_pass(m: int, n: int, work: int, table, theorem1: bool) -> tuple:
                 a, b = (j, k) if j <= k else (k, j)
                 orbit = (a, b) if a + b <= m else (m - b, m - a)
                 reads[orbit] = reads.get(orbit, 0) + 1
+        term, bound = _fixed_kernel(m, n, work, table)
+        smallest = math.inf
         for (j, k), count in reads.items():
-            exact.add(term(j, k, power(j, k)), count)
+            man, exp, x = term(j, k)
+            exact.add_int(man, exp, count)
+            if x < smallest:
+                smallest = x
+        exact.rho = bound(smallest)
         return exact, (len(reads), len(reads), exact.reads)
+    power, term = _term_kernel(m, n, work, table, theorem1)
     flags = list(rows)
     for j in range(m // 2 + 1):
         for k in range(j, m - j + 1):
@@ -354,13 +450,17 @@ def closed_form_work(m: int, n: int, precision: int = MIN_PRECISION,
     bound and every term once more, one x^n per term that takes one (for
     ser3 up to twice the powers charged) and one ``mpf_add`` per read.
 
-    A unit took 1.0-4.8 ns on a 2-core x86_64 VM, best of 3, in every
-    run longer than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to
-    4 m^3), 1.9-4.3 ns of them for ser3 (m = 90..1000); the low end is
-    theorem 1 at n = m^2, where about half the orbits the bound allows
-    are live (0.9 ns there under the previous charge).  So the default
-    budget of 10^9 refuses runs above about 1-5 s: theorem 1 at
-    m = n = 1000 (7.4 s, 1.6e9 units) is refused.
+    A unit took, on a 2-core x86_64 VM, best of 3, in every run longer
+    than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to 4 m^3):
+    0.48-0.91 ns for theorem 1 where its integer kernel's terms set the
+    cost (n up to about m^2), 1.25-1.62 ns where a few corner orbits are
+    live and the float bound and the angles set it (m = 2000 and 4000,
+    n from the critical window on), and 1.7-3.1 ns for ser3 (m = 90..1000);
+    at 10^4 and 2 10^4 bits theorem 1 took 2.8-3.4 ns (m = 20..100, n = m
+    to m^2), as the operators' kernel did.  So the default budget of 10^9
+    refuses theorem-1 runs above about 0.5-1.6 s and ser3 runs above
+    about 2-3 s: theorem 1 at m = n = 1000 (1.8 s, 1.6e9 units) is
+    refused.
     """
     if n == 0 or m == 1:
         return 0
@@ -390,10 +490,12 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     to nearest at ``precision`` and ``work`` bits.  The j <-> k and, for
     theorem 1, (j, k) -> (m-j, m-k) symmetries make the summands of one
     orbit bit-equal (the table mirrors c exactly), so each orbit's term,
-    and its power x^n, is computed once, by ``_term_kernel`` with the
-    libmp functions the operators call, so with their bits.  The proofs
-    below about skipped terms speak of the sequential total T; the last
-    one shows how the exact pass gets F(T) without its additions.
+    and its power x^n, is computed once.  ``_term_kernel`` computes it with
+    the libmp functions the operators call, so with their bits, for ser3
+    and the sequential pass; theorem 1's exact pass computes it with
+    ``_fixed_kernel``'s integers.  The proofs below about skipped terms
+    speak of the sequential total T; the last two show how the exact pass
+    gets F(T) without its additions or the operators' terms.
 
     Theorem 1 at m >= 8 adds only the pairs whose summand can change the
     sum, and the result stays bit-identical to adding all of them:
@@ -439,19 +541,53 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     rounds once under a two-point certificate after Ziv's rounding test:
 
     - the accumulator holds the exact sum S of the r terms read, counted
-      with multiplicity, and the sum A of their absolute values;
-    - with u = 2^-work, the k-th rounded addition errs by at most u times
-      a partial sum of absolute value at most A (1 + u)^(k-1), so a
+      with multiplicity, and the sum A of their absolute values; ser3's
+      terms are the operators' terms t_op and E = 0, theorem 1's are
+      ``_fixed_kernel``'s t_fx, whose sum lies within E = rho u A of the
+      sum S_op of the t_op (next proof), u = 2^-work;
+    - the k-th rounded addition errs by at most u times a partial sum of
+      absolute value at most A_op (1 + u)^(k-1), A_op = sum |t_op|, so a
       sequential total T of the reads, in any order, has
-      |T - S| <= A ((1 + u)^r - 1) <= 2 r u A = delta, since
-      r u <= (m+1)^2 2^-work < 2^-85;
+      |T - S_op| <= A_op ((1 + u)^r - 1) <= 2 r u A_op, since
+      r u <= (m+1)^2 2^-work < 2^-85, and A_op <= A + E, so
+      |T - S| <= h = E + 2 r u (A + E);
     - scale > 0 and rounding to nearest is monotone, so F is monotone
       (non-increasing for theorem 1, non-decreasing for ser3), and mpmath
       rounds each step of F correctly from exact operands, so F of the
-      exact mpf tuples S - delta and S + delta (``_ExactSum.interval``)
-      is F at those two reals;
-    - so if F(S - delta) and F(S + delta) are one mpf, F(T) is that mpf,
-      bit for bit, and ``rounding`` is ``"exact"``.
+      exact mpf tuples S - h and S + h (``_ExactSum.interval``) is F at
+      those two reals;
+    - so if F(S - h) and F(S + h) are one mpf, F(T) is that mpf, bit for
+      bit, and ``rounding`` is ``"exact"``.
+
+    Theorem 1's bound E, as ``_fixed_kernel``'s ``bound`` states it (the
+    error analysis of Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 2-3).  Let t_ex be a term computed exactly from the
+    dyadics both kernels read (c_j, c_k, f_j, f_k and 4/m), x_ex its x,
+    x_fx the integer kernel's x, and lambda = n / x_lo with
+    x_lo = x_fx - 4u > 0:
+
+    - the operators: the product c_j c_k, 1 minus it, the product with
+      4/m <= 1/2 (m >= 8) and 1 minus that each round with relative error
+      at most u, so |x_op - x_ex| <= 2.5u + O(u^2) <= 3u, and
+      x_lo <= x_ex - 3u gives |log(x_op^n / x_ex^n)| <= 3 lambda u;
+      mpmath 1.3's ``mpf_pow_int`` squares and multiplies at
+      work + 4 bit_length(n) + 4 bits, cutting to that width, and rounds
+      once, with relative error at most 1.1u; the weight's addition (which enters
+      squared), its square, its two products and the product with x^n
+      round correctly.  So |log(t_op / t_ex)| <= (3 lambda + 7.2) u;
+    - the integers: two floors put x_fx within 2^-W of x_ex, an error
+      raised n-fold to at most lambda 2^-W; a cut errs by less than
+      2^(1-W) relative, and at the power x^e it is raised n/e-fold, the
+      e at least doubling between squarings, so the cuts of x^n add at
+      most 4n 2^-W and the weight's three 6 2^-W.  As 1 <= n <= lambda
+      and W >= work + 24, |log(t_fx / t_ex)| <= 11 lambda 2^-W
+      <= 2^-20 lambda u;
+    - with rho = 4 lambda + 8 and rho u < 2^-20, both logarithms lie
+      below 2^-20, so |t_op - t_fx| <= (3 lambda + 7.2)(1 + 2^-16) u t_fx
+      <= rho u t_fx; lambda is taken at the smallest x_fx of the live
+      orbits, so rho bounds every term, and E = rho u A bounds
+      |S_op - S|.  When rho u >= 2^-20 no bound is claimed and the
+      sequential pass runs.
 
     The certificate thus needs only the multiset of reads, whose row-major
     total is, by the proofs above, the total over every pair with every
@@ -459,21 +595,27 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     adds the reads in row-major order with ``mpf_add``, and F of that
     total is returned with ``rounding`` ``"sequential"``.  The fallback
     is rare.  Theorem 1's terms are >= 0, so A = S and
-    delta <= 2^-(precision+32) S, and F maps the interval to a width of
-    about m^2 2^-34 ulps of ``precision`` even at n = 1, where L - scale S
-    cancels most; ser3's signed terms make A exceed S, yet none of 3582
-    calls over m = 2..64, 90, 101, 140, 300, n from 1 to about m^3 and
-    53, 128 and 256 bits fell back, for either variant.  Below m = 8 the
-    sequential pass runs at once: it reads every pair, at most 64, and
-    theorem 1's terms there can lie about n bits apart (at m = 2,
-    48 * 2^-n next to terms near 3), so the exact sum would hold n-bit
-    integers.
+    h <= (2r + rho + 1) u S.  Over m = 8..64, 90, 101, 140 and 300, n from
+    1 to m^3 and 53, 128 and 256 bits (2913 unsaturated calls of both
+    variants), F mapped the interval to a width (``certificate_ulps``) of
+    at most 3.7e-6 ulps of ``precision`` for theorem 1 at n <= 3, where
+    L - scale S cancels most, and 2.9e-8 beyond; ser3's signed terms make
+    A exceed S, yet its widths stayed below 4.6e-10, and no call fell
+    back.  Below m = 8 the sequential pass runs at once: it reads
+    every pair, at most 64, and theorem 1's terms there can lie about n
+    bits apart (at m = 2, 48 * 2^-n next to terms near 3), so the exact
+    sum would hold n-bit integers, and x_jk > 0, which the bound needs,
+    fails (at m = 7, x_{0,7} < 0).
 
     ``terms`` counts the orbit summands computed, ``powers`` the terms
     whose 1 - x^n (theorem 1: x^n) entered, raised at the pair or at its
     mirror, ``skipped`` the pairs left out (all when the value is exact or
-    saturated), and ``rounding`` says how the total was rounded (None when
-    the value is exact or saturated, which runs no sum).
+    saturated), ``rounding`` says how the total was rounded (None when
+    the value is exact or saturated, which runs no sum), and
+    ``certificate_ulps`` is the width |F_w(S + h) - F_w(S - h)| of the
+    certificate's interval, F_w being F before round_p, in ulps of the
+    value at ``precision`` (None when no certificate ran: no sum, m < 8,
+    or no bound).
 
     The exact answers take O(1) work.  The saturation test is charged its
     angle and logarithm before it computes them, unless n is too small
@@ -492,7 +634,8 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
             value = mpf(n % 2) if exact else _limit_value(m)
         with workprec(precision):
             return ClosedFormResult(+value, m, n, opts.variant, precision, not exact,
-                                    terms=0, powers=0, skipped=pairs, rounding=None)
+                                    terms=0, powers=0, skipped=pairs, rounding=None,
+                                    certificate_ulps=None)
     check_budget(closed_form_work(m, n, precision, opts.variant),
                  f"closed_form {opts.variant} m={m}, n={n}")
     theorem1 = opts.variant == "theorem1"
@@ -500,25 +643,35 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     with workprec(work):
         limit, scale = _limit_value(m), 1 / (8 * mpf(m + 1) ** 2)
 
-    def finish(total):
+    def finish(total):  # F without its last rounding, round_p
         with workprec(work):
             total = mpmath.mp.make_mpf(total)
-            value = limit - scale * total if theorem1 else scale * total
-            with workprec(precision):
-                return +value
+            return limit - scale * total if theorem1 else scale * total
 
-    rounding = None
+    def rounded(value):
+        with workprec(precision):
+            return +value
+
+    rounding = ulps = None
     if m >= 8:
         exact_sum, counts = _exact_pass(m, n, work, table, theorem1)
-        low, high = (finish(total) for total in exact_sum.interval(work))
-        if low._mpf_ == high._mpf_:
-            value, rounding = low, "exact"
+        ends = exact_sum.interval(work)
+        if ends is not None:
+            low, high = (finish(total) for total in ends)
+            value = rounded(low)
+            with workprec(work):
+                width = abs(high - low)
+            _, _, exp, bc = value._mpf_  # an ulp of value at precision is 2^(exp+bc-precision)
+            ulps = float(mpmath.ldexp(width, precision - exp - bc))
+            if value._mpf_ == rounded(high)._mpf_:
+                rounding = "exact"
     if rounding is None:
         total, counts = _sequential_pass(m, n, work, table, theorem1)
-        value, rounding = finish(total), "sequential"
+        value, rounding = rounded(finish(total)), "sequential"
     terms, powers, summed = counts
     return ClosedFormResult(value, m, n, opts.variant, precision, False, terms=terms,
-                            powers=powers, skipped=pairs - summed, rounding=rounding)
+                            powers=powers, skipped=pairs - summed, rounding=rounding,
+                            certificate_ulps=ulps)
 
 
 def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):

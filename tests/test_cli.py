@@ -216,6 +216,21 @@ def test_closed_meta_reports_rounding(capsys, monkeypatch):
     assert "rounding" not in json.loads(out)["meta"]
 
 
+def test_closed_meta_reports_certificate_width(capsys):
+    # The certificate's finished interval, in ulps of the precision: below
+    # one ulp when it held, absent when no certificate ran (m < 8, or a
+    # saturated answer).
+    for m, n, variant in [(40, 1600, "theorem1"), (40, 1600, "ser3"), (130, 130, "theorem1")]:
+        code, out, _ = run(capsys, "closed", "--m", str(m), "--n", str(n), "--variant", variant,
+                           "--precision", "256", "--format", "json")
+        meta = json.loads(out)["meta"]
+        assert code == 0 and meta["rounding"] == "exact", (m, n, variant)
+        assert 0 < meta["certificate_ulps"] < 1, (m, n, variant)
+    for m, n in [(7, 100), (3, 1000000)]:
+        code, out, _ = run(capsys, "closed", "--m", str(m), "--n", str(n), "--format", "json")
+        assert code == 0 and "certificate_ulps" not in json.loads(out)["meta"], (m, n)
+
+
 def test_high_precision_refused_before_trig(capsys, monkeypatch):
     # Each angle is charged about work^2/64 units: the closed form's table,
     # its saturation test (when n could saturate) and the bounds' corner.

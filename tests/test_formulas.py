@@ -506,20 +506,35 @@ def test_failed_certificate_falls_back_to_sequential_sum(monkeypatch):
             assert info.value == expected[variant], (m, n, precision, variant)
 
 
+def _orbit_reads(m, n, work):
+    """Theorem 1's live orbits and the number of pairs that read each."""
+    reads = {}
+    for j, columns in enumerate(formulas._rows(m, n, work, theorem1=True)):
+        for k in columns:
+            a, b = min(j, k), max(j, k)
+            orbit = (a, b) if a + b <= m else (m - b, m - a)
+            reads[orbit] = reads.get(orbit, 0) + 1
+    return reads
+
+
 def test_sequential_total_lies_in_the_certified_interval():
     # The sequential pass's total of the reads lies within
-    # delta = r A 2^(1-work) of the exact pass's sum S of the same reads,
-    # also where the result cancels heavily (n = 1, 2) and where ser3's
-    # signed terms cancel; both passes count the same terms and reads.
-    # Up to m = 40 that total is the full loop's, bit for bit at working
-    # precision, where the final rounding would hide a change of order.
+    # h = E + 2 r u (A + E) of the exact pass's sum S of the same reads,
+    # u = 2^-work: E = 0 for ser3's operator terms, E = rho u A for
+    # theorem 1's integer terms, which must lie within E of the exact sum
+    # of the operators' terms.  Also where the result cancels heavily
+    # (n = 1, 2) and where ser3's signed terms cancel; both passes count
+    # the same terms and reads.  Up to m = 40 that total is the full
+    # loop's, bit for bit at working precision, where the final rounding
+    # would hide a change of order.  Theorem 1's exact pass needs x_jk > 0,
+    # which holds from m = 8.
     for m in list(range(2, 13)) + [40, 140]:
         for n in (1, 2, m):
             for precision in (53, 256):
                 work = formulas.work_bits(m, precision)
                 table = spectral.build_table(m, work)
                 full = _full_loop(m, n, precision, raw=True) if m <= 40 else None
-                for theorem1 in (True, False):
+                for theorem1 in (True, False) if m >= 8 else (False,):
                     exact, counts = formulas._exact_pass(m, n, work, table, theorem1)
                     total, sequential_counts = formulas._sequential_pass(
                         m, n, work, table, theorem1)
@@ -529,6 +544,75 @@ def test_sequential_total_lies_in_the_certified_interval():
                     assert _fraction(low) <= _fraction(total) <= _fraction(high), case
                     if full:
                         assert total == full["theorem1" if theorem1 else "ser3"], case
+                    unit = Fraction(2) ** exact.exp
+                    size, error = exact.size * unit, exact.rho * Fraction(2) ** -work
+                    half = error * size + 2 * exact.reads * Fraction(2) ** -work * (
+                        size + error * size)
+                    assert _fraction(high) - _fraction(low) == 2 * half, case
+                    if not theorem1:
+                        assert exact.rho == 0, case
+                        continue
+                    reads = _orbit_reads(m, n, work)
+                    power, term = formulas._term_kernel(m, n, work, table, True)
+                    operators = sum(count * _fraction(term(j, k, power(j, k)))
+                                    for (j, k), count in reads.items())
+                    term, bound = formulas._fixed_kernel(m, n, work, table)
+                    assert exact.rho == bound(min(term(j, k)[2] for j, k in reads)) > 0, case
+                    assert abs(operators - exact.total * unit) <= error * size, case
+
+
+def test_integer_terms_lie_within_their_bound():
+    # Every live orbit's term from the integer kernel lies within its
+    # stated bound, rho 2^-work times itself, of the operators' term, from
+    # n = 1 to saturation, at the edge m = 8, at odd m and at 1024 bits.
+    for m in (8, 9, 40, 41, 140):
+        points = {1, 2, m, m**2, m**3, asymptotics.critical_step_count(m, 0)}
+        for n in sorted(points):
+            for precision in (53, 256, 1024):
+                work = formulas.work_bits(m, precision)
+                table = spectral.build_table(m, work)
+                power, operator_term = formulas._term_kernel(m, n, work, table, True)
+                term, bound = formulas._fixed_kernel(m, n, work, table)
+                for j, k in _orbit_reads(m, n, work):
+                    man, exp, x = term(j, k)
+                    rho = bound(x)
+                    fixed = man * Fraction(2) ** exp
+                    gap = abs(_fraction(operator_term(j, k, power(j, k))) - fixed)
+                    case = (m, n, precision, j, k)
+                    assert rho is not None and fixed > 0, case
+                    assert gap <= rho * Fraction(2) ** -work * fixed, case
+
+
+def _finished(m, precision, total, theorem1):
+    """F(T): the closed form's finish of a raw working-precision total."""
+    with workprec(_work(m, precision)):
+        total = mpmath.mp.make_mpf(total)
+        limit = mpmath.mpf(m) * (m + 1) / 4
+        scale = 1 / (8 * mpmath.mpf(m + 1) ** 2)
+        value = limit - scale * total if theorem1 else scale * total
+    with workprec(precision):
+        return +value
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(m=st.one_of(st.just(8), st.integers(4, 29).map(lambda h: 2 * h + 1),
+                   st.integers(8, 60)),
+       reach=st.integers(0, 1000), precision=st.integers(53, 300))
+def test_closed_form_is_its_sequential_total_finished(m, reach, precision):
+    # Theorem 1's value, from the integer kernel under the widened
+    # certificate, is F of the operators' sequential total: m from the
+    # m = 8 edge (and odd m, where no c_k is 0) to 60, n from 1 to 0.98 of
+    # the saturation point n_sat, log-uniformly, 53 to 300 bits.
+    x00 = -math.log1p(-4 / m * math.sin(math.pi / (2 * m + 2)) ** 2)
+    n = max(1, round((0.98 * (precision + 64) * math.log(2) / x00) ** (reach / 1000)))
+    info = formulas.closed_form_info(m, n, formulas.ClosedFormOptions(precision=precision))
+    assert not info.saturated
+    work = formulas.work_bits(m, precision)
+    total, counts = formulas._sequential_pass(
+        m, n, work, spectral.build_table(m, work), theorem1=True)
+    assert info.value._mpf_ == _finished(m, precision, total, True)._mpf_
+    assert (info.terms, info.powers, (m + 1) ** 2 - info.skipped) == counts
+    assert info.rounding == "exact"  # a kernel far off would fall back
 
 
 def test_exact_pass_adds_each_distinct_term_once(monkeypatch):
@@ -536,13 +620,13 @@ def test_exact_pass_adds_each_distinct_term_once(monkeypatch):
     # number of pairs that read it: theorem 1's orbit terms and ser3's
     # (m+1)(m+2)/2 terms j <= k, read (m+1)^2 - skipped times in all.
     calls = []
-    add = formulas._ExactSum.add
+    add_int = formulas._ExactSum.add_int
 
-    def counting_add(self, term, reads):
+    def counting_add(self, man, exp, reads):
         calls.append(reads)
-        add(self, term, reads)
+        add_int(self, man, exp, reads)
 
-    monkeypatch.setattr(formulas._ExactSum, "add", counting_add)
+    monkeypatch.setattr(formulas._ExactSum, "add_int", counting_add)
     for m in (8, 9, 40, 41):
         for n in (1, m, m**2, asymptotics.critical_step_count(m, 0)):
             for variant in formulas.VARIANTS:
