@@ -237,8 +237,8 @@ def _cmd_gf(args) -> int:
                     for k, c in enumerate(coeffs))
     exit_code = 0
     if args.check_poles:
-        table = spectral.build_table(args.m, 128)
-        report = genfun.pole_check(base, table)
+        meta["pole_precision"] = 128 + base.den.degree
+        report = genfun.pole_check(base, spectral.build_table(args.m, meta["pole_precision"]))
         tail["pole_check"] = {
             "passed": report.passed,
             "unmatched_degree": report.unmatched_degree,
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--series", type=int, default=None, metavar="N",
                      help="also print the first N+1 series coefficients")
     sub.add_argument("--check-poles", action="store_true",
-                     help="verify denominator roots against the eigenvalues")
+                     help="certify denominator roots against the eigenvalues")
     sub.set_defaults(run=_cmd_gf)
 
     sub = subs.add_parser("bounds", help="two-sided sandwich bounds (m >= 3)")

@@ -11,8 +11,12 @@ h + 1, so Berlekamp-Massey (Massey 1969) on 2(h + 1) terms of
 ``formulas._eriksen_weights`` gives it in lowest terms, and one
 substitution helper (``homogenized``) gives I_m(t) and the lazy GF, with
 no gcd.  The DP's ``iterate_totals`` checks the GF, and the lazy GF the
-DP's lazy mean.  The spectral form is used only as a numeric pole check
-(the x_{jk} are irrational; all GF arithmetic stays over the rationals).
+DP's lazy mean.  The spectral form enters only ``pole_check``, which
+certifies theorem 1's link between the GF and the spectrum: every pole
+of I_m(t) is simple and lies within 2^-(precision/2) of 1 or of a
+reciprocal eigenvalue 1/x_{jk}, in the variable lambda = m/t - m + 4
+(the x_{jk} are irrational; all GF arithmetic stays over the rationals,
+and the certificate runs on integers).
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mpf, workprec
+from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_sub, round_nearest, to_float
 
 from . import chain, formulas
 from .budget import check_budget
-from .spectral import SpectralTable, eigenvalue, orbit_pairs
+from .spectral import TABLE_ERROR_BOUND, SpectralTable, orbit_pairs
 
 
 class Polynomial:
@@ -284,9 +288,6 @@ def aperiodic_gf(rf: RationalFunction, m: int, p: Fraction | None = None) -> Rat
     return RationalFunction(num, den)
 
 
-POLE_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class PoleCheckReport:
     m: int
@@ -296,45 +297,112 @@ class PoleCheckReport:
 
 
 def pole_check(rf: RationalFunction, table: SpectralTable) -> PoleCheckReport:
-    """Verify every denominator root is 1 or a reciprocal certified x_{jk}.
+    """Certify that every root of rf's denominator is simple and is 1 or
+    a reciprocal certified x_{jk}, on Python integers, with no deflation.
 
-    The candidates are 1 and 1/x at each nonzero representative of
-    ``orbit_pairs``, which reads every certified value.  Each is evaluated
-    against the denominator at the table's precision and matched roots
-    deflated (synthetic division) until the remaining degree is zero or no
-    candidate matches; ``POLE_TOL`` is the relative residual that counts as
-    a root.  A value that another orbit repeats (at even m, x = 1 - 4/m
-    at every (j, m/2)) finds its roots deflated by its first candidate, so
-    it matches nothing more.
+    **The map to lambda.**  With D(t) = sum d_i t^i the integer denominator
+    of degree e (d_0 > 0),
+
+        P(lambda) = sum d_i m^i (lambda + m - 4)^(e-i)
+                  = (lambda + m - 4)^e D(m / (lambda + m - 4))
+
+    has degree e (its top coefficient is d_0) and P(4 - m) = d_e m^e != 0,
+    so lambda = m/t - m + 4 takes D's roots to P's with their
+    multiplicities.  t = 1 goes to lambda = 4 and t = 1/x_jk to
+    lambda_jk = 4 c_j c_k: the roots spread over (-4, 4] instead of
+    crowding near t = 1.
+
+    **The candidates.**  4, then 4 c_j c_k over ``orbit_pairs``, each a
+    dyadic z = L 2^-W with W = precision + 2e + bit_length(m + 1): the
+    table's c_k are integers at 2^-W, and the 2e bits beyond precision
+    hold the Horner pass's error, which grows by up to 4 a step.  z lies
+    within delta of the candidate's exact value: delta = 0 for 4, else
+    9 TABLE_ERROR_BOUND 2^-precision (each c_k within TABLE_ERROR_BOUND
+    units of 2^-precision, which ``spectral.verify_identities`` checks)
+    plus 2^-W (the product's floor).  z = 4 - m (x = 0: t infinite, where
+    P does not vanish) is skipped, and each distinct z is tested once, for
+    its first pair in ``orbit_pairs`` order (at even m every (j, m/2)
+    gives z = 0 exactly).  Exact values that the table rounds apart would
+    give overlapping discs and fail; over m = 1..24 the distinct z number
+    exactly the distinct values.
+
+    **The test.**  One Horner pass on integers at 2^-W gives P(z) and
+    P'(z), each product floored.  With a = max(1, ceil|z|) and S = sum_{k<e}
+    a^k, the floors put P(z) within S units of 2^-W and P'(z) within e S.
+    Since P'/P(z) = sum_i 1/(z - zeta_i) over P's roots zeta_i, some
+    |z - zeta_i| <= e |P(z)/P'(z)|, so the disc about z of radius
+
+        r = e (|P(z)| + S 2^-W) / (|P'(z)| - e S 2^-W) + delta
+
+    holds a root of P and the candidate's exact value.  The discs with
+    r < 2^-(precision // 2) are sorted by centre, and one that meets a
+    neighbour is dropped with it; the rest, the matches, are pairwise
+    disjoint.  Disjoint discs hold distinct roots, so e matches account
+    for all e roots, counted with multiplicity, one each: every root is
+    simple and lies within r of its candidate.  ``passed`` iff the matches
+    number e, each of multiplicity 1; a double root, or a root farther
+    than the threshold from every candidate, leaves the count short.  The
+    root reported is the candidate's t, 1 or 1/x rounded at the table's
+    precision, as a float.
     """
-    m, tol = table.m, POLE_TOL
-    with workprec(table.precision):
-        candidates = [(mpf(1), "1")]
-        for j, k in orbit_pairs(m):
-            x = eigenvalue(table, j, k)
-            if x != 0:
-                candidates.append((1 / x, f"1/x[{j},{k}]"))
+    m, precision = table.m, table.precision
+    den = [int(c) for c in rf.den.coeffs]
+    e = len(den) - 1
+    width = precision + 2 * e + (m + 1).bit_length()
+    # P's coefficients, ascending, by the Horner step
+    # ``p <- p (lambda + m - 4) + d_i m^i``, each kept at 2^-W.
+    p, power = [], 1
+    for d in den:
+        p = [(m - 4) * x + y for x, y in zip(p + [0], [0] + p)]
+        p[0] += d * power
+        power *= m
+    top, *rest = (c << width for c in reversed(p))
 
-        coeffs = [mpf(c.numerator) / c.denominator for c in rf.den.coeffs]
-        scale = max(abs(c) for c in coeffs)
-        matched = []
-        for root, label in candidates:
-            multiplicity = 0
-            while len(coeffs) > 1:
-                # Horner evaluation and synthetic division in one pass.
-                value = coeffs[-1]
-                deflated = [value]
-                for c in reversed(coeffs[:-1]):
-                    value = value * root + c
-                    deflated.append(value)
-                remainder = deflated.pop()
-                if abs(remainder) >= tol * scale * max(1, abs(root)) ** (len(coeffs) - 1):
-                    break
-                deflated.reverse()
-                coeffs = deflated
-                multiplicity += 1
-            if multiplicity:
-                matched.append((float(root), label, multiplicity))
-        unmatched = len(coeffs) - 1
+    c = [(-man if sign else man) << (exp + width) for sign, man, exp, _ in
+         (ck._mpf_ for ck in table.c)]
+    delta = (9 * TABLE_ERROR_BOUND << (width - precision)) + 1
+    zero_x = (4 - m) << width
+    first = {4 << width: None}  # each distinct z and its first pair
+    for j, k in orbit_pairs(m):
+        z = c[j] * c[k] >> (width - 2)
+        if z != zero_x:
+            first.setdefault(z, (j, k))
+    candidates = list(first.items())
+
+    limit = 1 << (width - precision // 2)
+    discs = []  # (z, r, candidate index), z and r in units of 2^-W
+    for i, (z, pair) in enumerate(candidates):
+        dz = 0 if pair is None else delta
+        value, slope = top, 0
+        for coeff in rest:
+            slope = (slope * z >> width) + value
+            value = (value * z >> width) + coeff
+        a = max(1, -(-abs(z) >> width))
+        s = e if a == 1 else (a**e - 1) // (a - 1)
+        margin = abs(slope) - e * s
+        if margin <= 0:
+            continue
+        r = -(-(e * (abs(value) + s) << width) // margin) + dz
+        if r < limit:
+            discs.append((z, r, i))
+    discs.sort()
+    clear = [True, *(b[0] - a[0] > a[1] + b[1] for a, b in zip(discs, discs[1:])), True]
+    hits = sorted(i for n, (_, _, i) in enumerate(discs) if clear[n] and clear[n + 1])
+
+    rnd = round_nearest
+    four_over_m = mpf_div(from_int(4), from_int(m), precision, rnd)
+    matched = []
+    for i in hits:
+        pair = candidates[i][1]
+        if pair is None:
+            matched.append((1.0, "1", 1))
+            continue
+        j, k = pair
+        x = mpf_mul(table.c[j]._mpf_, table.c[k]._mpf_, precision, rnd)
+        x = mpf_sub(fone, mpf_mul(four_over_m, mpf_sub(fone, x, precision, rnd),
+                                  precision, rnd), precision, rnd)
+        root = to_float(mpf_div(fone, x, precision, rnd), rnd=rnd)
+        matched.append((root, f"1/x[{j},{k}]", 1))
+    unmatched = e - len(matched)
     return PoleCheckReport(m=m, matched=tuple(matched),
                            unmatched_degree=unmatched, passed=unmatched == 0)

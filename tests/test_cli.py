@@ -88,6 +88,7 @@ def test_gf_series_and_poles(capsys):
     payload = json.loads(out)
     assert payload["series"] == ["0", "1", "1", "3/2", "5/4"]
     assert payload["pole_check"]["passed"]
+    assert payload["meta"]["pole_precision"] == 128 + 3  # 128 + deg D
 
 
 def test_gf_lazy_pole_check_builds_gf_once(capsys, monkeypatch):

@@ -346,16 +346,27 @@ def test_ser3_peak_memory():
 
 
 def _count_raised_powers(monkeypatch, n):
-    """A list that collects each x^n the closed form raises from now on."""
+    """A list that collects each x^n the closed form raises from now on:
+    by the operators (``mpf_pow_int`` at exponent n) or by theorem 1's
+    integer kernel (one per ``_fixed_kernel`` term)."""
     raised = []
-    pow_int = formulas.mpf_pow_int
+    pow_int, fixed_kernel = formulas.mpf_pow_int, formulas._fixed_kernel
 
     def counting_pow(x, e, *args):
         if e == n:
             raised.append(x)
         return pow_int(x, e, *args)
 
+    def counting_kernel(*args):
+        term, bound = fixed_kernel(*args)
+
+        def counting_term(j, k):
+            raised.append((j, k))
+            return term(j, k)
+        return counting_term, bound
+
     monkeypatch.setattr(formulas, "mpf_pow_int", counting_pow)
+    monkeypatch.setattr(formulas, "_fixed_kernel", counting_kernel)
     return raised
 
 
@@ -735,6 +746,9 @@ def test_closed_form_work_counts_bound_the_sum(monkeypatch):
                     # A failed rounding certificate runs the loop twice.
                     passes = 1 if info.rounding == "exact" else 2
                     assert len(raised) <= passes * powers, (m, n, precision, variant)
+                    if variant == "theorem1" and info.rounding == "exact":
+                        # the integer kernel raises one x^n per orbit term
+                        assert len(raised) == info.powers, (m, n, precision)
 
 
 def test_closed_form_large_m():

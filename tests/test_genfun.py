@@ -315,12 +315,14 @@ def test_aperiodic_gf_matches_exact_mix(m):
             assert c == formulas.aperiodic_expected(m, n, p)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 10])
+@pytest.mark.parametrize("m", range(1, 17))
 def test_pole_check_passes(m):
-    table = spectral.build_table(m, 128)
-    report = genfun.pole_check(genfun.build_gf(m), table)
+    rf = genfun.build_gf(m)
+    report = genfun.pole_check(rf, spectral.build_table(m, 128))
     assert report.passed
     assert report.unmatched_degree == 0
+    assert len(report.matched) == rf.den.degree
+    assert all(multiplicity == 1 for _, _, multiplicity in report.matched)
 
 
 def test_pole_check_m2_candidates():
@@ -330,9 +332,26 @@ def test_pole_check_m2_candidates():
     assert roots == pytest.approx([-1.0, 1.0, 2.0])
 
 
-def test_pole_check_rejects_alien_root():
-    table = spectral.build_table(2, 128)
-    alien = RationalFunction(poly(1), poly_mul(poly(1, 0, 0, -1), genfun.build_gf(2).den))
-    report = genfun.pole_check(alien, table)
+@pytest.mark.parametrize("m", range(2, 17))
+@pytest.mark.parametrize("alien",
+                         [poly(13, -10), poly(3, -1), poly(2, 0, -1), poly(1, 0, 0, -1)],
+                         ids=["t=13/10", "t=3", "t^2=2", "t^3=1"])
+def test_pole_check_rejects_alien_root(m, alien):
+    # t^3 = 1 makes t = 1 a double pole, which no disc can certify.
+    table = spectral.build_table(m, 128)
+    rf = RationalFunction(poly(1), poly_mul(alien, genfun.build_gf(m).den))
+    report = genfun.pole_check(rf, table)
     assert not report.passed
     assert report.unmatched_degree > 0
+
+
+@pytest.mark.parametrize("m", [2, 7, 8, 12])
+def test_pole_check_rejects_pole_near_one(m):
+    """The root t = 1 moved to 1 + 2^-40: 1/(1 - t) is swapped for
+    1/((2^40 + 1) - 2^40 t)."""
+    den = genfun.build_gf(m).den
+    rest = _exact_quotient(den, poly(1, -1))
+    moved = RationalFunction(poly(1), poly_mul(rest, poly(2**40 + 1, -2**40)))
+    report = genfun.pole_check(moved, spectral.build_table(m, 128))
+    assert not report.passed
+    assert "1" not in [label for _, label, _ in report.matched]
