@@ -167,7 +167,8 @@ def _route_simulate(m, n, args) -> Result:
                    "rejection_redraws": summary.rejection_redraws,
                    "work_estimated": simulate.estimated_work(m, n, summary.trials,
                                                             args.workers),
-                   "workers": args.workers, "elapsed_s": summary.elapsed,
+                   "workers": args.workers, "threads": summary.threads,
+                   "elapsed_s": summary.elapsed,
                    "trial_steps_per_s": (trial_steps / summary.elapsed
                                          if summary.elapsed > 0 else None)})
 

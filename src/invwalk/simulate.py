@@ -9,11 +9,36 @@ in exact integers; floats appear only in the final summary.  ``_run_block``
 is the one kernel; the tests' oracle (``tests/mc_reference.py``) reads the
 same stream one draw at a time in pure Python.
 
-Layout: ``monte_carlo`` cuts the trials once into equal contiguous blocks,
-as few as hold at most 2^16 trials and 2^22 permutation entries each, their
-count rounded up to a multiple of the worker count, and the workers share
-them; so memory is bounded whatever the trial count (hence m < 2^22).  A
-block keeps all its permutations in one flat array of the narrowest dtype
+Layout: ``_schedule`` picks the threads and cuts the trials once into equal
+contiguous blocks, as few as fit ``_block_size(m, threads)``, their count
+rounded up to a multiple of the threads; ``monte_carlo`` runs them on a
+pool of that many threads, or inline when that is one.  These rules read
+only the request's m, trials and workers, and none changes a summary.
+Measured on a 2-core x86_64 VM with 2 MiB of L2 a core, best of 5-9:
+
+A thread pays for itself.  There are at most ``workers`` threads, each
+with at least ``_THREAD_TRIALS = 2^12`` trials: with fewer, threads pass
+the interpreter lock back and forth over per-step arrays of about 10^3
+entries.  At (20, 400, t trials) two threads took 13.3, 23.7 and
+29.2 ms at t = 2000, 4096 and 6000, against 9.0, 18.4 and 23.0 ms on one,
+and 32.8 against 34.2 ms at t = 8192.
+
+Blocks fit the cache on one thread.  Each step sweeps every permutation of
+its block, so inline a block holds at most 2^16 trials and ``_CACHE_CELLS
+= 2^19`` permutation entries; of budgets 2^17 to 2^22, 2^19 was the
+fastest ((60, 60, 49180 trials) 36 ms, against 58 ms at 2^22).  Each step
+of a block also costs about 2 us of numpy calls whatever its size, against
+a saving of about 4 ns a trial-step in cache, so the budget never cuts a
+block below ``_MIN_BLOCK_TRIALS = 2^10`` trials ((30000, 1000, 100) took
+13.1 ms in blocks of 17 trials, 4.7 ms in one).  On more threads each step
+of a block also pays for a pass of the interpreter lock, so blocks stay as
+large as memory allows ((20, 300, 100000) on two threads: 354 ms in six
+cache-sized blocks, 208 ms in two).  Either way a block stops at 2^16
+trials and ``_BLOCK_CELLS = 2^22`` entries, so memory is bounded whatever
+the trial count (hence m < 2^22); a block is one trial only when
+m + 1 > 2^21.
+
+A block keeps all its permutations in one flat array of the narrowest dtype
 holding 0..m (int8 up to m = 127, then int16, then int32); a step gathers
 the entry at ``p = t (m+1) + i`` and its right neighbour, read at p in the
 view ``perm[1:]``, with ``take`` and scatters them back swapped.
@@ -36,12 +61,13 @@ tiles change the stream or the exact sums.
 
 Budget: ``monte_carlo`` refuses, before allocating anything, a request
 whose ``estimated_work`` exceeds the work budget.  One unit is one
-trial-step; each step of a block adds about 100 units (2-3 us) of fixed
-numpy overhead, and filling the permutations one unit per 16 entries.
-Measured on a 2-core x86_64 VM, best of 3 over 24 runs of 0.036-1.2 s
-with m <= 5000 (few trials and many steps, and the reverse), a unit
-takes 10-29 ns, so the default budget of 10^9 admits roughly 10-29 s
-of work; a refused request may take as little as about 10 s.
+trial-step; each step of a block adds 170 units (about 1.9 us) of fixed
+numpy overhead, and filling the permutations one unit per 6 entries, as
+fitted by least squares.  Measured on a 2-core x86_64 VM, best of 3 over
+24 runs of 0.007-1.15 s with m <= 5000 (few trials and many steps, the
+reverse, lazy, and 1-4 workers), a unit takes 8.1-16.7 ns, so the
+default budget of 10^9 admits roughly 8-17 s of work; a refused request
+may take as little as about 8 s.
 """
 
 from __future__ import annotations
@@ -65,13 +91,17 @@ _MIX1_U, _MIX2_U = np.uint64(_MIX1), np.uint64(_MIX2)
 # index; each slot reserves _ATTEMPTS counters for rejection redraws.
 _SLOTS = 2
 _ATTEMPTS = 8
-# Block limits, the worker cap and the budget calibration (module docstring).
+# Block limits, the thread rule, the worker cap and the budget calibration,
+# each with its measurement in the module docstring.
 _BLOCK_TRIALS = 1 << 16
 _BLOCK_CELLS = 1 << 22
+_CACHE_CELLS = 1 << 19
+_MIN_BLOCK_TRIALS = 1 << 10
+_THREAD_TRIALS = 1 << 12
 _TILE_CELLS = 1 << 15
 MAX_WORKERS = 32
-_STEP_OVERHEAD = 100
-_CELLS_PER_UNIT = 16
+_STEP_OVERHEAD = 170
+_CELLS_PER_UNIT = 6
 METHOD = "numpy-flat"
 
 
@@ -117,6 +147,7 @@ class SimulationSummary:
     sum_squares: int
     elapsed: float
     blocks: int
+    threads: int
     rejection_redraws: int
 
     def key_fields(self) -> tuple:
@@ -136,7 +167,7 @@ def _lazy_move(lazy_p: Fraction | None):
 
 def estimated_work(m: int, n: int, trials: int, workers: int = 1) -> int:
     """Budget units for monte_carlo: trial-steps plus per-block-step and fill costs."""
-    blocks = _block_count(m, trials, workers)
+    blocks = _schedule(m, trials, workers)[1]
     return n * (trials + _STEP_OVERHEAD * blocks) + trials * (m + 1) // _CELLS_PER_UNIT
 
 
@@ -145,16 +176,21 @@ def perm_dtype(m: int) -> np.dtype:
     return np.dtype(np.int8 if m <= 127 else np.int16 if m <= 32767 else np.int32)
 
 
-def _block_size(m: int) -> int:
+def _block_size(m: int, threads: int) -> int:
     """Trials per block: _BLOCK_TRIALS, or fewer when their permutations would
-    pass _BLOCK_CELLS entries."""
-    return min(_BLOCK_TRIALS, _BLOCK_CELLS // (m + 1))
+    pass _BLOCK_CELLS entries; on one thread also fewer when they would pass
+    _CACHE_CELLS, but not below _MIN_BLOCK_TRIALS for that."""
+    cells = _CACHE_CELLS if threads == 1 else _BLOCK_CELLS
+    return min(_BLOCK_TRIALS, _BLOCK_CELLS // (m + 1),
+               max(_MIN_BLOCK_TRIALS, cells // (m + 1)))
 
 
-def _block_count(m: int, trials: int, workers: int) -> int:
-    """Blocks monte_carlo cuts its trials into: the fewest that each fit
-    _block_size(m), rounded up to a multiple of workers, at most trials."""
-    return min(trials, -(-trials // (_block_size(m) * workers)) * workers)
+def _schedule(m: int, trials: int, workers: int) -> tuple[int, int]:
+    """``(threads, blocks)`` of monte_carlo: at most workers threads, one per
+    _THREAD_TRIALS trials; the fewest blocks that each fit _block_size,
+    rounded up to a multiple of the threads, at most trials."""
+    threads = min(workers, max(1, trials // _THREAD_TRIALS))
+    return threads, min(trials, -(-trials // (_block_size(m, threads) * threads)) * threads)
 
 
 def _step_offsets(steps: range, slot: int, attempt: int):
@@ -275,13 +311,13 @@ def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
                  f"monte_carlo m={m}, n={n}, trials={trials}")
 
     start = time.monotonic()
-    count = _block_count(m, trials, workers)
+    threads, count = _schedule(m, trials, workers)
     cuts = [trials * k // count for k in range(count + 1)]
     run = partial(_run_block, m, n, seed, hold_threshold=hold_threshold)
-    if workers == 1:
+    if threads == 1:
         results = list(map(run, cuts[:-1], cuts[1:]))
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, cuts[:-1], cuts[1:]))
     total, total_sq, redraws = (sum(column) for column in zip(*results))
     elapsed = time.monotonic() - start
@@ -295,5 +331,5 @@ def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
         mean=float(mean), variance=variance,
         stderr=float(variance / trials) ** 0.5,
         sum_counts=total, sum_squares=total_sq, elapsed=elapsed,
-        blocks=count, rejection_redraws=redraws,
+        blocks=count, threads=threads, rejection_redraws=redraws,
     )

@@ -296,7 +296,7 @@ def test_simulate_meta(capsys):
     assert meta["trial_steps"] == 500 * 20
     assert meta["rejection_redraws"] == 0
     assert meta["work_estimated"] == simulate.estimated_work(130, 20, 500) > 500 * 20
-    assert meta["workers"] == 1
+    assert meta["workers"] == meta["threads"] == 1
     assert meta["elapsed_s"] > 0
     assert meta["trial_steps_per_s"] == pytest.approx(500 * 20 / meta["elapsed_s"])
     code, out, _ = run(capsys, *args, "--no-meta")
@@ -305,14 +305,16 @@ def test_simulate_meta(capsys):
 
 
 def test_simulate_meta_reports_workers(capsys):
-    code, out, _ = run(capsys, "simulate", "--m", "5", "--n", "30", "--trials", "1000",
-                       "--workers", "3", "--format", "json")
-    assert code == 0
-    meta = json.loads(out)["meta"]
-    assert meta["workers"] == 3
-    assert meta["blocks"] == 3
-    assert meta["work_estimated"] == simulate.estimated_work(5, 30, 1000, 3) \
-        > simulate.estimated_work(5, 30, 1000)
+    # 3 * 4096 trials pay for three threads; 1000 trials run inline
+    for trials, threads in ((12288, 3), (1000, 1)):
+        code, out, _ = run(capsys, "simulate", "--m", "5", "--n", "30", "--trials",
+                           str(trials), "--workers", "3", "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert meta["workers"] == 3
+        assert meta["threads"] == meta["blocks"] == threads
+        assert meta["work_estimated"] == simulate.estimated_work(5, 30, trials, 3)
+    assert simulate.estimated_work(5, 30, 12288, 3) > simulate.estimated_work(5, 30, 12288)
 
 
 def test_simulate_budget_env_refuses(capsys, monkeypatch):

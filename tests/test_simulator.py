@@ -158,9 +158,10 @@ def test_index_is_exact_at_the_ends_of_uint64(m):
 @pytest.mark.parametrize("lazy_p", [None, Fraction(2, 3)])
 def test_rejection_redraws_match_simulate_once(monkeypatch, lazy_p, workers):
     _force_rejection(monkeypatch)
-    # 60 trials cut into blocks of 20 or 60 give tiles of 3 or 1 steps,
-    # so tiles end inside the 10-step run.
+    # 60 trials cut into blocks of 20 (one a thread) or 60 give tiles of 3
+    # or 1 steps, so tiles end inside the 10-step run.
     monkeypatch.setattr(simulate, "_TILE_CELLS", 64)
+    monkeypatch.setattr(simulate, "_THREAD_TRIALS", 20)
     m, n, trials = 5, 10, 60
     values = [simulate_once(m, n, seed=31, trial=t, lazy_p=lazy_p)
               for t in range(trials)]
@@ -204,17 +205,25 @@ def test_repeat_run_is_identical():
     assert a.key_fields() == b.key_fields()
 
 
+@pytest.fixture
+def small_schedule(monkeypatch):
+    """Start a thread per 100 trials, so small requests run on several."""
+    monkeypatch.setattr(simulate, "_THREAD_TRIALS", 100)
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4, 7])
-def test_worker_count_invariance(workers):
+def test_worker_count_invariance(small_schedule, workers):
     base = simulate.monte_carlo(5, 100, 4999, seed=3, workers=1)
     split = simulate.monte_carlo(5, 100, 4999, seed=3, workers=workers)
+    assert split.threads == workers
     assert base.key_fields() == split.key_fields()
 
 
-def test_lazy_worker_invariance():
+def test_lazy_worker_invariance(small_schedule):
     p = Fraction(5, 6)
     base = simulate.monte_carlo(5, 60, 3000, seed=11, lazy_p=p, workers=1)
     split = simulate.monte_carlo(5, 60, 3000, seed=11, lazy_p=p, workers=4)
+    assert split.threads == 4
     assert base.key_fields() == split.key_fields()
 
 
@@ -294,18 +303,35 @@ def test_summaries_pinned(m, lazy, workers):
 
 @pytest.mark.parametrize("lazy_p", [None, Fraction(5, 6)])
 def test_blocks_do_not_change_summary(monkeypatch, lazy_p):
+    monkeypatch.setattr(simulate, "_THREAD_TRIALS", 50)
     whole = simulate.monte_carlo(5, 40, 100, seed=8, lazy_p=lazy_p, workers=2)
-    assert whole.blocks == 2
+    assert (whole.blocks, whole.threads) == (2, 2)
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 7)
     blocked = simulate.monte_carlo(5, 40, 100, seed=8, lazy_p=lazy_p, workers=2)
     assert blocked.blocks == 16  # ceil(100 / 7) = 15, rounded up to a multiple of 2
     assert blocked.key_fields() == whole.key_fields()
+    # inline, blocks of at most 30 cells: 5 trials of m = 5 each
+    monkeypatch.setattr(simulate, "_CACHE_CELLS", 30)
+    monkeypatch.setattr(simulate, "_MIN_BLOCK_TRIALS", 1)
+    inline = simulate.monte_carlo(5, 40, 100, seed=8, lazy_p=lazy_p, workers=1)
+    assert (inline.blocks, inline.threads) == (20, 1)
+    assert inline.key_fields() == whole.key_fields()
 
 
 def test_block_size_bounds_cells():
-    assert simulate._block_size(20) == simulate._BLOCK_TRIALS
-    assert simulate._block_size(3000) * 3001 <= simulate._BLOCK_CELLS
-    assert simulate._block_size(simulate._BLOCK_CELLS - 1) == 1
+    cache, cells, floor = simulate._CACHE_CELLS, simulate._BLOCK_CELLS, simulate._MIN_BLOCK_TRIALS
+    # inline, the cache budget bounds a block, down to the floor
+    assert simulate._block_size(3, 1) == simulate._BLOCK_TRIALS
+    assert simulate._block_size(20, 1) == cache // 21 < simulate._BLOCK_TRIALS
+    assert simulate._block_size(300, 1) * 301 <= cache
+    assert simulate._block_size(3000, 1) == floor and floor * 3001 <= cells
+    # on more threads only memory does
+    assert simulate._block_size(20, 2) == simulate._BLOCK_TRIALS
+    assert simulate._block_size(300, 2) == cells // 301
+    for threads in (1, 2):
+        assert simulate._block_size(10**5, threads) == cells // (10**5 + 1) < floor
+        assert simulate._block_size(cells // 2 - 1, threads) == 2
+        assert simulate._block_size(cells - 1, threads) == 1
 
 
 def test_perm_dtype_is_narrowest():
@@ -331,12 +357,9 @@ def test_budget_admits_criterion_12():
     assert simulate.estimated_work(40, 60, 3_000_000 // 41) < 10**7
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace ThreadPoolExecutor by a pool that maps serially; returns the list
-    of pool sizes asked for."""
-    sizes = []
-
+def _record_pools(mp, sizes):
+    """Replace ThreadPoolExecutor, through the monkeypatch mp, by a pool that
+    maps serially and appends each pool size asked for to sizes."""
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -350,11 +373,19 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    mp.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The list of thread pool sizes asked for; the pools map serially."""
+    sizes = []
+    _record_pools(monkeypatch, sizes)
     return sizes
 
 
-def test_pool_sized_by_nonempty_chunks(pool_sizes):
+def test_pool_sized_by_nonempty_chunks(monkeypatch, pool_sizes):
+    monkeypatch.setattr(simulate, "_THREAD_TRIALS", 1)
     split = simulate.monte_carlo(4, 10, 3, seed=2, workers=simulate.MAX_WORKERS)
     assert pool_sizes == [3]
     assert split.key_fields() == simulate.monte_carlo(4, 10, 3, seed=2).key_fields()
@@ -363,8 +394,10 @@ def test_pool_sized_by_nonempty_chunks(pool_sizes):
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
 @pytest.mark.parametrize("trials", [2, 3, 7, 8, 29])
 def test_trials_cut_once_into_equal_blocks(monkeypatch, pool_sizes, trials, workers):
-    # Blocks of at most 4 trials; trials lie below, at and above workers.
+    # Blocks of at most 4 trials and a thread per 2 trials; trials lie
+    # below, at and above workers.
     monkeypatch.setattr(simulate, "_BLOCK_TRIALS", 4)
+    monkeypatch.setattr(simulate, "_THREAD_TRIALS", 2)
     m, n, seed = 5, 12, 4
     serial = simulate.monte_carlo(m, n, trials, seed=seed)
     spans = []
@@ -376,14 +409,65 @@ def test_trials_cut_once_into_equal_blocks(monkeypatch, pool_sizes, trials, work
 
     monkeypatch.setattr(simulate, "_run_block", recording)
     s = simulate.monte_carlo(m, n, trials, seed=seed, workers=workers)
-    count = min(trials, math.ceil(math.ceil(trials / 4) / workers) * workers)
-    assert s.blocks == len(spans) == count
+    threads = min(workers, trials // 2)
+    count = min(trials, math.ceil(math.ceil(trials / 4) / threads) * threads)
+    assert s.blocks == len(spans) == count and s.threads == threads
     edges = [0] + [hi for _, hi in spans]
     assert edges[-1] == trials and spans == list(zip(edges, edges[1:]))
     sizes = [hi - lo for lo, hi in spans]
-    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= simulate._block_size(m) == 4
-    assert pool_sizes == ([] if workers == 1 else [min(workers, count)])
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= simulate._block_size(m, threads) == 4
+    assert pool_sizes == ([] if threads == 1 else [threads])
     assert s.key_fields() == serial.key_fields()
+
+
+def test_short_request_starts_no_pool(monkeypatch):
+    # 2250 trials are too few to pay for a second thread
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    two = simulate.monte_carlo(20, 800, 2250, seed=6, workers=2)
+    one = simulate.monte_carlo(20, 800, 2250, seed=6, workers=1)
+    assert (two.threads, two.blocks) == (1, 1)
+    assert two.key_fields() == one.key_fields()
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(min_value=1, max_value=2**22 - 1),
+       trials=st.integers(min_value=2, max_value=2 * 10**5),
+       workers=st.integers(min_value=1, max_value=simulate.MAX_WORKERS))
+def test_schedule_property(m, trials, workers):
+    # monte_carlo's own schedule, with _run_block and the pool replaced by
+    # recorders; the budget is lifted, since nothing is simulated.
+    spans, pools = [], []
+
+    def record(m, n, seed, lo, hi, hold_threshold):
+        spans.append((lo, hi))
+        return 0, 0, 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        _record_pools(mp, pools)
+        mp.setattr(simulate, "_run_block", record)
+        mp.setenv("INVWALK_BUDGET", str(10**18))
+        s = simulate.monte_carlo(m, 1, trials, workers=workers)
+    threads = s.threads
+    assert threads == min(workers, max(1, trials // simulate._THREAD_TRIALS))
+    assert 1 <= threads <= workers
+    assert threads == 1 or trials // threads >= simulate._THREAD_TRIALS
+    assert pools == ([] if threads == 1 else [threads])
+    edges = [0] + [hi for _, hi in spans]
+    assert edges[-1] == trials and spans == list(zip(edges, edges[1:]))
+    assert s.blocks == len(spans)
+    assert s.blocks % threads == 0 or s.blocks == trials  # one trial a block
+    sizes = [hi - lo for lo, hi in spans]
+    assert max(sizes) - min(sizes) <= 1
+    # a block fits the budget of its thread count, or holds one trial, or,
+    # on one thread, as many as the floor and memory allow
+    budget = simulate._CACHE_CELLS if threads == 1 else simulate._BLOCK_CELLS
+    floor = min(simulate._MIN_BLOCK_TRIALS, simulate._BLOCK_CELLS // (m + 1))
+    assert max(sizes) <= simulate._BLOCK_TRIALS
+    assert max(sizes) * (m + 1) <= budget or max(sizes) <= max(1, floor)
+    assert max(sizes) * (m + 1) <= simulate._BLOCK_CELLS
 
 
 def test_workers_above_cap_refused(monkeypatch):
