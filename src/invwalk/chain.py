@@ -3,15 +3,15 @@
 State: the probabilities p_{i,j} (0 <= i <= j < m) that positions i and
 j+1 are inverted after n uniform adjacent transpositions.  One step mixes
 each cell with its grid neighbours inside the triangle and injects mass on
-the diagonal, ``m p' = m A p + e`` with e the diagonal's indicator;
-``stencil`` writes the rule down once, on the full triangle.
+the diagonal, ``m p' = m A p + e`` with e the diagonal's indicator.
 
 **The quotient.**  Reversing the positions maps cell (i, j) to
 (m-1-j, m-1-i).  The step commutes with it and e is invariant, so p is
 invariant at every step and one value per orbit of the reversal carries
 it: about d/2 of the d = m(m+1)/2 cells (the cells with i + j = m - 1 are
-fixed, the others pair up).  ``quotient`` folds the stencil onto the
-orbits once per call, and ``_orbit_step`` is the one stepping kernel.
+fixed, the others pair up).  ``quotient`` writes the step down on the
+orbits once per call, from one representative cell each, and
+``_orbit_step`` is the one stepping kernel.
 
 **The jump chain.**  Uniformization (Jensen 1953; Grassmann 1977) splits
 ``m A = (m - 4) I + N``.  N's self weight is [i = 0] + [j = m-1], its
@@ -83,38 +83,19 @@ def _cell_coords(m: int):
     return np.arange(len(j)) - cell_index(m, 0, j), j
 
 
-def stencil(m: int):
-    """The walk's step rule on the triangle 0 <= i <= j < m, cell_index layout.
-
-    Returns ``(self_coeff, nbrs, diag)``: ``nbrs`` is a (d, 4) array holding
-    each cell's grid neighbour inside the triangle, one column per direction,
-    padded with ``d``; ``self_coeff`` is m minus the neighbour count, minus
-    2 on the diagonal; ``diag`` lists the diagonal cells.  One step is then
-    ``m p' = self_coeff p + sum_c p[nbrs[:, c]] + e`` with e injected on the
-    diagonal, so each row of ``m A`` sums to ``m - 2 [i == j]``.
-    ``quotient`` folds it onto the reversal orbits.
-    """
-    d = m * (m + 1) // 2
-    i, j = _cell_coords(m)
-    nbrs = np.full((d, 4), d, dtype=np.intp)
-    for c, (di, dj) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
-        k, l = i + di, j + dj
-        inside = (0 <= k) & (k <= l) & (l < m)
-        nbrs[inside, c] = cell_index(m, k[inside], l[inside])
-    on_diag = i == j
-    self_coeff = m - (nbrs < d).sum(axis=1) - 2 * on_diag
-    return self_coeff, nbrs, np.flatnonzero(on_diag)
-
-
 class Quotient(NamedTuple):
     """The jump kernel N = m A - (m - 4) I on the orbits of the reversal.
 
-    ``(N u)[o]`` is the sum of ``u`` over the sources of orbit o, a self
-    loop listed once per unit of weight.  ``columns[c]`` holds the c-th
-    source of orbits ``0 .. len(columns[c]) - 1``: orbits are numbered by
-    source count, most first, so every column is a prefix.  ``size`` is
-    each orbit's cell count (1 or 2), ``diag`` the orbits of diagonal cells
-    and ``orbit`` each cell's orbit in the cell_index layout.
+    Orbit o's value stands for each of its cells, so row o is the row of
+    its representative, the cell with i + j <= m - 1, each neighbour
+    replaced by its orbit.  ``(N u)[o]`` is the sum of ``u`` over the
+    sources of orbit o, a self loop listed once per unit of weight.
+    ``columns[c]`` holds the c-th source of orbits
+    ``0 .. len(columns[c]) - 1``: the orbits off the diagonal (four
+    sources) are numbered before those on it (two), so every column is a
+    prefix.  ``size`` is each orbit's cell count (1 or 2), ``diag`` the
+    orbits of diagonal cells and ``orbit`` each cell's orbit in the
+    cell_index layout.
     """
 
     m: int
@@ -130,36 +111,44 @@ def orbit_count(m: int) -> int:
 
 
 def quotient(m: int) -> Quotient:
-    """Fold ``stencil(m)`` onto the reversal orbits (see ``Quotient``).
+    """``Quotient`` built from the representative cells alone, off-diagonal
+    ones first, each group in cell_index order.
 
-    Orbit o's value stands for each of its cells, so row o of the folded
-    kernel is the row of its representative (the cell with i + j <= m - 1),
-    each neighbour replaced by its orbit.
+    A row lists its representative's neighbours inside the triangle in the
+    direction order (-1, 0), (1, 0), (0, -1), (0, 1), then a self loop per
+    neighbour outside it, [i = 0] + [j = m-1] of them (the diagonal's
+    (1, 0) and (0, -1) are its outflow, not loops).  Only (-1, 0), at
+    i = 0, and (0, 1), at j = m-1, can be missing, so each direction's
+    column takes the orbit itself there, and rows with i = 0 rotate it last.
     """
-    self_coeff, nbrs, diag = stencil(m)
-    d = len(self_coeff)
-    i, j = _cell_coords(m)
-    mirror = cell_index(m, m - 1 - j, m - 1 - i)
-    loops = self_coeff - (m - 4)  # N's self weight
-    count = (nbrs < d).sum(axis=1) + loops
-    is_rep = i + j <= m - 1
-    reps = np.concatenate([np.flatnonzero(is_rep & (count == c))
-                           for c in range(count.max(), count.min() - 1, -1)])
-    h = len(reps)
-    orbit = np.full(d + 1, h, dtype=np.intp)  # the padding cell d maps to h
-    orbit[mirror[reps]] = np.arange(h)
-    orbit[reps] = np.arange(h)
-    # Each orbit's sources in a row, padded with h: neighbours, then loops.
-    own = np.arange(max(loops.max(), 0)) < loops[reps, None]
-    table = np.concatenate([orbit[nbrs[reps]], np.where(own, np.arange(h)[:, None], h)], axis=1)
-    row, col = np.nonzero(table < h)
-    count = count[reps]
-    # Each source's place in its row; rows with a c-th source are a prefix.
-    rank = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-    sources = table[row, col]
-    columns = tuple(sources[rank == c] for c in range(count.max()))
-    size = np.where(mirror[reps] == reps, 1, 2)
-    return Quotient(m, columns, size, orbit[diag[2 * i[diag] <= m - 1]], orbit[:d])
+    width = np.minimum(np.arange(m), np.arange(m, 0, -1))  # off-diagonal reps per column j
+    j = np.repeat(np.arange(m), width)
+    i = np.arange(len(j)) - np.repeat(np.cumsum(width) - width, width)
+    off = len(j)
+    half = np.arange((m + 1) // 2)
+    i, j = np.concatenate([i, half]), np.concatenate([j, half])
+    own = np.arange(len(i))
+    orbit = np.empty(m * (m + 1) // 2, dtype=np.intp)
+    orbit[cell_index(m, m - 1 - j, m - 1 - i)] = own
+    orbit[cell_index(m, i, j)] = own
+
+    def sources(rows, directions):
+        """One column per direction, a self loop for a missing neighbour, rotated at i = 0."""
+        columns = []
+        for di, dj in directions:
+            k, l, column = i[rows] + di, j[rows] + dj, own[rows].copy()
+            inside = (0 <= k) & (k <= l) & (l < m)
+            column[inside] = orbit[cell_index(m, k[inside], l[inside])]
+            columns.append(column)
+        edge = i[rows] == 0
+        return [np.where(edge, after, column)
+                for column, after in zip(columns, columns[1:] + columns[:1])]
+
+    beside = sources(slice(off), ((-1, 0), (1, 0), (0, -1), (0, 1)))
+    on = sources(slice(off, None), ((-1, 0), (0, 1)))
+    columns = (*(np.concatenate(pair) for pair in zip(beside, on)), *beside[2:])
+    return Quotient(m, tuple(c for c in columns if len(c)),  # m = 1 has no off-diagonal rows
+                    np.where(i + j == m - 1, 1, 2), own[off:], orbit)
 
 
 def _orbit_step(u, q: Quotient, lazy, inject):
@@ -217,7 +206,7 @@ def _jump_weights(a: int, B: int, A: int, n: int):
 # n up to 10^4, m >> n included), so the default budget of 10^9 refuses
 # runs above about 2-5 s.  Each is charged before any allocation.
 def dp_work(m: int, n: int, p: int | Fraction = 1) -> int:
-    """Work units ``expected_inversions_dp(m, n, p)`` is charged: the fold,
+    """Work units ``expected_inversions_dp(m, n, p)`` is charged: the quotient,
     n - 1 jump steps on ``orbit_count(m)`` orbits whose entries grow by
     2 bits a step, and the outer sum's n products of a 2r-bit a_r with an
     n log2(bm)-bit weight, p = a/b."""

@@ -119,9 +119,6 @@ def _route_closed(m, n, args) -> Result:
     opts = formulas.ClosedFormOptions(variant=args.variant, precision=args.precision)
     info, elapsed = _timed(formulas.closed_form_info, m, n, opts)
     value = _mpf_str(info.value, info.precision)
-    # A saturated result is the limit, answered before the sum's budget.
-    estimated = 0 if info.saturated else formulas.closed_form_work(
-        m, n, info.precision, info.variant)
     return Result(f"closed:{info.variant}",
                   {"value": value, "precision_bits": info.precision,
                    "saturated": info.saturated},
@@ -135,7 +132,7 @@ def _route_closed(m, n, args) -> Result:
                    # No certificate runs below m = 8 or without a sum.
                    **({"certificate_ulps": info.certificate_ulps}
                       if info.certificate_ulps is not None else {}),
-                   "work_estimated": estimated, "elapsed_s": elapsed})
+                   "work_estimated": info.work_charged, "elapsed_s": elapsed})
 
 
 def _route_lazy(m, n, args) -> Result:

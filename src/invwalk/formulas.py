@@ -75,6 +75,7 @@ class ClosedFormResult:
     skipped: int  # of the (m+1)^2 pairs, those left out of the sum
     rounding: str | None  # "exact" or "sequential" (see closed_form_info); None: no sum
     certificate_ulps: float | None  # the certificate's finished width; None: none ran
+    work_charged: int  # the units passed to check_budget, summed
 
 
 @dataclass(frozen=True)
@@ -107,21 +108,23 @@ def _corner(m: int):
     return c0, s0, 1 - mpf(4) / m * (1 - c0**2)
 
 
-def _saturated(m: int, n: int, precision: int, work: int) -> bool:
+def _saturated(m: int, n: int, precision: int, work: int) -> tuple[bool, int]:
+    """Whether the value is saturated, and the units the test was charged."""
     # x_00^n below relative 2^-(precision+64): the whole sum is invisible
     # next to m(m+1)/4 at working precision.  Only valid for m >= 3, where
     # every certified |x_jk| < 1 and x_00 >= 1 - (4/3) sin^2(pi/8) > 0.8; for
     # m <= 2 an eigenvalue -1 persists.
     if m < 3:
-        return False
+        return False, 0
     # -log x_00 <= 2 (4/m) sin^2(pi/(2m+2)) < 20/(m (m+1)^2) and ln 2 > 0.69,
     # so below this n the sum is visible, and no angle is computed.
     if 2000 * n < 69 * (precision + 64) * m * (m + 1) ** 2:
-        return False
+        return False, 0
     # The corner's angle and a logarithm, which costs about two angles.
-    check_budget(3 * _angle_work(work), f"closed_form saturation test m={m}, n={n}")
+    charged = 3 * _angle_work(work)
+    check_budget(charged, f"closed_form saturation test m={m}, n={n}")
     with workprec(work):
-        return n * mpmath.log(_corner(m)[2]) < -(precision + 64) * mpmath.log(2)
+        return n * mpmath.log(_corner(m)[2]) < -(precision + 64) * mpmath.log(2), charged
 
 
 def _log_bound_blocks(m: int, n: int, weighted: bool):
@@ -620,7 +623,8 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     The exact answers take O(1) work.  The saturation test is charged its
     angle and logarithm before it computes them, unless n is too small
     for the value to saturate, and any other call is charged
-    ``closed_form_work`` before a table, a bound or a term is computed.
+    ``closed_form_work`` before a table, a bound or a term is computed;
+    ``work_charged`` is the total of those charges.
     """
     if opts is None:
         opts = ClosedFormOptions()
@@ -629,15 +633,16 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     work = work_bits(m, precision)
     pairs = (m + 1) ** 2
     exact = n == 0 or m == 1
-    if exact or _saturated(m, n, precision, work):
+    saturated, charged = (False, 0) if exact else _saturated(m, n, precision, work)
+    if exact or saturated:
         with workprec(work):
             value = mpf(n % 2) if exact else _limit_value(m)
         with workprec(precision):
-            return ClosedFormResult(+value, m, n, opts.variant, precision, not exact,
+            return ClosedFormResult(+value, m, n, opts.variant, precision, saturated,
                                     terms=0, powers=0, skipped=pairs, rounding=None,
-                                    certificate_ulps=None)
-    check_budget(closed_form_work(m, n, precision, opts.variant),
-                 f"closed_form {opts.variant} m={m}, n={n}")
+                                    certificate_ulps=None, work_charged=charged)
+    estimated = closed_form_work(m, n, precision, opts.variant)
+    check_budget(estimated, f"closed_form {opts.variant} m={m}, n={n}")
     theorem1 = opts.variant == "theorem1"
     table = build_table(m, work)
     with workprec(work):
@@ -671,7 +676,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     terms, powers, summed = counts
     return ClosedFormResult(value, m, n, opts.variant, precision, False, terms=terms,
                             powers=powers, skipped=pairs - summed, rounding=rounding,
-                            certificate_ulps=ulps)
+                            certificate_ulps=ulps, work_charged=charged + estimated)
 
 
 def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):

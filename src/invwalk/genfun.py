@@ -26,11 +26,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_sub, round_nearest, to_float
+from mpmath.libmp import fone, mpf_div, round_nearest, to_float
 
 from . import chain, formulas
 from .budget import check_budget
-from .spectral import TABLE_ERROR_BOUND, SpectralTable, orbit_pairs
+from .spectral import TABLE_ERROR_BOUND, SpectralTable, eigenvalue, orbit_pairs
 
 
 class Polynomial:
@@ -342,8 +342,8 @@ def pole_check(rf: RationalFunction, table: SpectralTable) -> PoleCheckReport:
     simple and lies within r of its candidate.  ``passed`` iff the matches
     number e, each of multiplicity 1; a double root, or a root farther
     than the threshold from every candidate, leaves the count short.  The
-    root reported is the candidate's t, 1 or 1/x rounded at the table's
-    precision, as a float.
+    root reported is the candidate's t, 1 or 1/x (x from
+    ``spectral.eigenvalue``) rounded at the table's precision, as a float.
     """
     m, precision = table.m, table.precision
     den = [int(c) for c in rf.den.coeffs]
@@ -389,8 +389,6 @@ def pole_check(rf: RationalFunction, table: SpectralTable) -> PoleCheckReport:
     clear = [True, *(b[0] - a[0] > a[1] + b[1] for a, b in zip(discs, discs[1:])), True]
     hits = sorted(i for n, (_, _, i) in enumerate(discs) if clear[n] and clear[n + 1])
 
-    rnd = round_nearest
-    four_over_m = mpf_div(from_int(4), from_int(m), precision, rnd)
     matched = []
     for i in hits:
         pair = candidates[i][1]
@@ -398,10 +396,8 @@ def pole_check(rf: RationalFunction, table: SpectralTable) -> PoleCheckReport:
             matched.append((1.0, "1", 1))
             continue
         j, k = pair
-        x = mpf_mul(table.c[j]._mpf_, table.c[k]._mpf_, precision, rnd)
-        x = mpf_sub(fone, mpf_mul(four_over_m, mpf_sub(fone, x, precision, rnd),
-                                  precision, rnd), precision, rnd)
-        root = to_float(mpf_div(fone, x, precision, rnd), rnd=rnd)
+        x = eigenvalue(table, j, k)._mpf_
+        root = to_float(mpf_div(fone, x, precision, round_nearest), rnd=round_nearest)
         matched.append((root, f"1/x[{j},{k}]", 1))
     unmatched = e - len(matched)
     return PoleCheckReport(m=m, matched=tuple(matched),

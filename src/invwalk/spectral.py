@@ -18,6 +18,7 @@ from itertools import permutations
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from .budget import check_budget
 
@@ -130,16 +131,21 @@ def _mirrored_cos_sin(m: int):
 
 
 def eigenvalue(table: SpectralTable, j: int, k: int):
-    """x_{jk} = 1 - (4/m)(1 - c_j c_k).
+    """x_{jk} = 1 - (4/m)(1 - c_j c_k), each operation rounded to nearest
+    at the table's precision.
 
     Defined for every index pair; only pairs with j + k != m are certified
-    eigenvalues of the transition matrix (see ``orbit_pairs``).
+    eigenvalues of the transition matrix (see ``orbit_pairs``).  The raw
+    libmp calls keep it cheap enough for ``genfun.pole_check``'s loop.
     """
     m = table.m
     if not (0 <= j <= m and 0 <= k <= m):
         raise ValueError(f"indices must lie in [0, {m}], got ({j}, {k})")
-    with workprec(table.precision):
-        return 1 - mpf(4) / m * (1 - table.c[j] * table.c[k])
+    prec, rnd = table.precision, round_nearest
+    product = mpf_mul(table.c[j]._mpf_, table.c[k]._mpf_, prec, rnd)
+    gap = mpf_mul(mpf_div(from_int(4), from_int(m), prec, rnd), mpf_sub(fone, product, prec, rnd),
+                  prec, rnd)
+    return mpmath.mp.make_mpf(mpf_sub(fone, gap, prec, rnd))
 
 
 def orbit_pairs(m: int):

@@ -28,9 +28,38 @@ def test_cell_index_is_dense():
         assert list(zip(*chain._cell_coords(m))) == cells
 
 
+# --- the full-triangle oracle ---------------------------------------------
+# The DP steps the jump kernel on the reversal orbits, built from one
+# representative cell each; these functions write the rule down on every
+# cell of the triangle and step m A literally from it, so the reversal
+# symmetry and the quotient's build are checked rather than assumed.
+
+
+def stencil(m):
+    """The walk's step rule on the triangle 0 <= i <= j < m, cell_index layout.
+
+    Returns ``(self_coeff, nbrs, diag)``: ``nbrs`` is a (d, 4) array holding
+    each cell's grid neighbour inside the triangle, one column per direction,
+    padded with ``d``; ``self_coeff`` is m minus the neighbour count, minus
+    2 on the diagonal; ``diag`` lists the diagonal cells.  One step is then
+    ``m p' = self_coeff p + sum_c p[nbrs[:, c]] + e`` with e injected on the
+    diagonal, so each row of ``m A`` sums to ``m - 2 [i == j]``.
+    """
+    d = m * (m + 1) // 2
+    i, j = chain._cell_coords(m)
+    nbrs = np.full((d, 4), d, dtype=np.intp)
+    for c, (di, dj) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
+        k, l = i + di, j + dj
+        inside = (0 <= k) & (k <= l) & (l < m)
+        nbrs[inside, c] = chain.cell_index(m, k[inside], l[inside])
+    on_diag = i == j
+    self_coeff = m - (nbrs < d).sum(axis=1) - 2 * on_diag
+    return self_coeff, nbrs, np.flatnonzero(on_diag)
+
+
 def test_neighbors_stay_in_triangle():
     for m in (1, 2, 3, 6):
-        self_coeff, nbrs, diag = chain.stencil(m)
+        self_coeff, nbrs, diag = stencil(m)
         cells = _triangle_cells(m)
         d = len(cells)
         assert nbrs.shape == (d, 4) and self_coeff.shape == (d,)
@@ -53,12 +82,6 @@ def test_neighbors_stay_in_triangle():
             assert self_coeff[row] + len(real) == m - 2 * (i == j)
 
 
-# --- the full-triangle oracle ---------------------------------------------
-# The DP steps the jump kernel on the reversal orbits; these two functions
-# step m A on every cell of the triangle, literally from ``stencil``, so the
-# reversal symmetry and the fold are checked rather than assumed.
-
-
 def _full_step(p, rule, inject):
     """m times one chain step of p: self_coeff p + neighbours + inject on the diagonal."""
     self_coeff, nbrs, diag = rule
@@ -72,7 +95,7 @@ def _full_step(p, rule, inject):
 
 def _oracle_numerators(m, n):
     """Yield the numerators of p^{(k)} over m^k on every cell, k = 0..n."""
-    rule = chain.stencil(m)
+    rule = stencil(m)
     p = np.zeros(m * (m + 1) // 2, dtype=object)
     yield p
     den = 1
@@ -119,7 +142,7 @@ def test_dp_examples(m, n, expected):
 def test_jump_kernel_shape(m):
     # N = m A - (m - 4) I: self weight [i = 0] + [j = m-1], row sums
     # 4 - 2 [i = j], nonnegative, and symmetric as the neighbour relation is.
-    self_coeff, nbrs, diag = chain.stencil(m)
+    self_coeff, nbrs, diag = stencil(m)
     d = len(self_coeff)
     for i, j in _triangle_cells(m):
         row = chain.cell_index(m, i, j)
@@ -129,15 +152,24 @@ def test_jump_kernel_shape(m):
         assert all(row in nbrs[c] for c in nbrs[row] if c < d)
 
 
-@pytest.mark.parametrize("m", range(1, 15))
+@pytest.mark.parametrize("m", range(1, 41))
 def test_orbit_step_is_the_folded_full_step(m):
     # On reversal-invariant states the orbit kernel, expanded, is the full
     # triangle's m A - (m - 4) I, with and without the injection.
     q = chain.quotient(m)
-    rule = chain.stencil(m)
+    self_coeff, nbrs, diag = rule = stencil(m)
     h = chain.orbit_count(m)
-    assert len(q.size) == h and q.size.sum() == m * (m + 1) // 2
-    assert sorted(q.orbit[rule[2]]) == sorted(np.repeat(q.diag, q.size[q.diag]))
+    d = m * (m + 1) // 2
+    assert len(q.size) == h and q.size.sum() == d
+    assert sorted(q.orbit[diag]) == sorted(np.repeat(q.diag, q.size[q.diag]))
+    # Each orbit's sources, in order: its representative's neighbours in
+    # the stencil's direction order, then its self loops.
+    for i, j in _triangle_cells(m):
+        if i + j <= m - 1:
+            cell = chain.cell_index(m, i, j)
+            o = q.orbit[cell]
+            assert [column[o] for column in q.columns if o < len(column)] == \
+                [q.orbit[c] for c in nbrs[cell] if c < d] + [o] * (self_coeff[cell] - (m - 4))
     u = np.array([(7 * o * o + 3 * o + 1) % 11 for o in range(h)], dtype=object)
     full = u[q.orbit]
     assert list(chain._orbit_step(u, q, 0, 0)[q.orbit]) == \
@@ -239,7 +271,7 @@ def test_functional_equation_detects_missing_diagonal_injection(monkeypatch):
 
 
 def test_functional_equation_detects_wrong_self_weight(monkeypatch):
-    monkeypatch.setattr(chain, "stencil", wrong_corner_self_weight(chain.stencil))
+    monkeypatch.setattr(chain, "_orbit_step", wrong_corner_self_weight(chain._orbit_step))
     assert chain.functional_equation_residual(3, 5) != 0
 
 
@@ -269,13 +301,41 @@ def test_functional_equation_holds_few_planes():
     assert peak < 3 * (m + 2) ** 2 * (8 + sys.getsizeof(m**N))
 
 
-def wrong_corner_self_weight(stencil):
-    """The stencil with one unit too much self weight at the corner cell (0, 0)."""
-    def wrong(m):
-        self_coeff, nbrs, diag = stencil(m)
-        self_coeff = self_coeff.copy()
-        self_coeff[chain.cell_index(m, 0, 0)] += 1
-        return self_coeff, nbrs, diag
+@pytest.mark.parametrize("entry", [
+    lambda m: chain.expected_inversions_dp(m, 1),
+    lambda m: list(chain.iterate_totals(m, 2)),
+    lambda m: chain.expected_inversions_float(m, 1),
+    lambda m: chain.functional_equation_residual(m, 1),
+], ids=["dp", "iterate_totals", "float", "functional_equation"])
+def test_peak_memory_within_work_charge(entry, monkeypatch):
+    # At m >> n the quotient's build sets the peak: each entry point holds
+    # no more traced bytes than the units it is charged, so the budget
+    # bounds memory too.
+    charged = []
+    check_budget = chain.check_budget
+
+    def recording(units, what):
+        charged.append(units)
+        check_budget(units, what)
+
+    monkeypatch.setattr(chain, "check_budget", recording)
+    tracemalloc.start()
+    try:
+        entry(500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and peak <= charged[0]
+
+
+def wrong_corner_self_weight(step):
+    """The orbit step with one unit too much self weight on the orbit of the
+    corner cell (0, 0)."""
+    def wrong(u, q, lazy, inject):
+        out = step(u, q, lazy, inject)
+        corner = q.orbit[chain.cell_index(q.m, 0, 0)]
+        out[corner] += u[corner]
+        return out
     return wrong
 
 

@@ -73,16 +73,16 @@ def test_functional_equation_check_fails_without_diagonal_injection(monkeypatch)
 
 
 def test_checks_fail_on_wrong_self_weight(monkeypatch):
-    # One unit too much self weight at the corner cell (0, 0) of the rule.
-    stencil = chain.stencil
+    # One unit too much self weight on the orbit of the corner cell (0, 0).
+    step = chain._orbit_step
 
-    def wrong(m):
-        self_coeff, nbrs, diag = stencil(m)
-        self_coeff = self_coeff.copy()
-        self_coeff[chain.cell_index(m, 0, 0)] += 1
-        return self_coeff, nbrs, diag
+    def wrong(u, q, lazy, inject):
+        out = step(u, q, lazy, inject)
+        corner = q.orbit[chain.cell_index(q.m, 0, 0)]
+        out[corner] += u[corner]
+        return out
 
-    monkeypatch.setattr(chain, "stencil", wrong)
+    monkeypatch.setattr(chain, "_orbit_step", wrong)
     record = checks.functional_equation("quick")
     assert not record.passed
     assert record.measured["residual"] > 0

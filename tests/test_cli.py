@@ -169,8 +169,10 @@ def test_closed_json_fields(capsys):
     assert float(payload["value"]) == 3.0
     meta = payload["meta"]
     assert meta.pop("elapsed_s") >= 0
+    # The saturation test's corner angle and logarithm were charged.
     assert meta == {"saturated": True, "terms": 0, "powers": 0, "skipped": 16,
-                    "work_bits": 53 + 32 + 6, "work_estimated": 0}
+                    "work_bits": 53 + 32 + 6,
+                    "work_estimated": 3 * formulas._angle_work(53 + 32 + 6)}
 
 
 def test_closed_meta(capsys):
@@ -196,6 +198,12 @@ def test_closed_meta(capsys):
     code, out, _ = run(capsys, *args, "--no-meta")
     assert code == 0
     assert "meta" not in json.loads(out)
+    # A saturated value reports what its saturation test was charged.
+    code, out, _ = run(capsys, "closed", "--m", "40", "--n", "1000000000", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["saturated"] is True
+    assert meta["work_estimated"] == 3 * formulas._angle_work(97) == 18441
 
 
 def test_closed_meta_reports_rounding(capsys, monkeypatch):
