@@ -287,11 +287,12 @@ _memo = _MomentMemo()
 def _jump_moments(m: int, n: int):
     """Yield a_r = 1^T N^r e for r = 0..n-1: the memo's prefix for m, then
     one jump step per moment past it.  After the last, the longest prefix
-    that fits in ``MEMO_BITS`` replaces the memo's entry for m."""
+    that fits in ``MEMO_BITS`` replaces the memo's entry for m.  a_0 = m
+    needs no step, so n = 1 builds no quotient."""
     if n == 0:
         return
     entry = _memo.get(m)
-    stored = entry.moments if entry is not None else ()
+    stored = entry.moments if entry is not None else (m,)  # a_0 = 1^T e: the m diagonal cells
     yield from islice(stored, n)
     if n <= len(stored):
         return
@@ -301,7 +302,6 @@ def _jump_moments(m: int, n: int):
         u = np.zeros(h, dtype=object)
         u[q.diag] = 1
         moments, moment_bits = [m], m.bit_length()
-        yield m  # a_0 = 1^T e: the m diagonal cells
     else:
         moments, u = list(stored), entry.orbit
         moment_bits = entry.bits - h * stored[-1].bit_length()

@@ -39,7 +39,8 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
 
 from .budget import check_budget, check_probability, check_walk_args
 from .chain import expected_inversions_dp
-from .spectral import MIN_PRECISION, _angle_work, build_table, check_precision
+from .spectral import (MIN_PRECISION, SpectralTable, _angle_work, _mirrored_cos_sin, build_table,
+                       check_precision)
 
 VARIANTS = ("theorem1", "ser3")
 
@@ -47,6 +48,10 @@ VARIANTS = ("theorem1", "ser3")
 # summand (theorem 1) or its power x^n (ser3) is skipped; it absorbs the
 # float error of the bounds.
 SKIP_MARGIN_BITS = 8
+# Slack, in nats, between the bound over an anti-diagonal and the cut that
+# decides whether the band holds it; it absorbs the float error of both
+# bounds (see ``closed_form_info``).
+BAND_SLACK = 1.0
 # Entries of the pair-selection bound evaluated per numpy block.
 _BLOCK_ENTRIES = 2**16
 
@@ -127,18 +132,29 @@ def _saturated(m: int, n: int, precision: int, work: int) -> tuple[bool, int]:
         return n * mpmath.log(_corner(m)[2]) < -(precision + 64) * mpmath.log(2), charged
 
 
-def _log_bound_blocks(m: int, n: int, weighted: bool):
-    """Blocks of consecutive rows j, in order, of a float array over
-    (j, k) bounding log(x_jk^n) or, if ``weighted``, log(w_jk x_jk^n) for
-    theorem 1's weights, up to the constant log 4.
+def _kept_blocks(m: int, n: int, work: int, theorem1: bool):
+    """Blocks ``(j0, k0, kept)`` of the float bound's verdicts: ``kept[r, i]``
+    says whether the pair (j0 + r, k0 + i) is kept (see ``_rows``).
 
-    It uses theta_i = i pi/(2m+2) and the cancellation-free forms
-    1 - c_j c_k = sin^2 theta_{|j-k|} + sin^2 theta_{j+k+1},
-    (c_j + c_k)^2 = 4 cos^2 theta_{j+k+1} cos^2 theta_{|j-k|} and
-    s_j^2 = sin^2 theta_{2j+1}.  cos^2 theta_{m+1} is set to 0: the pairs
-    j + k = m have weight exactly 0 in the mirrored spectral table.  A
-    block holds about ``_BLOCK_ENTRIES`` entries and at least one row, so
-    memory stays O(m).
+    The bound is that of log(x_jk^n) or, for theorem 1, of log(w_jk x_jk^n)
+    up to the constant log 4.  It uses theta_i = i pi/(2m+2) and the
+    cancellation-free forms 1 - c_j c_k = sin^2 theta_d + sin^2 theta_s,
+    (c_j + c_k)^2 = 4 cos^2 theta_s cos^2 theta_d and
+    s_j^2 = sin^2 theta_{2j+1}, with d = |j - k| and s = j + k + 1.
+    cos^2 theta_{m+1} is set to 0: the pairs j + k = m have weight exactly
+    0 in the mirrored spectral table.  A pair is kept if its bound is at
+    least the cut: T00's bound (theorem 1) or 0 (ser3), less
+    ``work + 1 + SKIP_MARGIN_BITS`` bits.
+
+    Every kept pair lies on the band s <= S or s >= 2m+2-S of
+    ``closed_form_info``, so in the square [0, S)^2 or (m-S, m]^2; U(s) is
+    evaluated from the same float terms as the bound.  The bound is
+    evaluated on those squares, or on the whole grid when they meet
+    (2S >= m + 1), each entry by the whole grid's float expression, so
+    the verdicts are the whole grid's.  A block holds about
+    ``_BLOCK_ENTRIES`` entries of a square and at least one row of it, so
+    memory stays O(m); on the whole grid the blocks are its rows
+    ``_BLOCK_ENTRIES // (m+1)`` at a time.
     """
     theta = np.arange(2 * m + 2) * (math.pi / (2 * m + 2))
     sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
@@ -146,16 +162,32 @@ def _log_bound_blocks(m: int, n: int, weighted: bool):
     with np.errstate(divide="ignore"):
         log_cos2 = np.log(cos2)
     log_s2 = np.log(sin2[1::2])
-    k = np.arange(m + 1)
-    step = max(1, _BLOCK_ENTRIES // (m + 1))
-    for j0 in range(0, m + 1, step):
-        j = k[j0:j0 + step, None]
+
+    def bound(j, k):
         d, s = np.abs(j - k), j + k + 1
-        bound = float(n) * np.log1p(-(4 / m) * (sin2[d] + sin2[s]))
-        if weighted:
-            bound = log_cos2[s] + log_cos2[d] - log_s2[j] - log_s2[k] + bound
-        del d, s  # freed before the consumer builds its lists from the block
-        yield bound
+        value = float(n) * np.log1p(-(4 / m) * (sin2[d] + sin2[s]))
+        if theorem1:
+            value = log_cos2[s] + log_cos2[d] - log_s2[j] - log_s2[k] + value
+        return value
+
+    margin = (work + 1 + SKIP_MARGIN_BITS) * math.log(2)
+    if theorem1:
+        corner = np.zeros(1, dtype=np.intp)
+        cut = bound(corner, corner)[0] - margin  # T00's bound
+    else:
+        cut = -margin
+    s = np.arange(1, 2 * m + 2)
+    upper = float(n) * np.log1p(-(4 / m) * sin2[s])  # U(s)
+    if theorem1:
+        upper = log_cos2[1] + log_cos2[0] - log_s2[0] - log_s2[0] + upper
+    band = int(np.max(np.minimum(s, 2 * m + 2 - s), where=upper + BAND_SLACK >= cut,
+                      initial=1))  # S
+    squares = [(0, m + 1)] if 2 * band >= m + 1 else [(0, band), (m + 1 - band, m + 1)]
+    for low, high in squares:
+        k = np.arange(low, high)
+        step = max(1, _BLOCK_ENTRIES // (high - low))
+        for j0 in range(low, high, step):
+            yield j0, low, bound(k[j0 - low:j0 - low + step, None], k) >= cut
 
 
 def _rows(m: int, n: int, work: int, theorem1: bool):
@@ -164,17 +196,48 @@ def _rows(m: int, n: int, work: int, theorem1: bool):
     can reach 2^-(work+1), where 1 - x_jk^n can differ from 1 (see
     ``closed_form_info``); every column below m = 8.  An entry is kept
     if its bound lies within a factor 2^-(work+1), and the float bounds'
-    slack, of T00's bound (theorem 1) or of 1 (ser3)."""
+    slack, of T00's bound (theorem 1) or of 1 (ser3); the entries outside
+    the band of ``_kept_blocks`` are left out unevaluated."""
     if m < 8:
         yield from [range(m + 1) if theorem1 else [True] * (m + 1)] * (m + 1)
         return
-    margin = (work + 1 + SKIP_MARGIN_BITS) * math.log(2)
-    cut = None if theorem1 else -margin
-    for block in _log_bound_blocks(m, n, weighted=theorem1):
-        if cut is None:
-            cut = block[0, 0] - margin  # T00's bound
-        for kept in block >= cut:
-            yield np.flatnonzero(kept).tolist() if theorem1 else kept.tolist()
+
+    def unkept(rows):
+        return ([] if theorem1 else [False] * (m + 1) for _ in range(rows))
+
+    done = 0
+    for j0, k0, kept in _kept_blocks(m, n, work, theorem1):
+        yield from unkept(j0 - done)
+        for flags in kept:
+            if theorem1:
+                yield (np.flatnonzero(flags) + k0).tolist()
+            else:
+                yield [False] * k0 + flags.tolist() + [False] * (m + 1 - k0 - len(flags))
+        done = j0 + len(kept)
+    yield from unkept(m + 1 - done)
+
+
+def _orbit_reads(m: int, n: int, work: int):
+    """``(a, b, reads)``: theorem 1's live orbits as arrays of their
+    representatives a <= b, a + b <= m, and the number of kept pairs that
+    read each, from ``_kept_blocks``.  The orbit of (j, k) is fixed by
+    d = |j - k| and t = min(s, 2m+2-s), s = j + k + 1: its representative
+    has b - a = d and a + b + 1 = t."""
+    keys = []
+    for j0, k0, kept in _kept_blocks(m, n, work, theorem1=True):
+        j, k = np.nonzero(kept)
+        j += j0
+        k += k0
+        t = j + k + 1
+        np.minimum(t, 2 * m + 2 - t, out=t)
+        np.subtract(j, k, out=j)
+        np.abs(j, out=j)
+        t *= m + 1
+        t += j
+        keys.append(t)
+    reads = np.bincount(np.concatenate(keys))
+    t, d = np.divmod(np.flatnonzero(reads), m + 1)
+    return (t - 1 - d) // 2, (t - 1 + d) // 2, reads[reads > 0]
 
 
 class _ExactSum:
@@ -352,21 +415,21 @@ def _fixed_kernel(m: int, n: int, work: int, table):
 def _exact_pass(m: int, n: int, work: int, table, theorem1: bool) -> tuple:
     """``(exact, (terms, powers, summed))``: each distinct term added to the
     ``_ExactSum`` once with its read count, theorem 1's from
-    ``_fixed_kernel`` after counting the live reads of each orbit, with the
-    bound ``rho`` of their smallest x, ser3's from ``_term_kernel`` by
-    mirror pairs (see ``closed_form_info``)."""
+    ``_fixed_kernel`` after counting the live reads of each orbit
+    (``_orbit_reads``), with the bound ``rho`` of their smallest x, ser3's
+    from ``_term_kernel`` by mirror pairs (see ``closed_form_info``).
+    ``table`` is the spectral table at ``work`` bits, or None for theorem
+    1: then only the entries k <= max b its live orbits (a, b) read are
+    computed (``_mirrored_cos_sin``), the full table's bit for bit."""
     exact = _ExactSum()
-    rows = _rows(m, n, work, theorem1)
     if theorem1:
-        reads: dict = {}
-        for j, columns in enumerate(rows):
-            for k in columns:
-                a, b = (j, k) if j <= k else (k, j)
-                orbit = (a, b) if a + b <= m else (m - b, m - a)
-                reads[orbit] = reads.get(orbit, 0) + 1
+        a, b, reads = _orbit_reads(m, n, work)
+        if table is None:
+            with workprec(work):
+                table = SpectralTable(m, work, *_mirrored_cos_sin(m, int(b.max()) + 1))
         term, bound = _fixed_kernel(m, n, work, table)
         smallest = math.inf
-        for (j, k), count in reads.items():
+        for j, k, count in zip(a.tolist(), b.tolist(), reads.tolist()):
             man, exp, x = term(j, k)
             exact.add_int(man, exp, count)
             if x < smallest:
@@ -374,7 +437,7 @@ def _exact_pass(m: int, n: int, work: int, table, theorem1: bool) -> tuple:
         exact.rho = bound(smallest)
         return exact, (len(reads), len(reads), exact.reads)
     power, term = _term_kernel(m, n, work, table, theorem1)
-    flags = list(rows)
+    flags = list(_rows(m, n, work, theorem1))
     for j in range(m // 2 + 1):
         for k in range(j, m - j + 1):
             count = 2 if j < k else 1
@@ -448,22 +511,29 @@ def closed_form_work(m: int, n: int, precision: int = MIN_PRECISION,
     ``work`` bits, an addition costing one step of the exact accumulator
     on integers of about ``work`` bits, plus the (m+1)^2 entries of the
     float bound and the floor(m/2) + 1 angles of the table
-    (``_angle_work`` each).  The sequential pass, run only when the
-    rounding certificate fails, is not charged: it may compute the float
-    bound and every term once more, one x^n per term that takes one (for
-    ser3 up to twice the powers charged) and one ``mpf_add`` per read.
+    (``_angle_work`` each): upper bounds, since the bound is evaluated
+    only on its band and theorem 1 computes only the angles its live
+    orbits read (see ``closed_form_info``).  The sequential pass, run
+    only when the rounding certificate fails, is not charged: it may
+    compute the float bound, the whole table and every term once more,
+    one x^n per term that takes one (for ser3 up to twice the powers
+    charged) and one ``mpf_add`` per read.
 
     A unit took, on a 2-core x86_64 VM, best of 3, in every run longer
     than 0.03 s (m = 20..4000, precisions 53..256, n from 1 to 4 m^3):
     0.48-0.91 ns for theorem 1 where its integer kernel's terms set the
-    cost (n up to about m^2), 1.25-1.62 ns where a few corner orbits are
-    live and the float bound and the angles set it (m = 2000 and 4000,
-    n from the critical window on), and 1.7-3.1 ns for ser3 (m = 90..1000);
+    cost (n up to about m^2), and 1.7-3.1 ns for ser3 (m = 90..1000);
     at 10^4 and 2 10^4 bits theorem 1 took 2.8-3.4 ns (m = 20..100, n = m
     to m^2), as the operators' kernel did.  So the default budget of 10^9
     refuses theorem-1 runs above about 0.5-1.6 s and ser3 runs above
     about 2-3 s: theorem 1 at m = n = 1000 (1.8 s, 1.6e9 units) is
-    refused.
+    refused.  Where a few corner orbits are live (n from the critical
+    window on) the charge, set there by the float bound's entries and the
+    angles, overestimates the band's work: 0.004-0.07 ns a unit over
+    m = 1000..4000, n up to 4 m^3 and 53..256 bits (calls of 0.5-1.3 ms,
+    best of 3), against 1.9-4.1 ns for the whole grid and table measured
+    alongside; so such calls are refused above about m = 9850, at 10^9
+    units, though they would take milliseconds.
     """
     if n == 0 or m == 1:
         return 0
@@ -517,6 +587,27 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     ``work + 1 + SKIP_MARGIN_BITS`` bits of T00 (``_rows``); the
     margin covers the float error of the bound.  ``ser3``, whose weights
     change sign, and m < 8 add every pair.
+
+    The bound is evaluated only on a band of anti-diagonals that holds
+    every pair it keeps (``_kept_blocks``).  With s = j + k + 1 and
+    theta_i = i pi/(2m+2), w_jk <= w_00, since |c_j + c_k| <= 2 c_0 and
+    s_j >= s_0, and 1 - c_j c_k = sin^2 theta_{|j-k|} + sin^2 theta_s
+    >= sin^2 theta_s, so a pair's bound is at most
+    U(s) = log(w_00/4) + n log1p(-(4/m) sin^2 theta_s), which does not
+    increase up to s = m + 1 and is symmetric about it.  One O(m) float
+    pass marks the s with U(s) + ``BAND_SLACK`` at or above the cut, the
+    slack of 1 nat absorbing the float rounding of both bounds (each
+    within about 1e-15 of its size, far below a nat where a bound nears
+    the cut), and S is the largest min(s, 2m+2-s) marked.  So every kept
+    pair has s <= S or s >= 2m+2-S, and its orbit's representative
+    (a, b) has b < S.  The verdicts on the band are the whole grid's,
+    entry for entry, and so is every field of the result.  Theorem 1's
+    exact pass then computes c_k and 1/s_k^2 only for k <= max b over
+    its live orbits: min(max b + 1, ceil(m/2)) angles, at most S, by the
+    per-index ``cos_sin`` calls of the full table
+    (``spectral._mirrored_cos_sin``).  ser3's band drops the weights,
+    U(s) = n log1p(-(4/m) sin^2 theta_s) against ser3's cut (below);
+    ser3 keeps the full table, as does the rare sequential pass.
 
     ``ser3`` at m >= 8 raises x_jk^n only where it can change the summand
     v_jk (1 - x_jk^n), again bit-identically:
@@ -644,7 +735,7 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
     estimated = closed_form_work(m, n, precision, opts.variant)
     check_budget(estimated, f"closed_form {opts.variant} m={m}, n={n}")
     theorem1 = opts.variant == "theorem1"
-    table = build_table(m, work)
+    table = None if theorem1 and m >= 8 else build_table(m, work)  # None: see _exact_pass
     with workprec(work):
         limit, scale = _limit_value(m), 1 / (8 * mpf(m + 1) ** 2)
 
@@ -671,6 +762,8 @@ def closed_form_info(m: int, n: int, opts: ClosedFormOptions | None = None) -> C
             if value._mpf_ == rounded(high)._mpf_:
                 rounding = "exact"
     if rounding is None:
+        if table is None:
+            table = build_table(m, work)
         total, counts = _sequential_pass(m, n, work, table, theorem1)
         value, rounding = rounded(finish(total)), "sequential"
     terms, powers, summed = counts

@@ -49,7 +49,9 @@ IDENTITY_NAMES = (
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """Precomputed c_k, s_k arrays for a given m at a given binary precision."""
+    """Precomputed c_k, s_k arrays for a given m at a given binary precision:
+    k = 0..m, or only the first entries in the table that theorem 1's
+    exact pass builds for the orbits it reads (``formulas._exact_pass``)."""
 
     m: int
     precision: int
@@ -113,20 +115,26 @@ def build_table(m: int, precision: int = MIN_PRECISION) -> SpectralTable:
     return SpectralTable(m=m, precision=precision, c=c, s=s)
 
 
-def _mirrored_cos_sin(m: int):
-    """c_k and s_k, k = 0..m, at the ambient precision.
+def _mirrored_cos_sin(m: int, reach: int | None = None):
+    """c_k and s_k, k = 0..reach-1 (default: 0..m), at the ambient precision.
 
     Only k < m/2 is computed, by one ``cos_sin`` call per index (no
     recurrence, so errors stay O(ulp)); the upper half is mirrored so that
     c[m-k] == -c[k] and s[m-k] == s[k] hold exactly at working precision
     (not merely up to rounding); downstream symmetry-halving relies on
-    this.  At k = m/2 the angle is pi/2, and c = 0, s = 1 exactly.
+    this.  At k = m/2 the angle is pi/2, and c = 0, s = 1 exactly.  So
+    min(reach, ceil(m/2)) angles are computed, and the first ``reach``
+    entries are the full table's, bit for bit: theorem 1's exact pass
+    asks only for the entries its live orbits read.
     """
-    c, s = [mpf(0)] * (m + 1), [mpf(1)] * (m + 1)
+    reach = m + 1 if reach is None else reach
+    c, s = [mpf(0)] * reach, [mpf(1)] * reach
     pi = mpmath.pi()
-    for k in range((m + 1) // 2):
+    half = (m + 1) // 2
+    for k in range(min(reach, half)):
         c[k], s[k] = mpmath.cos_sin((2 * k + 1) * pi / (2 * m + 2))
-        c[m - k], s[m - k] = -c[k], s[k]
+    for k in range(m + 1 - half, reach):
+        c[k], s[k] = -c[m - k], s[m - k]
     return tuple(c), tuple(s)
 
 

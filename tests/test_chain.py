@@ -328,6 +328,19 @@ def test_peak_memory_within_work_charge(entry, monkeypatch):
     assert len(charged) == 1 and peak <= charged[0]
 
 
+def test_one_step_builds_no_quotient():
+    # a_0 = m takes no jump step, so n = 1 builds no quotient: at m = 3000
+    # its build alone peaks near 260 MiB traced.
+    tracemalloc.start()
+    try:
+        value = chain.expected_inversions_dp(3000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1
+    assert peak < 4 * 2**20, peak
+
+
 def wrong_corner_self_weight(step):
     """The orbit step with one unit too much self weight on the orbit of the
     corner cell (0, 0)."""

@@ -248,7 +248,8 @@ def test_high_precision_refused_before_trig(capsys, monkeypatch):
     def no_trig(*args):
         raise AssertionError("trigonometry ran before the budget refused")
 
-    monkeypatch.setattr(formulas, "build_table", no_trig)
+    for name in ("build_table", "_mirrored_cos_sin", "_kept_blocks"):
+        monkeypatch.setattr(formulas, name, no_trig)
     for name in ("cos", "sin", "cos_sin", "log"):
         monkeypatch.setattr(mpmath, name, no_trig)
     for argv, what in [

@@ -444,6 +444,116 @@ def test_theorem1_skip_is_certified():
                     assert t00 + summand(j, k) == t00, (m, n, j, k)
 
 
+# --- the full-grid oracle of the pair selection ---------------------------
+# The closed form evaluates its float bound only on the band of
+# anti-diagonals that can hold a kept pair; these functions write the bound
+# down on every pair of the grid, so the band is checked rather than assumed.
+
+
+def full_grid_bound(m, n, weighted):
+    """The float bound of log(x_jk^n) or, if ``weighted``, of log(w_jk x_jk^n)
+    less log 4, at every pair (j, k), as one (m+1) x (m+1) array, by the
+    expression ``formulas._kept_blocks`` evaluates in its band."""
+    theta = np.arange(2 * m + 2) * (math.pi / (2 * m + 2))
+    sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+    cos2[m + 1] = 0.0
+    with np.errstate(divide="ignore"):
+        log_cos2 = np.log(cos2)
+    log_s2 = np.log(sin2[1::2])
+    k = np.arange(m + 1)
+    j = k[:, None]
+    d, s = np.abs(j - k), j + k + 1
+    bound = float(n) * np.log1p(-(4 / m) * (sin2[d] + sin2[s]))
+    if weighted:
+        bound = log_cos2[s] + log_cos2[d] - log_s2[j] - log_s2[k] + bound
+    return bound
+
+
+def full_grid_kept(bound, work, theorem1):
+    """The pairs kept at ``work`` bits: a bound within the margin of T00's
+    (theorem 1) or of 0 (ser3)."""
+    margin = (work + 1 + formulas.SKIP_MARGIN_BITS) * math.log(2)
+    return bound >= (bound[0, 0] if theorem1 else 0.0) - margin
+
+
+def _kept_by_rows(m, n, work, theorem1):
+    """``formulas._rows``' verdicts as one (m+1) x (m+1) array."""
+    kept = np.zeros((m + 1, m + 1), dtype=bool)
+    for j, row in enumerate(formulas._rows(m, n, work, theorem1)):
+        if theorem1:
+            kept[j, row] = True
+        else:
+            kept[j] = row
+    return kept
+
+
+def _saturation_steps(m, precision):
+    """About the n from which the value at ``precision`` bits saturates."""
+    x00 = -math.log1p(-4 / m * math.sin(math.pi / (2 * m + 2)) ** 2)
+    return math.ceil((precision + 64) * math.log(2) / x00)
+
+
+@pytest.mark.parametrize("m", [8, 9, 10, 12, 15, 16, 20, 31, 40, 41, 64, 90, 101, 140, 200,
+                               257, 300, 1000, 2000])
+def test_band_keeps_the_full_grid_verdicts(m):
+    # Theorem 1's live columns and ser3's power flags, row by row, are the
+    # full grid's, from n = 1 to saturation at 53, 128 and 256 bits, and
+    # theorem 1's orbit reads are those of its live pairs.
+    steps = {1, 2, m, m * m // 4, m * m, asymptotics.critical_step_count(m, 0), m**3,
+             4 * m**3, _saturation_steps(m, 53), _saturation_steps(m, 256)}
+    if m >= 1000:  # the full grid's ser3 flags at n = m fill 4 (m+1)^2 bytes of lists
+        steps -= {1, 2, m, m * m // 4}
+    for n in sorted(steps):
+        bounds = {theorem1: full_grid_bound(m, n, theorem1) for theorem1 in (True, False)}
+        for precision in (53, 128, 256):
+            if n > _saturation_steps(m, precision):
+                continue
+            work = formulas.work_bits(m, precision)
+            for theorem1, bound in bounds.items():
+                kept = full_grid_kept(bound, work, theorem1)
+                case = (m, n, precision, theorem1)
+                assert np.array_equal(_kept_by_rows(m, n, work, theorem1), kept), case
+                if not theorem1 or kept.sum() > 10**5:
+                    continue
+                reads = {}
+                for j, k in zip(*np.nonzero(kept)):
+                    a, b = min(j, k), max(j, k)
+                    orbit = (a, b) if a + b <= m else (m - b, m - a)
+                    reads[orbit] = reads.get(orbit, 0) + 1
+                a, b, counts = formulas._orbit_reads(m, n, work)
+                assert dict(zip(zip(a.tolist(), b.tolist()), counts.tolist())) == reads, case
+
+
+def test_corner_call_computes_only_its_band_angles(monkeypatch):
+    # Far past the critical window two orbits are live at m = 2000: the call
+    # computes at most S of the table's 1000 angles, S = max min(s, 2m+2-s)
+    # over the full grid's live pairs, s = j + k + 1, and holds far less
+    # than one (m+1)^2 float array.
+    m, n = 2000, 2000**3
+    j, k = np.nonzero(full_grid_kept(full_grid_bound(m, n, True), formulas.work_bits(m, 53),
+                                     True))
+    reach = int(np.minimum(j + k + 1, 2 * m + 1 - j - k).max())
+    calls = []
+    cos_sin = mpmath.cos_sin
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cos_sin(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "cos_sin", counting)
+    formulas.closed_form_info(m, n)  # caches outside the call
+    calls.clear()
+    tracemalloc.start()
+    try:
+        info = formulas.closed_form_info(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.terms, info.powers, info.skipped, info.rounding) == (2, 2, 4003995, "exact")
+    assert 0 < len(calls) <= reach < 10, (len(calls), reach)
+    assert peak < (m + 1) ** 2 * 8 // 32, peak
+
+
 def test_symmetry_halving_is_bit_identical():
     # Each distinct term is computed once and counted for every pair that
     # reads it: the same sum as computing every one of the (m+1)^2
@@ -709,7 +819,8 @@ def test_closed_form_refuses_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("the closed form did work before the budget refused")
 
-    for name in ("build_table", "_log_bound_blocks", "_exact_pass", "_sequential_pass"):
+    for name in ("build_table", "_mirrored_cos_sin", "_kept_blocks", "_orbit_reads",
+                 "_exact_pass", "_sequential_pass"):
         monkeypatch.setattr(formulas, name, no_work)
     for variant in formulas.VARIANTS:
         with pytest.raises(WorkBudgetError, match=f"closed_form {variant} m=31600, n=1"):
