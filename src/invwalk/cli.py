@@ -162,8 +162,8 @@ def _route_simulate(m, n, args) -> Result:
                   {"method": simulate.METHOD, "dtype": simulate.perm_dtype(m).name,
                    "blocks": summary.blocks, "trial_steps": trial_steps,
                    "rejection_redraws": summary.rejection_redraws,
-                   "work_estimated": simulate.estimated_work(m, n, summary.trials,
-                                                            args.workers),
+                   "work_estimated": simulate.estimated_work(m, n, summary.trials, args.workers,
+                                                            summary.lazy_p is not None),
                    "workers": args.workers, "threads": summary.threads,
                    "elapsed_s": summary.elapsed,
                    "trial_steps_per_s": (trial_steps / summary.elapsed

@@ -18,10 +18,10 @@ exact pass takes its terms from a second kernel on Python integers
 (``_fixed_kernel``), so from m = 8 theorem 1 no longer shares its term
 kernel with ser3; the interval is widened by a proven bound E on that
 kernel's distance from the operators' terms.
-Eriksen's binomial formula takes O(n + max(0, n - m) m) big-integer
-operations (closed forms, then one negacyclic Pascal recurrence, for its
-inner sums, one synthetic division for the outer sum); it shares no code
-with the DP that checks it.  Its n-independent weights v_s (``_eriksen_weights``)
+Eriksen's binomial formula takes about n + max(0, n - m) m/4 big-integer
+operations (inner sums by a two-term recurrence and a negacyclic Pascal
+recurrence on half a row, outer sum by one synthetic division); it shares
+no code with the DP that checks it.  Its n-independent weights v_s (``_eriksen_weights``)
 are also the terms from which ``genfun.build_gf`` gets I_m(t).
 """
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -779,8 +780,9 @@ def closed_form(m: int, n: int, opts: ClosedFormOptions | None = None):
 
 def _g_h_coefficients(m: int, K: int):
     """``([g_1, g_3, ..., g_{2K+1}], [h_0, h_2, ..., h_{2K}])``, the two
-    inner sums of Eriksen's formula: closed forms while 2k <= m, then one
-    negacyclic Pascal recurrence in O(max(0, K - m/2) m) operations.
+    inner sums of Eriksen's formula: one two-term recurrence for g, and h
+    by closed forms while 2k <= m, then by a negacyclic Pascal recurrence on
+    half a row, floor(m/2) + 1 entries a step.
 
     Eriksen's inner sums are periodic-signed sums over one Pascal row:
     with a = ceil(s/2), b = floor(s/2),
@@ -792,51 +794,73 @@ def _g_h_coefficients(m: int, K: int):
     binomials outside the row being 0.  Since w(-1-t) = w(t) and
     C(2a-1, a+t) = C(2a-1, a-1-t), the sum over t < 0 equals the one over
     t >= 0, so g_s is half the sum over the whole row.  Because
-    w(t + m + 1) = -w(t), both sums read coefficients modulo x^(m+1) + 1
-    (where x^(m+1) = -1) of ``H_k = x^-k (1 + x)^2k``, with k = b for h_s
-    and k = a - 1 for g_s:
+    w(t + m + 1) = -w(t), both sums read coefficients c_l, l = 0..m, modulo
+    x^(m+1) + 1 (where x^(m+1) = -1) of ``H_k = x^-k (1 + x)^2k``, with
+    k = b for h_s and k = a - 1 for g_s:
 
-        h_{2k} = [x^0] H_k,
-        g_{2k+1} = 1/2 sum_l (m - 2l) [x^l] (1 + x^-1) H_k
-                 = sum_l (m + 1 - 2l) [x^l] H_k - [x^0] H_k,
+        h_{2k} = c_0,
+        g_{2k+1} = 1/2 sum_l (m - 2l) [x^l] (1 + x^-1) H_k = W_k - c_0,
+        W_k = sum_l (m + 1 - 2l) c_l,
 
     the second line by shifting the index of the x^-1 part (its l = m + 1
-    term wraps to -[x^0] H_k).  ``H_{k+1} = (x^-1 + 2 + x) H_k`` is a
-    3-tap step on the m + 1 coefficients, with the wrap x^-1 = -x^m.
+    term wraps to -c_0).  ``H_{k+1} = (x^-1 + 2 + x) H_k`` is a 3-tap step
+    c_l <- c_{l-1} + 2 c_l + c_{l+1} with the wraps c_{-1} = -c_m and
+    c_{m+1} = -c_0.
+
+    g needs no pass over the row.  The weight w_l = m + 1 - 2l is linear
+    in l, so w_{l-1} + 2 w_l + w_{l+1} = 4 w_l, and W_{k+1} = 4 W_k but for
+    the two wrapped taps.  The tap c_{-1} = -c_m gives c_m the weight
+    -w_0 = -(m + 1) = w_{m+1}, what the linear weight would give it.  The
+    tap c_{m+1} = -c_0 gives c_0 the weight -w_m = m - 1 in place of
+    w_{-1} = m + 3, that is 4 less.  So W_{k+1} = 4 W_k - 4 c_0 = 4 g_{2k+1},
+    and
+
+        g_{2k+3} = 4 g_{2k+1} - h_{2k+2},  g_1 = m,
+
+    whether or not the row has wrapped.
+
+    h needs half the row.  H_k is palindromic, [x^j] H_k = [x^-j] H_k, and
+    x^-j = -x^(m+1-j), so c_{m+1-l} = -c_l for l = 1..m: the coefficients
+    at j and at -j, both reduced, land at l and m + 1 - l with opposite
+    signs.  The step then needs only l = 0..floor(m/2), with c_{-1} = c_1
+    and c_{floor(m/2)+1} = 0 when m is odd (the middle entry is its own
+    mirror) or -c_{m/2} when m is even.
 
     While 2k <= m the exponents -k..k of H_k are distinct modulo m + 1,
-    so nothing wraps: H_k is the Pascal row C(2k, k + j), and x^j with
-    j < 0 sits at l = m + 1 + j with sign -1, so its weight is m + 1 - 2|j|
-    at every j.  The row sums to 4^k and sum_j |j| C(2k, k + j) = k C(2k, k),
-    so h_{2k} = C(2k, k) and g_{2k+1} = (m + 1) 4^k - (2k + 1) C(2k, k):
-    O(1) big-integer operations a step, C(2k, k) carried multiplicatively.
-    At the first k with 2k > m the row C(2k, .) is built multiplicatively
-    and folded into the m + 1 coefficients, and the 3-tap step runs on.
+    so nothing wraps: H_k is the Pascal row C(2k, k + j) and h_{2k} =
+    C(2k, k), carried multiplicatively.  (Then x^j with j < 0 sits at
+    l = m + 1 + j with sign -1, so its weight is m + 1 - 2|j|; the row sums
+    to 4^k and sum_j |j| C(2k, k + j) = k C(2k, k), so g_{2k+1} =
+    (m + 1) 4^k - (2k + 1) C(2k, k), which satisfies the recurrence.)  At
+    the first k with 2k > m the row C(2k, .) is built multiplicatively and
+    folded into the half row, and the 3-tap step runs on.
     """
-    g, h = [], []
+    h = []
     central, k = 1, 0  # C(2k, k)
     while k <= K and 2 * k <= m:
         h.append(central)
-        g.append(((m + 1) << 2 * k) - (2 * k + 1) * central)
         central = central * (4 * k + 2) // (k + 1)
         k += 1
-    if k > K:
-        return g, h
-    coeffs = [0] * (m + 1)  # H_k reduced modulo x^(m+1) + 1
-    c = 1  # C(2k, i)
-    for i in range(2 * k + 1):
-        wraps, l = divmod(i - k, m + 1)
-        coeffs[l] += -c if wraps & 1 else c
-        c = c * (2 * k - i) // (i + 1)
-    weight = [m + 1 - 2 * l for l in range(m + 1)]
-    for k in range(k, K + 1):
-        h.append(coeffs[0])
-        g.append(sum(w * c for w, c in zip(weight, coeffs)) - coeffs[0])
-        if k < K:
-            padded = [-coeffs[m]] + coeffs + [-coeffs[0]]
-            coeffs = [left + 2 * mid + right
-                      for left, mid, right in zip(padded, coeffs, padded[2:])]
-    return g, h
+    if k <= K:
+        coeffs = [0] * (m // 2 + 1)  # c_0..c_{floor(m/2)} of H_k
+        c = 1  # C(2k, i)
+        for i in range(2 * k + 1):
+            wraps, l = divmod(i - k, m + 1)
+            if l <= m // 2:
+                coeffs[l] += -c if wraps & 1 else c
+            c = c * (2 * k - i) // (i + 1)
+        for k in range(k, K + 1):
+            h.append(coeffs[0])
+            if k < K:
+                coeffs = _half_row_step(coeffs, m)
+    return list(accumulate(h[1:], lambda g, c: 4 * g - c, initial=m)), h
+
+
+def _half_row_step(coeffs: list, m: int) -> list:
+    """c_0..c_{floor(m/2)} of ``(x^-1 + 2 + x) H`` modulo x^(m+1) + 1 from
+    those of a palindromic H (see ``_g_h_coefficients``)."""
+    row = coeffs + [0 if m & 1 else -coeffs[-1]]  # c_0..c_{floor(m/2)+1}
+    return [left + 2 * mid + right for left, mid, right in zip([row[1]] + row, row, row[1:])]
 
 
 def _eriksen_weights(m: int, N: int) -> list:
@@ -848,13 +872,16 @@ def _eriksen_weights(m: int, N: int) -> list:
 
 def eriksen_work(m: int, n: int) -> int:
     """Work units ``eriksen(m, n)`` is charged: about max(0, n - m)/2
-    wrapped steps of two passes (3-tap step, weighted sum) over m + 1
-    entries of up to n bits, n closed-form terms of up to n bits, and the
-    outer sum's n products of about n log2(m) bits (Karatsuba, bits^1.5).
-    A unit took 2.9-9.9 ns on a 2-core x86_64 VM in every run over 0.1 s
-    (m = 2..10^9, n = 1500..12000, m >= n included)."""
-    bits = n * (max(m, 4).bit_length() + 3) // 64
-    return (max(0, n - m) * (m + 1) + n) * (n // 64 + 8) + n * bits * math.isqrt(bits)
+    wrapped steps of one pass over floor(m/2) + 1 entries of up to n bits,
+    linear passes over the B_s, and n products g_s h_s (Karatsuba,
+    words^1.585) and v_s B_s, the latter by the average words of each
+    factor (Karatsuba on the fewer, times the more).  A unit took 5.3-10.4
+    ns on a 2-core x86_64 VM in every run over 0.1 s (m = 2..10^9,
+    n = 1500..12000, m >= n included)."""
+    v, b = n // 64 + 1, n * (m.bit_length() + 1) // 128 + 1  # words of v_s, B_s
+    wrapped = max(0, n - m) // 2 * (m // 2 + 1) * (n // 64 + 8)
+    products = n * (2 * max(v, b) * min(v, b)**0.585 + v**1.585)
+    return int(wrapped + 3 * n * (2 * b + 8) + products)
 
 
 def eriksen(m: int, n: int) -> Fraction:
@@ -869,18 +896,20 @@ def eriksen(m: int, n: int) -> Fraction:
 
     The numerator vanishes at z = 4, so the division by z - 4 is exact:
     one binomial row and one synthetic division from the top give the B_s
-    in O(n) big-integer operations.
+    in O(n) big-integer operations.  The row's terms t_j = C(n, j) (m - 4)^(n-j)
+    are carried from j = n down as t_{j-1} = t_j j (m - 4) / (n - j + 1),
+    exact since C(n, j) j = C(n, j - 1) (n - j + 1), so each s costs one
+    product v_s B_s of two big integers.
     """
     check_walk_args(m, n)
     check_budget(eriksen_work(m, n), f"eriksen m={m}, n={n}")
     v = _eriksen_weights(m, n)
     total = quotient = 0
-    binom, power = 1, 1  # C(n, j) and (m - 4)^(n-j), j from n down
+    term = 1  # C(n, j) (m - 4)^(n-j), j from n down
     for j in range(n, 0, -1):
-        quotient = binom * power + 4 * quotient  # B_j, [z^(j-1)] of the quotient
+        quotient = term + 4 * quotient  # B_j, [z^(j-1)] of the quotient
         total += v[j - 1] * quotient
-        binom = binom * j // (n - j + 1)
-        power *= m - 4
+        term = term * (j * (m - 4)) // (n - j + 1)
     return Fraction(total, m**n)
 
 

@@ -61,13 +61,15 @@ tiles change the stream or the exact sums.
 
 Budget: ``monte_carlo`` refuses, before allocating anything, a request
 whose ``estimated_work`` exceeds the work budget.  One unit is one
-trial-step; each step of a block adds 170 units (about 1.9 us) of fixed
-numpy overhead, and filling the permutations one unit per 6 entries, as
-fitted by least squares.  Measured on a 2-core x86_64 VM, best of 3 over
-24 runs of 0.007-1.15 s with m <= 5000 (few trials and many steps, the
-reverse, lazy, and 1-4 workers), a unit takes 8.1-16.7 ns, so the
-default budget of 10^9 admits roughly 8-17 s of work; a refused request
-may take as little as about 8 s.
+trial-step (a lazy one, with its hold draw, 3/2 units); each step of a
+block adds 170 units (about 1.9 us) of fixed numpy overhead, and filling
+the permutations one unit per 6 entries, as fitted by least squares.
+Measured on a 2-core x86_64 VM, best of 3 over 24 runs of 0.007-1.15 s
+with m <= 5000 (few trials and many steps, the reverse, lazy, and 1-4
+workers), a unit takes 8.1-16.7 ns, so the default budget of 10^9 admits
+roughly 8-17 s of work; a refused request may take as little as about
+8 s.  Lazy requests took 15.0-17.1 ns a unit when charged as plain ones,
+and 10.2-11.4 ns at 3/2 units, as plain one-block requests do.
 """
 
 from __future__ import annotations
@@ -165,10 +167,12 @@ def _lazy_move(lazy_p: Fraction | None):
     return lazy_p, (lazy_p.numerator << 64) // lazy_p.denominator
 
 
-def estimated_work(m: int, n: int, trials: int, workers: int = 1) -> int:
-    """Budget units for monte_carlo: trial-steps plus per-block-step and fill costs."""
+def estimated_work(m: int, n: int, trials: int, workers: int = 1, lazy: bool = False) -> int:
+    """Budget units for monte_carlo: trial-steps (3/2 units each in the lazy
+    chain) plus per-block-step and fill costs."""
     blocks = _schedule(m, trials, workers)[1]
-    return n * (trials + _STEP_OVERHEAD * blocks) + trials * (m + 1) // _CELLS_PER_UNIT
+    steps = n * trials * 3 // 2 if lazy else n * trials
+    return steps + n * _STEP_OVERHEAD * blocks + trials * (m + 1) // _CELLS_PER_UNIT
 
 
 def perm_dtype(m: int) -> np.dtype:
@@ -307,7 +311,7 @@ def monte_carlo(m: int, n: int, trials: int, seed: int = 0,
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
 
     lazy_p, hold_threshold = _lazy_move(lazy_p)
-    check_budget(estimated_work(m, n, trials, workers),
+    check_budget(estimated_work(m, n, trials, workers, lazy_p is not None),
                  f"monte_carlo m={m}, n={n}, trials={trials}")
 
     start = time.monotonic()

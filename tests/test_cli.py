@@ -311,6 +311,10 @@ def test_simulate_meta(capsys):
     code, out, _ = run(capsys, *args, "--no-meta")
     assert code == 0
     assert "meta" not in json.loads(out)
+    code, out, _ = run(capsys, *args, "--lazy-p", "1/2")
+    assert code == 0
+    assert json.loads(out)["meta"]["work_estimated"] == simulate.estimated_work(130, 20, 500,
+                                                                                lazy=True)
 
 
 def test_simulate_meta_reports_workers(capsys):

@@ -32,10 +32,12 @@ def test_eriksen_equals_dp(m):
         assert formulas.eriksen(m, n) == value
 
 
-@settings(max_examples=25, deadline=None)
-@given(m=st.integers(min_value=1, max_value=7),
-       n=st.integers(min_value=0, max_value=20))
-def test_eriksen_dp_property(m, n):
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mn=st.integers(min_value=1, max_value=40).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(min_value=0, max_value=3 * m))))
+def test_eriksen_dp_property(mn):
+    # n up to 3m: the half row wraps x^(m+1) = -1, at odd and even m.
+    m, n = mn
     assert formulas.eriksen(m, n) == chain.expected_inversions_dp(m, n)
 
 
@@ -96,8 +98,42 @@ def _h_coefficient(s, m):
     return total
 
 
+def _negacyclic_row(m, k):
+    """[c_0, ..., c_m] of x^-k (1 + x)^2k modulo x^(m+1) + 1, from binomials."""
+    row = [0] * (m + 1)
+    for i in range(2 * k + 1):
+        wraps, l = divmod(i - k, m + 1)
+        row[l] += -math.comb(2 * k, i) if wraps & 1 else math.comb(2 * k, i)
+    return row
+
+
+def test_g_recurrence_on_the_oracle():
+    # g_1 = m and g_{2k+3} = 4 g_{2k+1} - h_{2k+2}, on the literal sums.
+    for m in range(1, 61):
+        assert _g_coefficient(1, m) == m, m
+        for k in range(2 * m + 20):
+            assert (_g_coefficient(2 * k + 3, m)
+                    == 4 * _g_coefficient(2 * k + 1, m) - _h_coefficient(2 * k + 2, m)), (m, k)
+
+
+def test_half_row_is_antisymmetric_and_steps():
+    # c_{m+1-l} = -c_l (so c_{(m+1)/2} = 0 at odd m), and the half-row step
+    # gives the next row's half entry by entry, its two boundary taps included.
+    for m in range(1, 61):
+        half = m // 2
+        for k in range(half, 2 * m + 6):
+            row = _negacyclic_row(m, k)
+            for l in range(1, m + 1):
+                assert row[m + 1 - l] == -row[l], (m, k, l)
+            stepped = formulas._half_row_step(row[:half + 1], m)
+            expected = _negacyclic_row(m, k + 1)[:half + 1]
+            assert len(stepped) == half + 1, m
+            for l in (0, half) + tuple(range(1, half)):  # the boundary entries first
+                assert stepped[l] == expected[l], ("odd" if m & 1 else "even", m, k, l)
+
+
 def test_g_h_recurrence_equals_oracle():
-    for m in range(1, 41):
+    for m in range(1, 61):
         top = 3 * (m + 1) + 40  # the rows wrap x^(m+1) = -1 several times
         g, h = formulas._g_h_coefficients(m, top // 2)
         for s in range(1, top + 1):

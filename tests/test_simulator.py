@@ -351,6 +351,15 @@ def test_budget_refuses_before_work(monkeypatch):
         simulate.monte_carlo(10**6, 1, 10**5)
 
 
+def test_budget_charges_lazy_steps_three_halves(monkeypatch):
+    plain = simulate.estimated_work(5, 30, 1000)
+    assert simulate.estimated_work(5, 30, 1000, lazy=True) == plain + 30 * 1000 // 2
+    monkeypatch.setenv("INVWALK_BUDGET", str(plain))
+    simulate.monte_carlo(5, 30, 1000)
+    with pytest.raises(WorkBudgetError, match="monte_carlo"):
+        simulate.monte_carlo(5, 30, 1000, lazy_p=Fraction(5, 6))
+
+
 def test_budget_admits_criterion_12():
     # criterion 12's largest request and the benchmark's widest ones
     assert simulate.estimated_work(20, 1000, 10**5) < 2 * 10**8
