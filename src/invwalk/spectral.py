@@ -6,6 +6,17 @@ x_{jk} = 1 - (4/m)(1 - c_j c_k).  Pairs with j + k != m are certified
 eigenvalues of the transition matrix; the x_{jk} formula is defined for
 all pairs regardless.
 
+``build_table`` takes each angle from its own ``mpmath.cos_sin`` call.
+``verify_identities`` checks a table against a reference with guard bits
+that shares only ``cos_sin`` with it: two calls give e^{i theta} and
+e^{2i theta}, theta = pi/(2m+2), and the other angles follow by rotation on
+Python integers, whose error grows linearly in k and stays below 2^-W
+after rounding to the reference's width W (``_reference``).  The seven
+identity sums are then integers at 2^-W, floored quotients and products
+whose error is far below one ulp, each rounded once (``_fixed_sums``).  A
+fault in the table's angles thus cannot reach the values it is checked
+against.
+
 A ``SpectralTable`` is immutable and safe to share between threads.
 """
 
@@ -15,10 +26,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from operator import sub
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_sub, round_nearest, to_fixed
 
 from .budget import check_budget
 
@@ -32,6 +44,10 @@ TABLE_ERROR_BOUND = 4
 # elimination of P - x Id, and its working precision.
 CERTIFY_PIVOT_RATIO = 2.0**-128
 CERTIFY_PRECISION = 256
+
+# Guard bits of verify_identities' rotated reference beyond its width plus
+# bit_length(m); they keep its error below 2^-width (see ``_reference``).
+ROTATION_GUARD = 2
 
 # Names and exact integer values of the trigonometric identities checked by
 # verify_identities, as functions of m.  The first three are single sums,
@@ -75,6 +91,7 @@ class IdentityReport:
     precision: int
     checks: tuple
     table_error: float  # worst |table entry - guarded value|, in units of 2^-precision
+    work_charged: int  # the units passed to check_budget
 
     @property
     def all_passed(self) -> bool:
@@ -183,90 +200,178 @@ def _identity_values(m: int) -> tuple:
     )
 
 
-def _identity_sums(m: int, c, s):
-    """The seven sums, in linear work: each double sum over (j, k) is
-    expanded into products of single sums (exact algebra on the summands)."""
-    one = mpf(1)
-    inv_s2 = [one / sk**2 for sk in s]
-    c2_s2 = [ck**2 * i for ck, i in zip(c, inv_s2)]
-    c_s2 = [ck * i for ck, i in zip(c, inv_s2)]
-    inv_omc = [one / (1 - ck) for ck in c]
-    c_omc = [ck * i for ck, i in zip(c, inv_omc)]
-    c2_omc = [ck**2 * i for ck, i in zip(c, inv_omc)]
+def _nearest(x, width: int) -> int:
+    """x 2^width rounded to the nearest integer (halves up)."""
+    return (to_fixed(x._mpf_, width + 1) + 1) >> 1
 
-    Sb = mpmath.fsum(inv_s2)
-    Sa = mpmath.fsum(c2_s2)
-    Sc = mpmath.fsum(c_s2)
-    Se = mpmath.fsum(inv_omc)
-    Sg = mpmath.fsum(c_omc)
-    Sh = mpmath.fsum(c2_omc)
 
-    s1 = Se
-    s2 = Sg
-    s3 = mpmath.fsum((c[k] / s[k]) ** 2 for k in range((m - 1) // 2 + 1))
-    # (c_j+c_k)^2 = c_j^2 + 2 c_j c_k + c_k^2
-    s4 = 2 * Sa * Sb + 2 * Sc**2
-    # (c_j+c_k)(1 - c_j c_k) = c_j + c_k - c_j^2 c_k - c_j c_k^2
-    s5 = 2 * Sg * Se - 2 * Sg * Sh
-    # (1 - c_j c_k)^2 = 1 - 2 c_j c_k + c_j^2 c_k^2
-    s6 = Se**2 - 2 * Sg**2 + Sh**2
-    s7 = 2 * Sg * Se
-    return s1, s2, s3, s4, s5, s6, s7
+def _reference(m: int, width: int):
+    """c_k and s_k, k = 0..m, as integers C_k, S_k at 2^-width, each within
+    2^-width of cos and sin of (2k+1) theta, theta = pi/(2m+2).
+
+    Two ``cos_sin`` calls give e^{i theta} and e^{2i theta}, rounded to
+    2^-G, G = width + bit_length(m) + ``ROTATION_GUARD``; then
+    z_{k+1} = z_k e^{2i theta} on integers, four products and two floors
+    a step, for k < ceil(m/2).  Each z_k is rounded to 2^-width and
+    mirrored as ``_mirrored_cos_sin`` mirrors the table: C_{m-k} = -C_k,
+    S_{m-k} = S_k, and C = 0, S = 2^width at k = m/2.
+
+    Bound.  At G + 4 bits the angle (pi rounded, then divided) is within
+    1.6 2^-(G+4) of theta, and 2 theta, the same angle doubled, within
+    3.2 2^-(G+4); ``cos_sin`` is within an ulp, 2^-(G+3).  Rounded to
+    2^-G, each start component is off by at most (0.2 + 0.125 + 0.5)
+    2^-G, so |z_0 - e^{i theta}| and |r - e^{2i theta}| are at most
+    sqrt2 2^-G, r being the rounded step, and |r| <= 1 + sqrt2 2^-G.  A
+    step's two floors add at most sqrt2 2^-G, so e_k = z_k - e^{i(2k+1)
+    theta} obeys |e_{k+1}| <= |e_k| |r| + |r - e^{2i theta}| + sqrt2
+    2^-G, whence |e_k| <= |r|^k sqrt2 (2k+1) 2^-G < 1.5 (2k+1) 2^-G:
+    k 2^-G < 2^-(width+3) makes |r|^k < 1 + 2^-90.  The error grows
+    linearly in k, and 2k + 1 <= m < 2^bit_length(m), so |e_k| < 1.5
+    2^-(width+ROTATION_GUARD) = 0.375 2^-width; with the final rounding,
+    each C_k and S_k is within 0.875 2^-width of the exact value, for
+    every m (the mirror is exact: cos((2(m-k)+1) theta) = -cos((2k+1)
+    theta)).
+    """
+    rotation = width + m.bit_length() + ROTATION_GUARD
+    with workprec(rotation + 4):
+        theta = mpmath.pi / (2 * m + 2)
+        x, y = (_nearest(v, rotation) for v in mpmath.cos_sin(theta))
+        a, b = (_nearest(v, rotation) for v in mpmath.cos_sin(2 * theta))
+    shift = rotation - width
+    half_unit = 1 << (shift - 1)
+    c, s = [0] * (m + 1), [1 << width] * (m + 1)
+    for k in range((m + 1) // 2):
+        c[k] = (x + half_unit) >> shift
+        s[k] = s[m - k] = (y + half_unit) >> shift
+        c[m - k] = -c[k]
+        x, y = (x * a - y * b) >> rotation, (x * b + y * a) >> rotation
+    return c, s
+
+
+def _fixed_sums(m: int, c, s, width: int):
+    """The seven sums on the integers c, s at 2^-width, each as (man, exp),
+    the value man 2^exp: the single sums at exp = -width, the double sums,
+    expanded into products of single sums (exact algebra on the summands),
+    at exp = -2 width.
+
+    Per index, with U = 2^width: 1/s^2 = floor(U^3/S^2), 1/(1-c) =
+    floor(U^2/(U - C)), and c/s^2, c^2/s^2, c/(1-c), c^2/(1-c) their
+    products with C, each floored at 2^-width.  Against the same quotients
+    taken exactly on the reference's dyadics, a floor loses less than one
+    unit of 2^-width and a product by |c| <= 1 enlarges no error, so each
+    per-index value is off by less than 3 units and each single sum by
+    less than 3(m+1).  Of the single sums, se and sb are about (m+1)^2,
+    sg, sh and sa about m(m+1), and sc about 0 (c is mirrored): each is
+    below 2(m+1)^2, so a product of two is off by less than 12(m+1)^3
+    2^-width, and a double sum by less than 50(m+1)^3 2^-width.  Every
+    double sum's value is at least (m+1)^3, every single sum's at least
+    (m+1)/2, and an ulp at ``precision`` of a value v is at least
+    v 2^-precision; as width >= precision + 43, the floors move each sum
+    by less than 2^-37 ulp before its one rounding.
+    """
+    one = 1 << width
+    inv_s2 = [(one << 2 * width) // (sk * sk) for sk in s]
+    c_s2 = [ck * i >> width for ck, i in zip(c, inv_s2)]
+    c2_s2 = [ck * i >> width for ck, i in zip(c, c_s2)]
+    inv_omc = [(one << width) // (one - ck) for ck in c]
+    c_omc = [ck * i >> width for ck, i in zip(c, inv_omc)]
+    c2_omc = [ck * i >> width for ck, i in zip(c, c_omc)]
+
+    sb, sa, sc = sum(inv_s2), sum(c2_s2), sum(c_s2)
+    se, sg, sh = sum(inv_omc), sum(c_omc), sum(c2_omc)
+    single, double = -width, -2 * width
+    return (
+        (se, single),
+        (sg, single),
+        (sum(c2_s2[:(m - 1) // 2 + 1]), single),
+        # (c_j+c_k)^2 = c_j^2 + 2 c_j c_k + c_k^2
+        (2 * sa * sb + 2 * sc**2, double),
+        # (c_j+c_k)(1 - c_j c_k) = c_j + c_k - c_j^2 c_k - c_j c_k^2
+        (2 * sg * se - 2 * sg * sh, double),
+        # (1 - c_j c_k)^2 = 1 - 2 c_j c_k + c_j^2 c_k^2
+        (se**2 - 2 * sg**2 + sh**2, double),
+        (2 * sg * se, double),
+    )
+
+
+def _identities_work(m: int, width: int) -> int:
+    """Work units of ``verify_identities`` at guarded width ``width``: the
+    reference's two angles (``_angle_work``) and its ceil(m/2) rotation
+    steps, four products each (Karatsuba, words^1.585), then per index the
+    sums' four products and two divisions (schoolbook, words^2)."""
+    rotation = width + m.bit_length() + ROTATION_GUARD
+    words, rotation_words = width // 64 + 1, rotation // 64 + 1
+    steps = (m + 1) // 2 * (300 + 70 * rotation_words**1.585)
+    sums = (m + 1) * (1500 + 70 * words**1.585 + 24 * words**2)
+    return int(2 * _angle_work(rotation + 4) + steps + sums)
 
 
 def verify_identities(table: SpectralTable) -> IdentityReport:
     """Check the seven trigonometric identities behind the closed forms, and the table.
 
-    Sums are evaluated on c and s recomputed with guard bits beyond the
-    table precision (the identities' exact values are integers or
-    half-integers, so with a correctly rounded evaluation the residual at
-    table precision is at ulp scale), and every table entry must lie within
-    ``TABLE_ERROR_BOUND`` * 2**-precision of its guarded value.  (Summed on
-    the table's own entries, correct tables miss the tolerance by up to 7e4
-    times.)  The double sums are evaluated as products of single sums.
+    The reference is c_k and s_k at 2^-W, W = precision + 40 +
+    bit_length(2(m+1)^2), rotated from one angle on Python integers
+    (``_reference``), each entry within 2^-W of its exact value.  It
+    shares only ``mpmath.cos_sin`` with ``build_table`` and is not built
+    through it, so a substituted or faulty table builder cannot also
+    supply the values its table is checked against.
 
-    Each residual must stay below (m+1)^3 * 2**(-precision+7).
+    The sums are evaluated on the reference, not on the table (summed on
+    the table's own entries, correct tables miss the tolerance by up to
+    7e4 times), as integers at 2^-W, the double sums as products of single
+    sums (``_fixed_sums``); their floors move each sum by less than
+    2^-37 ulp before its one rounding to ``precision``.  The identities'
+    exact values are integers, so a correct evaluation leaves a residual
+    at ulp scale, and each residual must stay below
+    (m+1)^3 * 2**(-precision+7).
 
-    The (m + 1) // 2 guarded angles (``_angle_work`` each) and, per
-    index, 8000 + 50 * (guarded precision) units for the table's error
-    and the sums, about 20 mpf operations, are charged before any is
-    computed.  A unit took 1.4-3.4 ns on a 2-core x86_64 VM, best of 3,
-    in every call longer than 0.1 s (m = 3..5 * 10^4, 53 to 6 * 10^4
-    bits; the low end at 256 bits, the high end where 6 * 10^4-bit
-    divisions outgrow the linear term).  So the default budget refuses
-    m above about 5.7 * 10^4 at 53 bits: the table of m = 10^5 is built
-    in 0.6 s, and its check (4.1 s, 1.8e9 units) is refused.
+    Every table entry must lie within ``TABLE_ERROR_BOUND`` * 2**-precision
+    of its reference value.  ``table_error`` is max |T - R| over the
+    table's entries T and the reference's R, in units of 2^-precision:
+    W >= precision + bit_length(m+1), and every nonzero entry exceeds
+    1/(m+1) in absolute value, so each entry of a ``precision``-bit table
+    is an integer at 2^-W, and ``table_error`` is within 2^-40 of the
+    entries' true worst error.
+
+    The reference's two angles (``_angle_work`` each, at G + 4 bits), its
+    rotation steps and, per index, the sums' products and divisions are
+    charged before any is computed (``_identities_work``); the total is
+    ``work_charged``.  Best of 3 on a 2-core x86_64 VM, in two passes, a
+    unit took 1.0-3.5 ns in every call longer than 0.1 s (m = 3..5 *
+    10^4, 53 to 6 * 10^4 bits): 1.0-1.7 ns but at m = 3 and 10 with 3 *
+    10^4 bits and more, where the two angles dominate.  So the default
+    budget refuses m above 405673 at 53 bits, past ``build_table``'s own
+    limit (330960); the check of m = 10^5 takes 0.35 s (2.5e8 units).  At
+    256 bits it refuses m above 231957, where ``build_table`` admits up
+    to 284738.
     """
     m, precision = table.m, table.precision
     tol = (m + 1) ** 3 * 2.0 ** (-precision + 7)
 
-    work = precision + 40 + (2 * (m + 1) ** 2).bit_length()
-    check_budget((m + 1) // 2 * _angle_work(work) + (m + 1) * (8000 + 50 * work),
-                 f"verify_identities m={m}, precision={precision}")
-    with workprec(work):
-        # Not via ``build_table``, so that a substituted table builder
-        # cannot also supply the reference its table is checked against.
-        c, s = _mirrored_cos_sin(m)
-        table_error = float(max(abs(t - g) for t, g in zip(table.c + table.s, c + s))
-                            * mpf(2) ** precision)
-        checks = []
-        for name, computed, exact in zip(IDENTITY_NAMES, _identity_sums(m, c, s),
-                                         _identity_values(m)):
-            with workprec(precision):
-                rounded = +computed
-                residual = abs(rounded - mpf(exact.numerator) / exact.denominator)
-            checks.append(
-                IdentityCheck(
-                    name=name,
-                    computed=float(rounded),
-                    exact=exact,
-                    residual=float(residual),
-                    tolerance=float(tol),
-                    passed=residual < tol,
-                )
+    width = precision + 40 + (2 * (m + 1) ** 2).bit_length()
+    work = _identities_work(m, width)
+    check_budget(work, f"verify_identities m={m}, precision={precision}")
+    c, s = _reference(m, width)
+    entries = [to_fixed(t._mpf_, width) for t in table.c + table.s]
+    table_error = math.ldexp(max(map(abs, map(sub, entries, c + s))), precision - width)
+    checks = []
+    for name, (man, exp), exact in zip(IDENTITY_NAMES, _fixed_sums(m, c, s, width),
+                                       _identity_values(m)):
+        with workprec(precision):
+            rounded = +mpmath.ldexp(man, exp)
+            residual = abs(rounded - mpf(exact.numerator) / exact.denominator)
+        checks.append(
+            IdentityCheck(
+                name=name,
+                computed=float(rounded),
+                exact=exact,
+                residual=float(residual),
+                tolerance=float(tol),
+                passed=residual < tol,
             )
+        )
     return IdentityReport(m=m, precision=precision, checks=tuple(checks),
-                          table_error=table_error)
+                          table_error=table_error, work_charged=work)
 
 
 def _state_count(m: int) -> int:

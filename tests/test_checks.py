@@ -45,14 +45,15 @@ def test_identities_check_fails_on_perturbed_table(monkeypatch):
 
 
 def test_identities_check_fails_on_wrong_sum(monkeypatch):
-    identity_sums = spectral._identity_sums
+    fixed_sums = spectral._fixed_sums
 
-    def one_off(m, c, s):
-        sums = list(identity_sums(m, c, s))
-        sums[4] += 1
+    def one_off(m, c, s, width):
+        sums = list(fixed_sums(m, c, s, width))
+        man, exp = sums[4]
+        sums[4] = (man + (1 << -exp), exp)  # the sum plus 1
         return tuple(sums)
 
-    monkeypatch.setattr(spectral, "_identity_sums", one_off)
+    monkeypatch.setattr(spectral, "_fixed_sums", one_off)
     report = spectral.verify_identities(spectral.build_table(5, 53))
     assert not report.all_passed
     assert [check.passed for check in report.checks] == [True] * 4 + [False] + [True] * 2

@@ -116,23 +116,27 @@ def _identity_sums_direct(m, c, s):
 
 @pytest.mark.parametrize("m", [1, 2, 10, 63, 64, 90])
 def test_direct_and_factored_evaluations_agree(m, monkeypatch):
-    # verify_identities evaluates the double sums as products of single
-    # sums; the literal double sums, on the same guarded c and s, are the oracle.
-    identity_sums = spectral._identity_sums
+    # verify_identities evaluates the sums on integers, the double sums as
+    # products of single sums; the literal mpf double sums, on the same
+    # reference values, are the oracle.
+    fixed_sums = spectral._fixed_sums
     pairs = []
 
-    def with_oracle(m, c, s):
-        sums = identity_sums(m, c, s)
-        pairs[:] = zip(sums, _identity_sums_direct(m, c, s))
+    def with_oracle(m, c, s, width):
+        sums = fixed_sums(m, c, s, width)
+        with workprec(width):
+            direct = _identity_sums_direct(m, [mpmath.ldexp(ck, -width) for ck in c],
+                                           [mpmath.ldexp(sk, -width) for sk in s])
+        pairs[:] = zip(sums, direct)
         return sums
 
-    monkeypatch.setattr(spectral, "_identity_sums", with_oracle)
+    monkeypatch.setattr(spectral, "_fixed_sums", with_oracle)
     for precision in (53, 128):
         report = spectral.verify_identities(spectral.build_table(m, precision))
         assert report.all_passed
-        for check, (factored, direct) in zip(report.checks, pairs, strict=True):
+        for check, ((man, exp), direct) in zip(report.checks, pairs, strict=True):
             with workprec(precision):
-                factored, direct = +factored, +direct
+                factored, direct = +mpmath.ldexp(man, exp), +direct
                 assert check.computed == float(factored)
                 assert abs(factored - direct) < check.tolerance, (precision, check.name)
 
@@ -148,7 +152,27 @@ def test_identities_property(m, precision):
     assert report.max_residual < tol
 
 
-@pytest.mark.parametrize("m", [5, 64, 90])
+@pytest.mark.parametrize("ms", [range(1, 301), [1000], [4097], [20000]],
+                         ids=["1..300", "1000", "4097", "20000"])
+@pytest.mark.parametrize("precision", [53, 256])
+def test_rotated_reference_within_its_bound(ms, precision):
+    # The reference rotates one angle, so its error grows with k: before its
+    # rounding to 2^-W, z_k is within 1.5 (2k+1) 2^-G of e^{i(2k+1) theta}.
+    for m in ms:
+        width = precision + 40 + (2 * (m + 1) ** 2).bit_length()
+        rotation = width + m.bit_length() + spectral.ROTATION_GUARD
+        c, s = spectral._reference(m, width)
+        assert c[::-1] == [-ck for ck in c] and s[::-1] == s, m
+        with workprec(width + 64):
+            theta = mpmath.pi / (2 * m + 2)
+            for k in range(m // 2 + 1):
+                bound = 0.5 + 1.5 * (2 * k + 1) * 2.0 ** (width - rotation)
+                exact_c, exact_s = mpmath.cos_sin((2 * k + 1) * theta)
+                assert abs(c[k] - mpmath.ldexp(exact_c, width)) <= bound, (m, k)
+                assert abs(s[k] - mpmath.ldexp(exact_s, width)) <= bound, (m, k)
+
+
+@pytest.mark.parametrize("m", [5, 64, 90, 4097])
 def test_identities_reject_perturbed_table(m):
     # The seven sums are evaluated on guarded values, so only the entry
     # bound can see a table that is off.
@@ -205,10 +229,11 @@ def test_table_budget(monkeypatch):
 
 
 def test_identities_budget(monkeypatch):
-    # Unbounded, the guarded recompute of a table of m = 10^7 would run
-    # 4-10 min.  An empty table stands in: refusing it must not read it.
+    # Unbounded, the check of a table of m = 10^7 would take 2.5e10 units,
+    # about half a minute.  An empty table stands in: refusing it must not
+    # read it, nor build the reference.
     monkeypatch.delenv("INVWALK_BUDGET", raising=False)
-    monkeypatch.setattr(spectral, "_mirrored_cos_sin", _no_work)
+    monkeypatch.setattr(spectral, "_reference", _no_work)
     table = spectral.SpectralTable(m=10**7, precision=53, c=(), s=())
     start = time.perf_counter()
     with pytest.raises(WorkBudgetError, match="verify_identities m=10000000"):
@@ -218,6 +243,24 @@ def test_identities_budget(monkeypatch):
     monkeypatch.undo()
     monkeypatch.delenv("INVWALK_BUDGET", raising=False)
     assert spectral.verify_identities(spectral.build_table(200, 256)).all_passed
+
+
+def test_identities_report_their_charge(monkeypatch):
+    charged = []
+    check_budget = spectral.check_budget
+
+    def recording(units, what):
+        charged.append((units, what))
+        check_budget(units, what)
+
+    monkeypatch.setattr(spectral, "check_budget", recording)
+    for m, precision in [(1, 53), (40, 128), (300, 256)]:
+        table = spectral.build_table(m, precision)
+        charged.clear()
+        report = spectral.verify_identities(table)
+        assert charged == [(report.work_charged,
+                            f"verify_identities m={m}, precision={precision}")]
+        assert report.work_charged > 0
 
 
 def test_transition_matrix_budget(monkeypatch):
